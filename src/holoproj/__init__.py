@@ -1,7 +1,7 @@
 """Exact q-series engine and verification toolkit for small-divisor /
 holomorphic-projection identities."""
 
-from .rings import CyclotomicNumber, Rational, cyc, value_from_json, value_to_json
+from .rings import CyclotomicNumber, Rational, UnivariatePoly, cyc, value_from_json, value_to_json
 from .characters import (
     CharacterTableError,
     DirichletCharacter,
@@ -30,7 +30,6 @@ from .smalldiv import (
 from .jacobi import (
     DegenerateRecurrenceError,
     HypergeomPoleError,
-    UnivariatePoly,
     jacobi_hypergeom,
     jacobi_poly,
     jacobi_recurrence,
@@ -43,7 +42,6 @@ from .kernel import (
     WeightData,
     WeightError,
     kernel_bivariate,
-    kernel_eval,
     modular_meta,
     parallelogram_check,
     projection_kernel,

@@ -13,8 +13,9 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 
-from .characters import CharacterTableError, char_from_spec, char_kronecker
+from .characters import char_from_spec, char_kronecker
 from .kernel import ORIENTATIONS, verify_closed_forms
 from .numeric import (
     UpperHalfPoint,
@@ -24,6 +25,7 @@ from .numeric import (
     xi_check,
 )
 from .projection import (
+    CAL_UNKNOWNS,
     CalibrationInstance,
     CharacterPlacement,
     ProjectionConfig,
@@ -42,6 +44,16 @@ from fractions import Fraction
 
 class ConfigError(Exception):
     pass
+
+
+@contextmanager
+def _inputs(where: str = ""):
+    """Turn a bad input rejected inside the block into a ConfigError, which
+    main() reports on one line with exit code 2."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:  # includes CharacterTableError, WeightError, JSONDecodeError
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def _c_str(z):
@@ -66,11 +78,10 @@ def _write_json(path, obj):
 
 
 def _cmd_theta(args) -> int:
-    try:
+    with _inputs("--char: "):
         psi = _parse_char(args.char)
-    except (ConfigError, CharacterTableError, ValueError) as exc:
-        print(f"config error in --char: {exc}", file=sys.stderr)
-        return 2
+    if args.terms < 1 or args.pow < 1:
+        raise ConfigError(f"--terms and --pow must be >= 1, got {args.terms} and {args.pow}")
     if args.pow == 1:
         series = theta_series(psi, args.terms)
     else:
@@ -91,16 +102,13 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_sigma_table(args) -> int:
-    try:
+    with _inputs():
         cfg = ProjectionConfig(
             _parse_char(args.psi), _parse_char(args.chi), args.l, args.rmax,
             modes=("ordered",),
             placement=CharacterPlacement(args.placement),
             orientation=args.orientation,
         )
-    except (ConfigError, CharacterTableError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     kernel = cfg.kernel()
     rows = []
     for r in range(1, cfg.rmax + 1):
@@ -123,6 +131,8 @@ def _cmd_sigma_table(args) -> int:
 def _load_verify_config(path):
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the config must be a JSON object, got {type(raw).__name__}")
     try:
         psi = char_from_spec(raw["psi"])
         chi = char_from_spec(raw["chi"])
@@ -141,12 +151,8 @@ def _load_verify_config(path):
 
 
 def _cmd_verify(args) -> int:
-    try:
+    with _inputs():
         cfg, schedule, want_closed = _load_verify_config(args.config)
-    except (ConfigError, CharacterTableError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
     report = residual_report(cfg, b_schedule=schedule, workers=args.workers)
     obj = report.to_json_obj(include_timestamp=not args.no_timestamp)
@@ -185,11 +191,11 @@ def _cmd_closed_forms(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    try:
+    with _inputs():
         inst = CalibrationInstance(args.family, _parse_char(args.psi), _parse_char(args.chi))
-    except (ConfigError, CharacterTableError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    need = len(CAL_UNKNOWNS[args.family]) + 1
+    if args.probes < need:
+        raise ConfigError(f"--probes must be >= {need} for {args.family}")
     result = calibrate_constants(inst, probe_count=args.probes, verify_rows=args.verify_rows)
     _write_json(args.out, result.to_json_obj())
     return 0
@@ -228,12 +234,16 @@ def _cmd_numeric(args) -> int:
                                    "asymptotic": asym, "pass": ok})
             return 0 if ok else 1
 
-    psi = _parse_char(args.psi) if args.psi else char_kronecker(-4)
-    chi = _parse_char(args.chi) if args.chi else char_kronecker(8)
+    if args.check in ("xi", "f-minus"):
+        with _inputs():
+            psi = _parse_char(args.psi) if args.psi else char_kronecker(-4)
+            chi = _parse_char(args.chi) if args.chi else char_kronecker(8)
+            cfg = ProjectionConfig(psi, chi, args.l, 1, modes=())
+            point = UpperHalfPoint(args.tau_u, args.tau_v)
+            if args.check == "xi" and mp.mpf(args.h) <= 0:
+                raise ValueError(f"--h must be > 0, got {args.h}")
 
     if args.check == "xi":
-        cfg = ProjectionConfig(psi, chi, args.l, 1, modes=())
-        point = UpperHalfPoint(args.tau_u, args.tau_v)
         res = xi_check(cfg, point, args.h, cutoff=args.cutoff)
         ok = res.rel_error <= mp.mpf(str(args.tolerance))
         _write_json(args.out, {
@@ -251,8 +261,6 @@ def _cmd_numeric(args) -> int:
         return 0 if ok else 1
 
     if args.check == "f-minus":
-        cfg = ProjectionConfig(psi, chi, args.l, 1, modes=())
-        point = UpperHalfPoint(args.tau_u, args.tau_v)
         res = eval_f_minus(cfg, point, args.cutoff)
         _write_json(args.out, {
             "check": "f-minus", "l": args.l,
@@ -265,7 +273,8 @@ def _cmd_numeric(args) -> int:
         return 0
 
     if args.check == "eichler":
-        char = _parse_char(args.char) if args.char else char_kronecker(8)
+        with _inputs("--char: "):
+            char = _parse_char(args.char) if args.char else char_kronecker(8)
         fit = UpperHalfPoint("0.1", "1.0")
         verify = [UpperHalfPoint("0.3", "0.9"), UpperHalfPoint("-0.2", "1.3"),
                   UpperHalfPoint("0.05", "0.7"), UpperHalfPoint("0", "2.0"),

@@ -5,13 +5,16 @@ terminating hypergeometric sum with all Gamma quotients evaluated as rising
 factorials (no Gamma function over the rationals, so poles at negative
 parameters never arise).  For the degenerate parameter families used by the
 projection kernels the recurrence can hit a vanishing leading factor; the
-hypergeometric path then covers.
+hypergeometric path then covers.  Both build on ``rings.UnivariatePoly``,
+the package's one polynomial type, re-exported here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+
+from .rings import UnivariatePoly
 
 
 class DegenerateRecurrenceError(ArithmeticError):
@@ -24,68 +27,6 @@ class DegenerateRecurrenceError(ArithmeticError):
 
 class HypergeomPoleError(ArithmeticError):
     """A denominator Pochhammer factor of the 2F1 sum vanished."""
-
-
-class UnivariatePoly:
-    """Dense polynomial over Fraction, coeffs[k] is the z^k coefficient;
-    trailing zeros are trimmed so equal polynomials compare equal."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def __call__(self, z) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return UnivariatePoly(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return UnivariatePoly(
-            [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, UnivariatePoly):
-            if not self.coeffs or not other.coeffs:
-                return UnivariatePoly([])
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, x in enumerate(self.coeffs):
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-            return UnivariatePoly(out)
-        return UnivariatePoly([c * Fraction(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "Poly(0)"
-        return "Poly(" + " + ".join(f"({c})*z^{k}" for k, c in enumerate(self.coeffs)) + ")"
 
 
 _Z = UnivariatePoly([0, 1])
@@ -109,7 +50,7 @@ def jacobi_recurrence(r: int, a: Fraction, b: Fraction) -> UnivariatePoly:
     p_prev = UnivariatePoly([1])
     if r == 0:
         return p_prev
-    p_cur = UnivariatePoly([Fraction(a - b, 2)]) + Fraction(a + b + 2, 2) * _Z
+    p_cur = Fraction(a + b + 2, 2) * _Z + Fraction(a - b, 2)
     for j in range(1, r):
         c1 = 2 * (j + 1) * (j + a + b + 1) * (2 * j + a + b)
         if c1 == 0:
@@ -117,9 +58,7 @@ def jacobi_recurrence(r: int, a: Fraction, b: Fraction) -> UnivariatePoly:
         c2 = (2 * j + a + b + 1) * (a * a - b * b)
         c3 = (2 * j + a + b) * (2 * j + a + b + 1) * (2 * j + a + b + 2)
         c4 = 2 * (j + a) * (j + b) * (2 * j + a + b + 2)
-        nxt = (UnivariatePoly([c2]) + c3 * _Z) * p_cur - c4 * p_prev
-        nxt = Fraction(1, 1) / c1 * nxt
-        p_prev, p_cur = p_cur, nxt
+        p_prev, p_cur = p_cur, ((c3 * _Z + c2) * p_cur - c4 * p_prev) * (1 / c1)
     return p_cur
 
 
@@ -143,9 +82,7 @@ def jacobi_hypergeom(r: int, a: Fraction, b: Fraction) -> UnivariatePoly:
     if r < 0:
         raise ValueError("degree must be >= 0")
     a, b = Fraction(a), Fraction(b)
-    u = UnivariatePoly([Fraction(1, 2), Fraction(-1, 2)])  # (1 - z)/2
-    out = UnivariatePoly([])
-    upow = UnivariatePoly([1])
+    terms = []
     num = Fraction(1)  # (-r)_k (a+b+r+1)_k
     den = Fraction(1)  # (a+1)_k k!
     for k in range(r + 1):
@@ -158,9 +95,9 @@ def jacobi_hypergeom(r: int, a: Fraction, b: Fraction) -> UnivariatePoly:
             raise HypergeomPoleError(
                 f"denominator Pochhammer vanished at k={k} for parameters ({a}, {b})"
             )
-        out = out + (num / den) * upow
-        upow = upow * u
-    return _rising(a + 1, r) / _rising(Fraction(1), r) * out
+        terms.append(num / den)
+    in_u = UnivariatePoly(terms) * (_rising(a + 1, r) / _rising(Fraction(1), r))
+    return in_u(UnivariatePoly([Fraction(1, 2), Fraction(-1, 2)]))  # u = (1 - z)/2
 
 
 def jacobi_poly(r: int, a, b) -> UnivariatePoly:

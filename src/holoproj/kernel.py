@@ -16,6 +16,12 @@ kappa = l + 2.  Two variable orientations are implemented:
 The two differ exactly by the swap x <-> y; both are kept runnable because
 the defining condition is printed inconsistently across its sources and only
 one choice can cancel termwise against the projection sum.
+
+``ProjectionKernel`` holds the Jacobi factor as its u-form P(1 - 2u), a
+``rings.UnivariatePoly`` in the squared-norm ratio u, and evaluates it by
+Horner's rule.  ``BivariateLaurent`` is built from the u-form for the printed
+kernel and the closed-form algebra, whose odd exponents and (x - y) factors no
+polynomial in u can hold.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from math import gcd, isqrt
 
 from .characters import DirichletCharacter, char_conjugate, char_inverse, char_kronecker, char_product
 from .jacobi import jacobi_poly
-from .rings import rational_to_str
+from .rings import UnivariatePoly, rational_to_str
 
 
 class WeightError(ValueError):
@@ -53,6 +59,7 @@ class WeightData:
     k_g: Fraction          # 3 l / 2 (odd twist side)
     shadow_weight: int     # 2 - kappa
     parity_class: str      # "even-l-integral" | "odd-l-half-integral"
+    two_e: int             # 2 (k_f - 1), the prefactor's power of a norm's square root
 
 
 def weights_for_dim(l: int) -> WeightData:
@@ -69,6 +76,7 @@ def weights_for_dim(l: int) -> WeightData:
         k_g=Fraction(3 * l, 2),
         shadow_weight=2 - kappa,
         parity_class="even-l-integral" if l % 2 == 0 else "odd-l-half-integral",
+        two_e=int(2 * (k_f - 1)),
     )
 
 
@@ -79,30 +87,16 @@ class BivariateLaurent:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=()):
+        """terms: a dict or an iterable of ((i, j), c); repeated exponents add."""
         data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (i, j), c in items:
-                c = Fraction(c)
-                if c:
-                    key = (int(i), int(j))
-                    acc = data.get(key, Fraction(0)) + c
-                    if acc:
-                        data[key] = acc
-                    else:
-                        data.pop(key, None)
-        self.terms = dict(sorted(data.items()))
+        for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
+            key = (int(i), int(j))
+            data[key] = data.get(key, 0) + Fraction(c)
+        self.terms = {k: c for k, c in sorted(data.items()) if c}
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k, Fraction(0)) + c
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
-        return BivariateLaurent(out)
+        return BivariateLaurent([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return BivariateLaurent({k: -c for k, c in self.terms.items()})
@@ -112,12 +106,9 @@ class BivariateLaurent:
 
     def __mul__(self, other):
         if isinstance(other, BivariateLaurent):
-            out = {}
-            for (i1, j1), c1 in self.terms.items():
-                for (i2, j2), c2 in other.terms.items():
-                    k = (i1 + i2, j1 + j2)
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2
-            return BivariateLaurent(out)
+            return BivariateLaurent([((i1 + i2, j1 + j2), c1 * c2)
+                                     for (i1, j1), c1 in self.terms.items()
+                                     for (i2, j2), c2 in other.terms.items()])
         return BivariateLaurent({k: c * Fraction(other) for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -126,12 +117,8 @@ class BivariateLaurent:
         if n < 0:
             raise ValueError("only non-negative powers")
         out = BivariateLaurent({(0, 0): 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def shift(self, di: int, dj: int) -> "BivariateLaurent":
@@ -152,22 +139,11 @@ class BivariateLaurent:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(tuple(self.terms.items()))
-
     def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
         x, y = Fraction(x), Fraction(y)
         acc = Fraction(0)
         for (i, j), c in self.terms.items():
             acc += c * x ** i * y ** j
-        return acc
-
-    def evaluate_squares(self, N: int, M: int) -> Fraction:
-        """Evaluate at x = sqrt(N), y = sqrt(M).  Odd exponents require the
-        corresponding argument to be a perfect square."""
-        acc = Fraction(0)
-        for (i, j), c in self.terms.items():
-            acc += c * _pow_half(N, i) * _pow_half(M, j)
         return acc
 
     def __str__(self):
@@ -186,12 +162,6 @@ class BivariateLaurent:
 
     __repr__ = __str__
 
-    def to_json_obj(self):
-        return [
-            {"x": i, "y": j, "coeff": rational_to_str(c)}
-            for (i, j), c in self.terms.items()
-        ]
-
 
 def _pow_half(base: int, exponent: int) -> Fraction:
     """base^(exponent/2) for integer base >= 1; exact, errors unless the
@@ -208,6 +178,13 @@ def _pow_half(base: int, exponent: int) -> Fraction:
     return Fraction(s) ** exponent
 
 
+def kernel_u_form(w: WeightData) -> UnivariatePoly:
+    """P_{kappa-2}(1 - 2u), with parameters (1 - k_f, 1 - kappa), as a
+    polynomial in the squared-norm ratio u = y^2/x^2."""
+    poly = jacobi_poly(w.kappa - 2, Fraction(1) - w.k_f, Fraction(1 - w.kappa))
+    return poly(UnivariatePoly([1, -2]))
+
+
 def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") -> BivariateLaurent:
     """Exact kernel K(x, y), x holding the larger squared norm's square root.
 
@@ -216,76 +193,43 @@ def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") ->
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
-    poly = jacobi_poly(w.kappa - 2, Fraction(1) - w.k_f, Fraction(1 - w.kappa))
-    # rewrite P(z) in powers of u = (1 - z)/2, i.e. substitute z = 1 - 2u
-    u_coeffs = _in_u_basis(poly.coeffs)
-    e = w.k_f - 1
-    two_e = 2 * e
-    assert two_e.denominator == 1
-    two_e = int(two_e)
-    terms = {}
-    # prefactor * sum_k u_k (ratio)^k  with u = (small/large) squared ratio
-    for k, c in enumerate(u_coeffs):
-        if not c:
-            continue
-        if orientation == "prefactor_on_larger":
-            key = (two_e - 2 * k, 2 * k)
-        else:
-            key = (2 * k, two_e - 2 * k)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    sub = (0, two_e) if orientation == "prefactor_on_larger" else (two_e, 0)
-    terms[sub] = terms.get(sub, Fraction(0)) - 1
-    return BivariateLaurent(terms)
-
-
-def _in_u_basis(z_coeffs):
-    """Coefficients of P as a polynomial in u where z = 1 - 2u."""
-    out = [Fraction(0)] * max(len(z_coeffs), 1)
-    # (1 - 2u)^k expanded incrementally
-    pw = [Fraction(1)]
-    for k, c in enumerate(z_coeffs):
-        if c:
-            for i, p in enumerate(pw):
-                out[i] += c * p
-        nxt = [Fraction(0)] * (len(pw) + 1)
-        for i, p in enumerate(pw):
-            nxt[i] += p
-            nxt[i + 1] -= 2 * p
-        pw = nxt
-    return out
+    terms = [((w.two_e - 2 * k, 2 * k), c) for k, c in enumerate(kernel_u_form(w).coeffs)]
+    larger = BivariateLaurent(terms + [((0, w.two_e), -1)])
+    return larger if orientation == "prefactor_on_larger" else larger.swap_vars()
 
 
 @dataclass(frozen=True)
 class ProjectionKernel:
-    """Evaluation handle: weight data plus the Laurent table for one
-    orientation.  Cached per (l, orientation); immutable once published."""
+    """Evaluation handle: weight data, orientation and the u-form
+    P_{kappa-2}(1 - 2u).  Cached per (l, orientation); immutable once
+    published."""
 
     weights: WeightData
     orientation: str
-    table: BivariateLaurent
+    u_form: UnivariatePoly
 
     @property
     def l(self) -> int:
         return self.weights.l
 
     def eval(self, N: int, M: int) -> Fraction:
-        """K at (larger squared norm N, smaller squared norm M), exact."""
+        """K at (larger squared norm N, smaller squared norm M), exact:
+        N^(k_f-1) P(1 - 2M/N) - M^(k_f-1), slots exchanged for
+        prefactor_on_smaller."""
         if M < 1 or N <= M:
             raise ValueError(f"need N > M >= 1, got ({N}, {M})")
-        return self.table.evaluate_squares(N, M)
+        if self.orientation == "prefactor_on_smaller":
+            N, M = M, N
+        two_e = self.weights.two_e
+        return _pow_half(N, two_e) * self.u_form(Fraction(M, N)) - _pow_half(M, two_e)
 
 
 @lru_cache(maxsize=None)
 def projection_kernel(l: int, orientation: str = "prefactor_on_larger") -> ProjectionKernel:
+    if orientation not in ORIENTATIONS:
+        raise ValueError(f"unknown orientation {orientation!r}")
     w = weights_for_dim(l)
-    return ProjectionKernel(w, orientation, kernel_bivariate(w, orientation))
-
-
-def kernel_eval(K: BivariateLaurent, N: int, M: int) -> Fraction:
-    """Evaluate a kernel table at squared norms N > M >= 1."""
-    if M < 1 or N <= M:
-        raise ValueError(f"need N > M >= 1, got ({N}, {M})")
-    return K.evaluate_squares(N, M)
+    return ProjectionKernel(w, orientation, kernel_u_form(w))
 
 
 # -- reference closed forms ---------------------------------------------------

@@ -396,6 +396,12 @@ def _embed_magnitude(z: CyclotomicNumber) -> float:
 _ROW_CTX = None
 
 
+def _set_row_ctx(ctx):
+    """Publish the row context; as the pool initializer, in every worker too."""
+    global _ROW_CTX
+    _ROW_CTX = ctx
+
+
 def _row_task(r: int):
     cfg, kernel, want_ordered, table = _ROW_CTX
     sig = sigma_coefficient(cfg, kernel, r, table)
@@ -409,21 +415,22 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     nowhere here (it is data; the CLI's exit code asserts it).  Identical
     configs produce identical reports for any worker count.
     """
-    global _ROW_CTX
     kernel = cfg.kernel()
     want_ordered = "ordered" in cfg.modes
     want_full = "full" in cfg.modes
 
     rs = list(range(1, cfg.rmax + 1))
-    _ROW_CTX = (cfg, kernel, want_ordered, sigma_entry_table(cfg, cfg.rmax))
+    ctx = (cfg, kernel, want_ordered, sigma_entry_table(cfg, cfg.rmax))
+    _set_row_ctx(ctx)
     try:
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_set_row_ctx,
+                                     initargs=(ctx,)) as pool:
                 computed = list(pool.map(_row_task, rs, chunksize=max(1, len(rs) // (4 * workers))))
         else:
             computed = [_row_task(r) for r in rs]
     finally:
-        _ROW_CTX = None
+        _set_row_ctx(None)
     sigma = {r: s for r, s, _ in computed}
     ordered = {r: o for r, _, o in computed} if want_ordered else {}
 
@@ -515,7 +522,8 @@ def eisenstein_e2(N: int) -> QSeries:
 
 # -- calibrate-then-verify ------------------------------------------------------
 
-CAL_FAMILIES = ("classical-d", "classical-d2", "kernel-1dim")
+CAL_UNKNOWNS = {"classical-d": ("alpha", "C"), "classical-d2": ("C",), "kernel-1dim": ("C",)}
+CAL_FAMILIES = tuple(CAL_UNKNOWNS)
 
 
 @dataclass(frozen=True)
@@ -627,7 +635,7 @@ def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,
     system is a finding, not an error: the offending rows land in
     ``failures``.
     """
-    names = {"classical-d": ["alpha", "C"], "classical-d2": ["C"], "kernel-1dim": ["C"]}[inst.family]
+    names = CAL_UNKNOWNS[inst.family]
     n_unknown = len(names)
     if probe_count < n_unknown + 1:
         raise ValueError(f"probe_count must be >= {n_unknown + 1}")

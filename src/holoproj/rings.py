@@ -1,12 +1,16 @@
-"""Exact coefficient arithmetic: rationals and cyclotomic numbers.
+"""Exact coefficient arithmetic: rationals, polynomials and cyclotomic numbers.
 
 Every identity checked by this package is an equality of exact values, never a
 floating-point comparison.  Rationals are ``fractions.Fraction`` (always
-reduced, positive denominator).  Cyclotomic numbers are elements of
-Q[z]/Phi_e(z) stored as dense coordinate vectors of length phi(e); reduction
-modulo the e-th cyclotomic polynomial is canonical, so two equal values at the
-same order have identical coordinates.  Mixed-order arithmetic lifts both
-operands to the lcm order, so callers never manage orders themselves.
+reduced, positive denominator).  ``UnivariatePoly`` is the package's one dense
+polynomial type over Q: it builds Phi_e here, the Jacobi polynomials in
+``jacobi`` and the kernel's u-form in ``kernel``.  Cyclotomic numbers are
+elements of Q[z]/Phi_e(z) stored as dense coordinate vectors of length
+phi(e); reduction modulo the e-th cyclotomic polynomial is canonical, so two
+equal values at the same order have identical coordinates.  Their hot
+operations stay on coordinate tuples and share the polynomial type's
+list-level long division.  Mixed-order arithmetic lifts both operands to the
+lcm order, so callers never manage orders themselves.
 """
 
 from __future__ import annotations
@@ -26,64 +30,127 @@ def rational_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_from_str(s) -> Fraction:
-    return Fraction(s)
+class UnivariatePoly:
+    """Dense polynomial over Q, the package's one polynomial type.
+
+    ``coeffs[k]`` is the z^k coefficient, a Fraction; trailing zeros are
+    trimmed, so equal polynomials compare equal.  Arithmetic accepts
+    polynomials and rationals on either side; calling a polynomial evaluates
+    it by Horner's rule, and composes when the argument is a polynomial.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1 if self.coeffs else -1
+
+    def __call__(self, z):
+        acc = UnivariatePoly(()) if isinstance(z, UnivariatePoly) else Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
+        return acc
+
+    def __add__(self, other):
+        a, b = self.coeffs, _as_poly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return UnivariatePoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return UnivariatePoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-_as_poly(other))
+
+    def __mul__(self, other):
+        a, b = self.coeffs, _as_poly(other).coeffs
+        if not a or not b:
+            return UnivariatePoly(())
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return UnivariatePoly(out)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        other = _as_poly(other)
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        q, r = _divmod(self.coeffs, other.coeffs)
+        return UnivariatePoly(q), UnivariatePoly(r)
+
+    def __eq__(self, other):
+        if not isinstance(other, UnivariatePoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "Poly(0)"
+        return "Poly(" + " + ".join(f"({c})*z^{k}" for k, c in enumerate(self.coeffs)) + ")"
 
 
-def euler_phi(e: int) -> int:
-    if e < 1:
-        raise ValueError(f"euler_phi needs a positive argument, got {e}")
-    out = 0
-    for k in range(1, e + 1):
-        if gcd(k, e) == 1:
-            out += 1
-    return out
+def _as_poly(x) -> UnivariatePoly:
+    return x if isinstance(x, UnivariatePoly) else UnivariatePoly((x,))
+
+
+def _divmod(a, b):
+    """Long division of dense ascending coefficient lists, b[-1] nonzero:
+    (quotient, remainder), the remainder untrimmed and at most len(b) - 1
+    long.  Entries must be Fractions unless b is monic."""
+    a = list(a)
+    n, lead = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(a) - n, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = a[i + n]
+        if c:
+            if lead != 1:
+                c = c / lead
+            q[i] = c
+            for j, bj in enumerate(b):
+                if bj:
+                    a[i + j] -= c * bj
+    return q, a[:n]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple:
-    """Integer coefficients of Phi_e, ascending degree, computed by dividing
-    x^e - 1 by the product of Phi_d over proper divisors d of e."""
-    if e == 1:
-        return (-1, 1)
-    num = [0] * (e + 1)
-    num[0], num[e] = -1, 1
+    """Integer coefficients of Phi_e, ascending degree: x^e - 1 divided by
+    Phi_d for every proper divisor d of e."""
+    num = UnivariatePoly([-1] + [0] * (e - 1) + [1])
     for d in range(1, e):
         if e % d == 0:
-            num = _poly_divide_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+            num = divmod(num, UnivariatePoly(cyclotomic_polynomial(d)))[0]
+    return tuple(int(c) for c in num.coeffs)
 
-def _poly_divide_exact(num, den):
-    # Exact division of integer polynomials, den monic-or-unit leading coeff.
-    num = list(num)
-    den = list(den)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] // den[-1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+
+def euler_phi(e: int) -> int:
+    """phi(e), the degree of Phi_e."""
+    if e < 1:
+        raise ValueError(f"euler_phi needs a positive argument, got {e}")
+    return len(cyclotomic_polynomial(e)) - 1
 
 
 def _reduce_mod_cyclotomic(coeffs, e):
     """Reduce a Fraction coefficient list modulo Phi_e; returns a tuple of
     length phi(e)."""
     phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            # phi is monic: subtract c * x^(i-deg) * phi
-            for j in range(deg + 1):
-                work[i - deg + j] -= c * phi[j]
-    work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(work)
+    rem = _divmod(coeffs, phi)[1]
+    return tuple(rem) + (Fraction(0),) * (len(phi) - 1 - len(rem))
 
 
 class CyclotomicNumber:
@@ -245,9 +312,15 @@ class CyclotomicNumber:
             raise ZeroDivisionError("cyclotomic inverse of zero")
         if self.order == 1:
             return CyclotomicNumber(1, (1 / self.coords[0],))
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_modular_inverse(list(self.coords), phi)
-        return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(inv, self.order))
+        r0, r1 = UnivariatePoly(cyclotomic_polynomial(self.order)), UnivariatePoly(self.coords)
+        s0, s1 = UnivariatePoly(()), UnivariatePoly((1,))
+        while r1.degree() > 0:
+            q, r = divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - q * s1
+        # Phi_e is irreducible, so the last remainder is a nonzero constant
+        inv = s1 * (1 / r1.coeffs[0])
+        return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(inv.coeffs, self.order))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -288,57 +361,6 @@ class CyclotomicNumber:
             return f"Cyc({rational_to_str(self.coords[0])})"
         terms = ", ".join(rational_to_str(c) for c in self.coords)
         return f"Cyc(order={self.order}, [{terms}])"
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return q, _poly_trim(a)
-
-def _poly_modular_inverse(a, m):
-    """Inverse of a modulo m in Q[x] (gcd must be a nonzero constant)."""
-    a = _poly_trim([Fraction(c) for c in a])
-    r0, r1 = [Fraction(c) for c in m], a
-    s0, s1 = [], [Fraction(1)]
-    while True:
-        if not r1:
-            raise ZeroDivisionError("not invertible modulo the cyclotomic polynomial")
-        if len(r1) == 1:
-            c = r1[0]
-            return [x / c for x in s1]
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        qs1 = _poly_mul(q, s1)
-        s0, s1 = s1, _poly_sub(s0, qs1)
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
 
 
 _ZERO = CyclotomicNumber(1, (Fraction(0),))

@@ -192,3 +192,22 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["identities"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("theta", "--char", "kronecker:-4", "--terms", "0"),
+    ("theta", "--char", "kronecker:-4", "--terms", "10", "--pow", "0"),
+    ("numeric", "xi", "--h", "abc"),
+    ("numeric", "xi", "--l", "2"),
+    ("calibrate", "--family", "classical-d", "--psi", "kronecker:-4",
+     "--chi", "kronecker:-4", "--probes", "1"),
+    ("verify", "--config", "{list_config}"),
+])
+def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
+    list_config = tmp_path / "list.json"
+    list_config.write_text("[1, 2]")
+    argv = [a.format(list_config=list_config) for a in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "x.json")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not (tmp_path / "x.json").exists()

@@ -91,3 +91,25 @@ def test_poly_evaluation():
     p = jacobi_hypergeom(4, F(1), F(-5))
     # P(1) = (a+1)_r / r! at z = 1 (u = 0 leaves only the constant term)
     assert p(F(1)) == F(5)
+
+
+@pytest.mark.parametrize("l", [1, 3, 4, 5, 6, 8, 10])
+def test_kernel_parameters_match_explicit_sum(l):
+    """jacobi_poly at the kernel parameters of dimension l against the
+    explicit sum  sum_s C(r+a, r-s) C(r+b, s) ((z-1)/2)^s ((z+1)/2)^(r-s)
+    in sympy rationals (sympy.jacobi itself divides by zero at these
+    parameters)."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    w = weights_for_dim(l)
+    a, b = 1 - w.k_f, F(1 - w.kappa)
+    sa, sb = sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator)
+    for r in range(0, 13):
+        ref = sum(
+            sympy.binomial(r + sa, r - s) * sympy.binomial(r + sb, s)
+            * ((z - 1) / 2) ** s * ((z + 1) / 2) ** (r - s)
+            for s in range(r + 1)
+        )
+        coeffs = sympy.Poly(sympy.expand(ref), z).all_coeffs()[::-1] if ref != 0 else []
+        expected = UnivariatePoly([F(int(c.p), int(c.q)) for c in coeffs])
+        assert jacobi_poly(r, a, b) == expected, (l, r)

@@ -10,7 +10,6 @@ from holoproj.kernel import (
     NonSquareArgumentError,
     WeightError,
     kernel_bivariate,
-    kernel_eval,
     modular_meta,
     parallelogram_check,
     projection_kernel,
@@ -108,15 +107,21 @@ def test_odd_kernel_needs_square_arguments():
     assert k1.eval(25, 4) == F((5 - 2) ** 2, 2 * 5)
 
 
-def test_kernel_eval_free_function_matches_handle():
-    w = weights_for_dim(6)
-    table = kernel_bivariate(w)
-    assert kernel_eval(table, 52, 12) == projection_kernel(6).eval(52, 12)
+def test_kernel_eval_matches_printed_table():
+    """The handle's Horner evaluation of the u-form equals the printed
+    Laurent table evaluated at the square roots, in both orientations."""
+    for l in (1, 3, 4, 6):
+        for orientation in ("prefactor_on_larger", "prefactor_on_smaller"):
+            table = kernel_bivariate(weights_for_dim(l), orientation)
+            k = projection_kernel(l, orientation)
+            for nu in range(2, 12):
+                for mu in range(1, nu):
+                    assert k.eval(nu * nu, mu * mu) == table.evaluate(nu, mu), (l, orientation)
 
 
 @pytest.mark.parametrize("l", [4, 6, 8, 10])
 def test_two_path_agreement_with_direct_jacobi(l):
-    """kernel_eval equals N^(k-1) P(1 - 2M/N) - M^(k-1) computed through the
+    """The kernel handle equals N^(k-1) P(1 - 2M/N) - M^(k-1) computed through the
     polynomial evaluated at the rational point."""
     w = weights_for_dim(l)
     poly = jacobi_poly(w.kappa - 2, 1 - w.k_f, F(1 - w.kappa))

@@ -1,6 +1,13 @@
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import holoproj
 
 from holoproj.characters import char_kronecker
 from holoproj.kernel import WeightError
@@ -280,3 +287,35 @@ def test_calibrate_underdetermined_probes_flagged():
     assert res.underdetermined
     assert not res.consistent
     assert res.scalars == {}
+
+
+def test_readme_full_residuals_come_from_the_report():
+    """The README's documented full-range residuals, sigma - full at B = 4096
+    on criterion 6's config (l = 4, rmax = 20)."""
+    rep = residual_report(cfg_for(4, 20, modes=("ordered", "full"), B=4096))
+    residual = {row.r: float(row.residual_full.rational_value()) for row in rep.rows}
+    assert round(residual[8], 4) == -0.5819
+    assert round(residual[16], 4) == 4.6109
+
+
+_WORKERS_SCRIPT = """
+import json, multiprocessing, sys
+from holoproj import ProjectionConfig, char_kronecker, residual_report
+multiprocessing.set_start_method(sys.argv[1])
+cfg = ProjectionConfig(char_kronecker(-4), char_kronecker(8), 4, 12,
+                       modes=("ordered", "full"), B=128)
+print(json.dumps(residual_report(cfg, workers=2).to_json_obj(False)))
+"""
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_workers_give_the_same_report_under_every_start_method(method):
+    cfg = cfg_for(4, 12, modes=("ordered", "full"), B=128)
+    expected = json.loads(json.dumps(residual_report(cfg, workers=1).to_json_obj(False)))
+    src = os.path.dirname(os.path.dirname(holoproj.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _WORKERS_SCRIPT, method], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected

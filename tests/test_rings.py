@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from holoproj.rings import (
     CyclotomicNumber,
+    UnivariatePoly,
     cyc,
     cyclotomic_polynomial,
     euler_phi,
@@ -138,3 +139,25 @@ def test_value_serialization_round_trip():
     r = cyc(Fraction(-2, 9))
     assert value_to_json(r) == "-2/9"
     assert value_from_json("-2/9") == r
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for e in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(e, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(e) == tuple(int(c) for c in expected), e
+        assert euler_phi(e) == sympy.totient(e), e
+
+
+def test_univariate_poly_arithmetic():
+    p = UnivariatePoly([1, -3, 0, 2])
+    d = UnivariatePoly([Fraction(1, 2), 1])
+    q, r = divmod(p, d)
+    assert q * d + r == p and r.degree() < d.degree()
+    assert p - p == UnivariatePoly([]) and 1 + p - 1 == p
+    # calling with a polynomial composes: p(1 - 2u) evaluated at u = 1/4
+    composed = p(UnivariatePoly([1, -2]))
+    assert composed(Fraction(1, 4)) == p(Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        divmod(p, UnivariatePoly([0]))
