@@ -52,7 +52,7 @@ def _inputs(where: str = ""):
     main() reports on one line with exit code 2."""
     try:
         yield
-    except (ValueError, OSError) as exc:  # includes CharacterTableError, WeightError, JSONDecodeError
+    except (ValueError, TypeError, OSError) as exc:  # includes CharacterTableError, WeightError, JSONDecodeError
         raise ConfigError(f"{where}{exc}") from None
 
 
@@ -137,10 +137,16 @@ def _load_verify_config(path):
         psi = char_from_spec(raw["psi"])
         chi = char_from_spec(raw["chi"])
         modes = tuple(raw.get("modes", ["ordered", "full"]))
+        rmax = int(raw["rmax"])
         schedule = raw.get("b_schedule")
+        if schedule is not None and not (
+                isinstance(schedule, list)
+                and all(type(b) is int and b >= rmax for b in schedule)):
+            raise ConfigError(f"b_schedule must be a list of integers >= rmax = {rmax}, "
+                              f"got {schedule!r}")
         B = raw.get("B", schedule[-1] if schedule else None)
         cfg = ProjectionConfig(
-            psi, chi, int(raw["l"]), int(raw["rmax"]),
+            psi, chi, int(raw["l"]), rmax,
             modes=modes, B=B,
             placement=CharacterPlacement(raw.get("placement", "psi_on_larger")),
             orientation=raw.get("orientation", "prefactor_on_larger"),
@@ -240,12 +246,15 @@ def _cmd_numeric(args) -> int:
             chi = _parse_char(args.chi) if args.chi else char_kronecker(8)
             cfg = ProjectionConfig(psi, chi, args.l, 1, modes=())
             point = UpperHalfPoint(args.tau_u, args.tau_v)
-            if args.check == "xi" and mp.mpf(args.h) <= 0:
-                raise ValueError(f"--h must be > 0, got {args.h}")
+            if args.check == "xi":
+                if mp.mpf(args.h) <= 0:
+                    raise ValueError(f"--h must be > 0, got {args.h}")
+                tolerance = mp.mpf(args.tolerance)
 
     if args.check == "xi":
-        res = xi_check(cfg, point, args.h, cutoff=args.cutoff)
-        ok = res.rel_error <= mp.mpf(str(args.tolerance))
+        with _inputs():  # the point or cutoff is rejected before any computation
+            res = xi_check(cfg, point, args.h, cutoff=args.cutoff)
+        ok = res.rel_error <= tolerance
         _write_json(args.out, {
             "check": "xi", "l": args.l,
             "point": {"u": args.tau_u, "v": args.tau_v},
@@ -261,7 +270,8 @@ def _cmd_numeric(args) -> int:
         return 0 if ok else 1
 
     if args.check == "f-minus":
-        res = eval_f_minus(cfg, point, args.cutoff)
+        with _inputs():  # the tail bound is checked before any computation
+            res = eval_f_minus(cfg, point, args.cutoff)
         _write_json(args.out, {
             "check": "f-minus", "l": args.l,
             "point": {"u": args.tau_u, "v": args.tau_v},

@@ -152,19 +152,20 @@ def eval_f_minus(cfg: ProjectionConfig, point: UpperHalfPoint, cutoff: int,
             |m|^(2(k_f-1)) Gamma(1-k_f, 4 pi |m|^2 v) q^(-|m|^2)
 
     collapsed through the chi-side theta-power coefficients.  A rigorous
-    bound for the dropped tail is computed and reported; exceeding
-    tail_tolerance is an error, never a silent truncation.
+    bound for the dropped tail is computed first and reported; exceeding
+    tail_tolerance is an error, raised before any summation, never a silent
+    truncation.
     """
     with mp.workdps(point.dps):
         tau = point.tau()
-        alpha = theta_power_direct(cfg.chi, cfg.l, cutoff)
-        value, terms = _f_minus_raw(alpha, cfg.l, tau)
         tail = f_minus_tail_bound(cfg.l, cfg.chi.parity, mp.im(tau), cutoff)
         if tail > _to_mpf(tail_tolerance):
             raise ValueError(
                 f"tail estimate {mp.nstr(tail, 5)} exceeds tolerance {tail_tolerance}; "
                 f"raise the cutoff or v"
             )
+        alpha = theta_power_direct(cfg.chi, cfg.l, cutoff)
+        value, terms = _f_minus_raw(alpha, cfg.l, tau)
         return FMinusValue(value=value, tail_estimate=tail, cutoff=cutoff, terms_used=terms)
 
 

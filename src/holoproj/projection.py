@@ -262,7 +262,8 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None, source: str = "
             bN = beta.coeff(M + r)
             if bN.is_zero():
                 continue
-            term = aM * bN * cyc(kernel.eval(M + r, M))
+            # aM times the rational kernel first: one mixed-order product
+            term = aM * cyc(kernel.eval(M + r, M)) * bN
             acc = acc + term
             if M <= half:
                 acc_half = acc_half + term

@@ -2,16 +2,23 @@
 
 theta_series sums the defining series directly: coefficient psi(n) n^lambda
 at each square exponent n^2.  theta_power_direct enumerates the rank-l
-lattice N^l with radius pruning and never touches series multiplication, so
-the two paths cross-check each other (power via repeated squaring vs direct
-representation-number enumeration).
+lattice N^l and never touches series multiplication, so the two paths
+cross-check each other (power via repeated squaring vs direct
+representation-number enumeration).  The enumeration walks one nondecreasing
+tuple per orbit of coordinate permutations, weighted by the orbit's size, with
+radius pruning; it sums integers per (norm, residue of the product) and
+applies the character once per exponent on integer coordinate vectors.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import groupby
+from math import factorial, isqrt, lcm
+
 from .characters import DirichletCharacter
 from .qseries import QSeries
-from .rings import cyc
+from .rings import CyclotomicNumber, euler_phi
 
 
 def theta_series(psi: DirichletCharacter, N: int) -> QSeries:
@@ -39,12 +46,16 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
     """Coefficient of q^M as the direct lattice sum over n in {1,2,...}^l with
     |n|^2 = M of psi(n_1...n_l) (n_1...n_l)^lambda.
 
-    Enumeration is by nested descent with radius pruning; subtrees whose next
-    coordinate kills the character are skipped (exact, by complete
-    multiplicativity).  Sums are accumulated as integers bucketed by the
-    residue class of the coordinate product, and character values are applied
-    once per (exponent, residue) in sorted order, so results are bit-identical
-    run to run.
+    The summand is symmetric, so the descent walks one nondecreasing tuple
+    per orbit of coordinate permutations, weighted by the orbit's size
+    l!/prod(run length)!.  A coordinate n at position p is tried only if
+    psi(n) != 0 (exact, by complete multiplicativity) and n^2 (l - p) fits
+    the remaining norm, every later coordinate being at least n.  The
+    weighted products^lambda are summed as integers per (norm, residue of
+    the product); per exponent the character is then applied once, as the
+    sums times the integer coordinates of psi's values at e, the lcm of
+    their orders.  Reduction mod Phi_e is canonical, so values and order
+    tags equal those of adding psi(residue) * sum one residue at a time.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
@@ -52,37 +63,65 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
         raise ValueError(f"need N >= 1, got {N}")
     if psi.modulus == 1:
         raise ValueError("trivial character mod 1 is not admitted")
+    if N < l:
+        return QSeries(1, N, {})
     mod = psi.modulus
     lam = psi.parity
-    unit_residues = [a for a in range(mod) if not psi.values[a].is_zero()]
-    unit_set = set(unit_residues)
+    ns = [n for n in range(1, isqrt(N - l + 1) + 1) if not psi.values[n % mod].is_zero()]
+    squares = [n * n for n in ns]
+    powers = [n ** lam for n in ns]
+    count = len(ns)
 
-    # buckets[exponent][residue of product mod M] -> integer sum of products^lam
-    buckets: dict[int, dict[int, int]] = {}
+    # norm * mod + residue of the product -> sum of weight * product^lambda
+    sums: dict[int, int] = {}
 
-    def descend(position: int, budget: int, norm: int, prod: int, res: int):
-        if position == l:
-            slot = buckets.setdefault(norm, {})
-            slot[res] = slot.get(res, 0) + prod ** lam
+    def last(start, budget, prod, res, weight, run):
+        """The final coordinate, from index start on; the first candidate
+        repeats the previous coordinate and extends its run."""
+        norm = N - budget
+        w = weight // (run + 1)
+        for j in range(start, count):
+            sq = squares[j]
+            if sq > budget:
+                return
+            key = (norm + sq) * mod + res * ns[j] % mod
+            sums[key] = sums.get(key, 0) + w * prod * powers[j]
+            w = weight
+
+    def descend(position, start, budget, prod, res, weight, run):
+        left = l - position
+        if left == 1:
+            last(start, budget, prod, res, weight, run)
             return
-        remaining_min = l - 1 - position
-        n = 1
-        while n * n + remaining_min <= budget:
-            r = (res * n) % mod
-            if r in unit_set:
-                descend(position + 1, budget - n * n, norm + n * n, prod * n, r)
-            n += 1
+        for j in range(start, count):
+            sq = squares[j]
+            if sq * left > budget:
+                return
+            k = run + 1 if j == start else 1
+            descend(position + 1, j, budget - sq, prod * powers[j],
+                    res * ns[j] % mod, weight // k, k)
 
-    descend(0, N, 0, 1, 1 % mod)
+    descend(0, 0, N, 1, 1 % mod, factorial(l), 0)
+
+    @lru_cache(maxsize=None)
+    def coordinates(res, e):
+        """psi(res) at order e as integer coordinates."""
+        value = psi.values[res]
+        if value.order != e:
+            value = value.lift(e)
+        return tuple(c.numerator if c.denominator == 1 else c for c in value.coords)
 
     coeffs = {}
-    for exponent in sorted(buckets):
-        acc = cyc(0)
-        for residue in sorted(buckets[exponent]):
-            acc = acc + psi.values[residue] * buckets[exponent][residue]
-        if not acc.is_zero():
-            coeffs[exponent] = acc
-    return QSeries(min(l, N), N, coeffs) if N >= l else QSeries(1, N, {})
+    for norm, keys in groupby(sorted(sums), key=lambda key: key // mod):
+        slot = [(key % mod, sums[key]) for key in keys]
+        e = lcm(*(psi.values[res].order for res, _ in slot))
+        total = [0] * euler_phi(e)
+        for res, amount in slot:
+            for k, c in enumerate(coordinates(res, e)):
+                total[k] += amount * c
+        if any(total):
+            coeffs[norm] = CyclotomicNumber(e, total)
+    return QSeries(l, N, coeffs)
 
 
 def theta_power_series(psi: DirichletCharacter, l: int, N: int) -> QSeries:

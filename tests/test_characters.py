@@ -90,6 +90,16 @@ def test_kronecker_symbol_values():
     assert kronecker_symbol(1, 0) == 1
 
 
+def test_kronecker_symbol_matches_sympy():
+    pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import kronecker_symbol as oracle
+
+    for D in range(-200, 201):
+        if is_fundamental_discriminant(D):
+            for n in range(300):
+                assert kronecker_symbol(D, n) == oracle(D, n), (D, n)
+
+
 def test_product_of_chi_minus4_with_itself_is_even():
     chi = char_kronecker(-4)
     sq = char_product(chi, chi)

@@ -202,6 +202,10 @@ def test_installed_entry_point_runs():
     ("calibrate", "--family", "classical-d", "--psi", "kronecker:-4",
      "--chi", "kronecker:-4", "--probes", "1"),
     ("verify", "--config", "{list_config}"),
+    ("numeric", "xi", "--tolerance", "abc"),
+    ("numeric", "xi", "--tau-v", "0.01"),
+    ("numeric", "xi", "--tau-v", "3"),
+    ("numeric", "f-minus", "--cutoff", "1"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     list_config = tmp_path / "list.json"
@@ -211,3 +215,36 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("field", [
+    {"b_schedule": 5},
+    {"b_schedule": ["256"]},
+    {"b_schedule": [8, 4096]},
+    {"modes": 5},
+    {"l": [4]},
+], ids=["schedule-int", "schedule-str", "schedule-below-rmax", "modes-int", "l-list"])
+def test_bad_verify_config_fields_exit_2_before_any_run(field, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the config should be rejected before the run")
+
+    monkeypatch.setattr("holoproj.cli.residual_report", no_run)
+    cfg = write_config(tmp_path, **{"l": 4, **field})
+    assert run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "x.json")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("xi", "--tolerance", "abc"),
+    ("xi", "--tau-v", "0.01"),
+    ("f-minus", "--cutoff", "1"),
+])
+def test_numeric_rejects_bad_input_before_computing(argv, tmp_path, monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("the input should be rejected before any summation")
+
+    monkeypatch.setattr("holoproj.numeric.xi_finite_difference", no_sum)
+    monkeypatch.setattr("holoproj.numeric.theta_power_direct", no_sum)
+    assert run_cli("numeric", *argv, "--out", str(tmp_path / "x.json")) == 2

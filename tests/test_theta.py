@@ -1,6 +1,12 @@
+from collections import Counter
+from functools import lru_cache
+from itertools import product
+from math import isqrt, prod
+
 import pytest
 
 from holoproj.characters import char_from_table, char_kronecker
+from holoproj.qseries import QSeries
 from holoproj.rings import CyclotomicNumber, cyc
 from holoproj.theta import theta_power_direct, theta_power_series, theta_series
 
@@ -93,3 +99,70 @@ def test_strict_valuations():
     assert theta_series(CHI_M4, 30).min_nonzero_exponent() == 1
     for l in (1, 2, 3, 4, 6):
         assert theta_power_direct(CHI_M4, l, 60).min_nonzero_exponent() == l
+
+
+def _sextic_mod7():
+    """The order-6 character mod 7 (3 generates the units), its values
+    tagged at orders 1, 3 and 6 so that one bucket mixes all three."""
+    zeta6 = CyclotomicNumber.zeta(6)
+    table, g = [cyc(0)] * 7, 1
+    for k in range(6):
+        value = zeta6 ** k
+        if k in (2, 4):  # zeta_6^2, zeta_6^4 are cube roots of unity
+            value = CyclotomicNumber.zeta(3, k // 2)
+        table[g] = value
+        g = g * 3 % 7
+    return char_from_table(7, table)
+
+
+ORACLE_CHARS = {
+    "kron_m4": char_kronecker(-4),
+    "kron_8": char_kronecker(8),
+    "kron_m3": char_kronecker(-3),
+    "kron_12": char_kronecker(12),
+    "quartic_mod5": char_from_table(5, [cyc(0), cyc(1), CyclotomicNumber.zeta(4),
+                                        -CyclotomicNumber.zeta(4), cyc(-1)]),
+    "sextic_mod7": _sextic_mod7(),
+}
+
+
+@lru_cache(maxsize=None)
+def _norm_product_counts(l, N):
+    """(norm, product) -> number of points of {1..isqrt(N)}^l with norm <= N."""
+    counts = Counter()
+    for point in product(range(1, isqrt(N) + 1), repeat=l):
+        norm = sum(n * n for n in point)
+        if norm <= N:
+            counts[norm, prod(point)] += 1
+    return counts
+
+
+def _theta_power_oracle(psi, l, N):
+    """Brute force: every lattice point bucketed by (norm, product mod m), the
+    character applied as cyc(0) + sum of psi(residue) * bucket over the sorted
+    residues where psi is nonzero, which fixes both the values and their
+    order tags."""
+    buckets = {}
+    for (norm, p), count in _norm_product_counts(l, N).items():
+        slot = buckets.setdefault(norm, {})
+        slot[p % psi.modulus] = slot.get(p % psi.modulus, 0) + count * p ** psi.parity
+    coeffs = {}
+    for norm in sorted(buckets):
+        acc = cyc(0)
+        for res in sorted(buckets[norm]):
+            if not psi.values[res].is_zero():
+                acc = acc + psi.values[res] * buckets[norm][res]
+        if not acc.is_zero():
+            coeffs[norm] = acc
+    return QSeries(l, N, coeffs) if N >= l else QSeries(1, N, {})
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHARS))
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6, 8])
+def test_direct_power_matches_brute_force_oracle(name, l):
+    psi = ORACLE_CHARS[name]
+    for N in sorted({1, max(l - 1, 1), l, 7, 40}):
+        got = theta_power_direct(psi, l, N)
+        want = _theta_power_oracle(psi, l, N)
+        assert got.to_json_obj() == want.to_json_obj(), (l, N)
+        assert (got.valuation, got.truncation) == (want.valuation, want.truncation), (l, N)
