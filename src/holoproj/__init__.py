@@ -8,7 +8,6 @@ from .characters import (
     char_conjugate,
     char_from_spec,
     char_from_table,
-    char_inverse,
     char_kronecker,
     char_product,
 )
@@ -36,14 +35,11 @@ from .jacobi import (
 )
 from .kernel import (
     BivariateLaurent,
-    ModularMeta,
     NonSquareArgumentError,
     ProjectionKernel,
     WeightData,
     WeightError,
     kernel_bivariate,
-    modular_meta,
-    parallelogram_check,
     projection_kernel,
     verify_closed_forms,
     weights_for_dim,

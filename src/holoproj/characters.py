@@ -201,11 +201,6 @@ def char_conjugate(chi: DirichletCharacter) -> DirichletCharacter:
     return char_from_table(chi.modulus, [v.conjugate() for v in chi.values])
 
 
-def char_inverse(chi: DirichletCharacter) -> DirichletCharacter:
-    # values are roots of unity or 0, so the inverse is the conjugate
-    return char_conjugate(chi)
-
-
 def char_from_spec(spec) -> DirichletCharacter:
     """Config-file character spec: {"kronecker": D} or
     {"modulus": M, "values": [...]} (values as ints, "p/q" strings, or

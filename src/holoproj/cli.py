@@ -128,32 +128,45 @@ def _cmd_sigma_table(args) -> int:
     return 0
 
 
+def _field(raw: dict, name: str, ok, what: str, *default):
+    """raw[name] once ok(value) holds, or the default when the field is absent."""
+    if name not in raw:
+        if not default:
+            raise ConfigError(f"missing config field {name!r}")
+        return default[0]
+    if not ok(raw[name]):
+        raise ConfigError(f"{name} must be {what}, got {json.dumps(raw[name])}")
+    return raw[name]
+
+
+def _is_int(value) -> bool:  # a JSON integer: not a bool, float or string
+    return type(value) is int
+
+
 def _load_verify_config(path):
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"the config must be a JSON object, got {type(raw).__name__}")
-    try:
-        psi = char_from_spec(raw["psi"])
-        chi = char_from_spec(raw["chi"])
-        modes = tuple(raw.get("modes", ["ordered", "full"]))
-        rmax = int(raw["rmax"])
-        schedule = raw.get("b_schedule")
-        if schedule is not None and not (
-                isinstance(schedule, list)
-                and all(type(b) is int and b >= rmax for b in schedule)):
-            raise ConfigError(f"b_schedule must be a list of integers >= rmax = {rmax}, "
-                              f"got {schedule!r}")
-        B = raw.get("B", schedule[-1] if schedule else None)
-        cfg = ProjectionConfig(
-            psi, chi, int(raw["l"]), rmax,
-            modes=modes, B=B,
-            placement=CharacterPlacement(raw.get("placement", "psi_on_larger")),
-            orientation=raw.get("orientation", "prefactor_on_larger"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing config field {exc}")
-    return cfg, schedule, bool(raw.get("closed_forms", True))
+    psi = char_from_spec(_field(raw, "psi", lambda v: isinstance(v, dict), "an object"))
+    chi = char_from_spec(_field(raw, "chi", lambda v: isinstance(v, dict), "an object"))
+    l = _field(raw, "l", _is_int, "an integer")
+    rmax = _field(raw, "rmax", _is_int, "an integer")
+    modes = _field(raw, "modes", lambda v: isinstance(v, list) and all(type(m) is str for m in v),
+                   "a list of strings", ["ordered", "full"])
+    schedule = _field(raw, "b_schedule", lambda v: v is None or isinstance(v, list) and all(
+        _is_int(b) and b >= rmax for b in v), f"a list of integers >= rmax = {rmax}", None)
+    B = _field(raw, "B", lambda v: v is None or _is_int(v), "an integer",
+               schedule[-1] if schedule else None)
+    placements = [p.value for p in CharacterPlacement]
+    placement = _field(raw, "placement", lambda v: v in placements, f"one of {placements}",
+                       "psi_on_larger")
+    orientation = _field(raw, "orientation", lambda v: v in ORIENTATIONS,
+                         f"one of {list(ORIENTATIONS)}", "prefactor_on_larger")
+    cfg = ProjectionConfig(psi, chi, l, rmax, modes=tuple(modes), B=B,
+                           placement=CharacterPlacement(placement), orientation=orientation)
+    want_closed = _field(raw, "closed_forms", lambda v: type(v) is bool, "true or false", True)
+    return cfg, schedule, want_closed
 
 
 def _cmd_verify(args) -> int:
@@ -188,9 +201,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_closed_forms(args) -> int:
-    if args.orientation not in ORIENTATIONS:
-        print(f"unknown orientation {args.orientation}", file=sys.stderr)
-        return 2
     obj = verify_closed_forms(args.orientation)
     _write_json(args.out, obj)
     return 0

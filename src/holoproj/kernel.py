@@ -1,5 +1,5 @@
-"""Projection kernels: weight bookkeeping, exact bivariate Laurent form,
-closed-form cross-checks, and modular metadata.
+"""Projection kernels: weight bookkeeping, exact bivariate Laurent form and
+closed-form cross-checks.
 
 The kernel for dimension l is built from the degree-(kappa-2) Jacobi
 polynomial with parameters (1-k_f, 1-kappa), where k_f = 2 - l/2 and
@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
-from .characters import DirichletCharacter, char_conjugate, char_inverse, char_kronecker, char_product
 from .jacobi import jacobi_poly
 from .rings import UnivariatePoly, rational_to_str
 
@@ -362,65 +361,3 @@ def verify_closed_forms(orientation: str = "prefactor_on_larger") -> dict:
             "candidates": candidates,
         })
     return {"kernel_orientation": orientation, "identities": identities}
-
-
-def parallelogram_check(S: int, T: int):
-    """Recover (larger, smaller) squared norms from S = |a+b|^2, T = |a-b|^2:
-
-        ((S+T)/4 + sqrt(S T)/2,  (S+T)/4 - sqrt(S T)/2)
-
-    sqrt(S T) must be exact (it is the entry sum of the base multi-index for
-    genuine pairs)."""
-    if S < 0 or T < 0:
-        raise ValueError("squared norms must be non-negative")
-    st = S * T
-    root = isqrt(st)
-    if root * root != st:
-        raise NonSquareArgumentError(f"S*T = {st} is not a perfect square")
-    base = Fraction(S + T, 4)
-    half = Fraction(root, 2)
-    return base + half, base - half
-
-
-# -- modular metadata ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModularMeta:
-    level: int
-    weight: Fraction
-    nebentypus: DirichletCharacter
-    shadow_label: str
-    theta_space_label: str
-    full_claim: bool
-    caveat: str | None
-
-
-def theta_space_label(psi: DirichletCharacter) -> str:
-    """Which classical space the twisted theta series lands in."""
-    m = 4 * psi.modulus ** 2
-    if psi.parity == 0:
-        return f"M_1/2(Gamma0({m}), psi)"
-    return f"S_3/2(Gamma0({m}), psi*chi_minus4)"
-
-
-def modular_meta(psi: DirichletCharacter, chi: DirichletCharacter, l: int) -> ModularMeta:
-    if not psi.is_odd():
-        raise WeightError("psi must be odd")
-    if not chi.is_even() or chi.is_trivial():
-        raise WeightError("chi must be even and non-trivial")
-    w = weights_for_dim(l)
-    lc = 4 * chi.modulus ** 2
-    lp = 4 * psi.modulus ** 2
-    level = lc * lp // gcd(lc, lp)
-    chi4 = char_kronecker(-4)
-    neben = char_product(char_conjugate(chi), char_inverse(char_product(psi, chi4)))
-    full = l % 2 == 0 and l >= 4
-    return ModularMeta(
-        level=level,
-        weight=w.k_f,
-        nebentypus=neben,
-        shadow_label=f"theta_conj(chi)^{l}",
-        theta_space_label=theta_space_label(psi),
-        full_claim=full,
-        caveat=None if full else "full modularity claim covers even l >= 4 only",
-    )

@@ -3,7 +3,8 @@ residual ledger comparing them.
 
 sigma_side sums the multi-index small divisor function over compositions.
 ordered_pairs_side enumerates componentwise-dominated lattice pairs directly
-(never via divisors).  full_pairs_side collapses the unrestricted pair sum
+(never via divisors), one coordinate pair per position, on the characters'
+support only.  full_pairs_side collapses the unrestricted pair sum
 through the theta-power coefficients, truncated at a norm bound B with
 doubling-based tail diagnostics.  The ordered sum equals the sigma sum by an
 exact bijection; whether the full sum does too is precisely the claim under
@@ -17,7 +18,7 @@ import datetime as _dt
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .characters import DirichletCharacter, char_conjugate
 from .kernel import ProjectionKernel, _pow_half, projection_kernel, weights_for_dim
@@ -149,53 +150,43 @@ def sigma_side(cfg: ProjectionConfig) -> QSeries:
 def ordered_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int) -> CyclotomicNumber:
     """Sum over pairs (m, n) with n_j > m_j for all j and |n|^2 - |m|^2 = r.
 
-    Domination forces sum(m) <= (r - l)/2, so the sum is finite; n is
-    enumerated by pruned descent over the remaining square budget.  This path
-    never looks at divisors.
+    One walk picks a coordinate pair (m_j, n_j) per position among those with
+    chi(m_j) and psi(n_j) nonzero, by their share n_j^2 - m_j^2 of r.  The
+    characters are completely multiplicative, so these are exactly the tuples
+    with nonzero character values.  This path never looks at divisors.
     """
-    l = cfg.l
-    psi, chi = cfg.psi, cfg.chi
+    l, psi, chi = cfg.l, cfg.psi, cfg.chi
     lam_psi, lam_chi = psi.parity, chi.parity
+    cap = r - 3 * (l - 1)  # each other share is at least 2^2 - 1^2 = 3
+    pairs: dict[int, list] = {}
+    for m in range(1, (cap - 1) // 2 + 1):
+        if not chi(m).is_zero():
+            for n in range(m + 1, isqrt(cap + m * m) + 1):
+                if not psi(n).is_zero():
+                    pairs.setdefault(n * n - m * m, []).append((m, n))
+    shares = sorted(pairs)
+    least = min(pairs, default=3)
     total = cyc(0)
-    for msum in range(l, (r - l) // 2 + 1):
-        for m in compositions(msum, l):
-            cm = chi(_product(m))
-            if cm.is_zero():
-                continue
-            M = sum(x * x for x in m)
-            N = M + r
-            min_tail = [0] * (l + 1)
-            for j in range(l - 1, -1, -1):
-                min_tail[j] = min_tail[j + 1] + (m[j] + 1) ** 2
+    bases = {}  # (prod m, |m|^2) -> the m side of a term, shared by all n
 
-            def descend(j, budget, prod, acc):
-                if j == l:
-                    if budget == 0:
-                        acc.append(prod)
-                    return
-                n = m[j] + 1
-                while n * n + min_tail[j + 1] <= budget:
-                    if not psi(n).is_zero():
-                        descend(j + 1, budget - n * n, prod * n, acc)
-                    n += 1
+    def walk(j, budget, M, prod_m, prod_n):
+        nonlocal total
+        if j == l - 1:
+            for m, n in pairs.get(budget, ()):
+                pm, pn, Mf = prod_m * m, prod_n * n, M + m * m
+                if (pm, Mf) not in bases:
+                    bases[pm, Mf] = chi(pm) * cyc(kernel.eval(Mf + r, Mf) * pm ** lam_chi)
+                total = total + psi(pn) * bases[pm, Mf] * pn ** lam_psi
+            return
+        limit = budget - (l - 1 - j) * least
+        for k in shares:
+            if k > limit:
+                break
+            for m, n in pairs[k]:
+                walk(j + 1, budget - k, M + m * m, prod_m * m, prod_n * n)
 
-            found: list[int] = []
-            descend(0, N, 1, found)
-            if not found:
-                continue
-            weight = kernel.eval(N, M)
-            base = cm * cyc(weight * _product(m) ** lam_chi)
-            for prod in found:
-                cn = psi(prod)
-                total = total + cn * base * (prod ** lam_psi)
+    walk(0, r, 0, 1, 1)
     return total
-
-
-def _product(t):
-    out = 1
-    for x in t:
-        out *= x
-    return out
 
 
 def ordered_pairs_side(cfg: ProjectionConfig) -> QSeries:
@@ -303,8 +294,8 @@ def lemma_gap_witnesses(cfg: ProjectionConfig, r: int, cap: int = 3, max_entry_s
                         out.append({
                             "m": list(m),
                             "n": list(n),
-                            "chi_weight": value_to_json(cfg.chi(_product(m))),
-                            "psi_weight": value_to_json(cfg.psi(_product(n))),
+                            "chi_weight": value_to_json(cfg.chi(prod(m))),
+                            "psi_weight": value_to_json(cfg.psi(prod(n))),
                         })
                     return
                 v = 1

@@ -7,7 +7,6 @@ from holoproj.characters import (
     char_conjugate,
     char_from_spec,
     char_from_table,
-    char_inverse,
     char_kronecker,
     char_product,
     is_fundamental_discriminant,
@@ -111,7 +110,6 @@ def test_product_of_chi_minus4_with_itself_is_even():
 def test_real_characters_self_conjugate():
     chi8 = char_kronecker(8)
     assert char_conjugate(chi8) == chi8
-    assert char_inverse(chi8) == chi8
 
 
 def test_product_parity_is_xor():

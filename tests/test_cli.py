@@ -217,13 +217,26 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("field", [
-    {"b_schedule": 5},
-    {"b_schedule": ["256"]},
-    {"b_schedule": [8, 4096]},
-    {"modes": 5},
-    {"l": [4]},
-], ids=["schedule-int", "schedule-str", "schedule-below-rmax", "modes-int", "l-list"])
+BAD_FIELDS = {
+    "psi-int": {"psi": 5},
+    "schedule-int": {"b_schedule": 5},
+    "schedule-str": {"b_schedule": ["256"]},
+    "schedule-below-rmax": {"b_schedule": [8, 4096]},
+    "modes-int": {"modes": 5},
+    "modes-int-list": {"modes": [5]},
+    "l-list": {"l": [4]},
+    "l-bool": {"l": True},
+    "l-float": {"l": 4.7},
+    "rmax-float": {"rmax": 12.9},
+    "rmax-str": {"rmax": "40"},
+    "B-str": {"B": "4096"},
+    "closed-forms-str": {"closed_forms": "no"},
+    "placement-int": {"placement": 5},
+    "orientation-unknown": {"orientation": "sideways"},
+}
+
+
+@pytest.mark.parametrize("field", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS))
 def test_bad_verify_config_fields_exit_2_before_any_run(field, tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("the config should be rejected before the run")
@@ -232,7 +245,8 @@ def test_bad_verify_config_fields_exit_2_before_any_run(field, tmp_path, capsys,
     cfg = write_config(tmp_path, **{"l": 4, **field})
     assert run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "x.json")) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:"), err
+    (name,) = field
+    assert len(err) == 1 and err[0].startswith(f"config error: {name} "), err
     assert not (tmp_path / "x.json").exists()
 
 

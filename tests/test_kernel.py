@@ -3,24 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from holoproj.characters import char_kronecker, char_product
 from holoproj.jacobi import jacobi_poly
 from holoproj.kernel import (
     BivariateLaurent,
     NonSquareArgumentError,
     WeightError,
     kernel_bivariate,
-    modular_meta,
-    parallelogram_check,
     projection_kernel,
-    theta_space_label,
     verify_closed_forms,
     weights_for_dim,
 )
 
 F = Fraction
-CHI_M4 = char_kronecker(-4)
-CHI_8 = char_kronecker(8)
 
 
 def test_weight_bookkeeping():
@@ -182,85 +176,6 @@ def test_closed_forms_other_orientation_matches_directly():
     rep = verify_closed_forms("prefactor_on_smaller")
     by_name = {i["name"]: i for i in rep["identities"]}
     assert by_name["kappa=6 (l=4)"]["orientation_used"] == "direct"
-
-
-def test_parallelogram_landmarks():
-    assert parallelogram_check(64, 16) == (F(36), F(4))
-    # degenerate pair b = 0: S = T = |a|^2
-    assert parallelogram_check(5, 5) == (F(5), F(0))
-
-
-def test_parallelogram_random_pairs():
-    """Reconstruction sweep over the regime where the sum/difference product
-    identity holds: every one-dimensional pair, and multi-index pairs whose
-    sum and difference vectors are proportional (Cauchy-Schwarz equality)."""
-    rng = random.Random(17)
-    checked = 0
-    while checked < 500:
-        if rng.random() < 0.5:
-            av = rng.randint(1, 60)
-            bv = rng.randint(0, av - 1)
-            a, b = (av,), (bv,)
-        else:
-            l = rng.randint(2, 4)
-            u = tuple(rng.randint(1, 6) for _ in range(l))
-            t = rng.randint(2, 9)
-            s = rng.randint(1, t - 1)
-            if (t - s) % 2:
-                continue
-            a = tuple((t + s) // 2 * uj for uj in u)
-            b = tuple((t - s) // 2 * uj for uj in u)
-        S = sum((x + y) ** 2 for x, y in zip(a, b))
-        T = sum((x - y) ** 2 for x, y in zip(a, b))
-        big, small = parallelogram_check(S, T)
-        assert big == sum(x * x for x in a)
-        assert small == sum(y * y for y in b)
-        checked += 1
-
-
-def test_parallelogram_fails_off_the_proportional_cone():
-    # genuine divisor tuple of (15, 3): a = (4, 2), b = (1, 1); the product
-    # S*T = 340 is not |n|^2 = 324, so no exact reconstruction exists:
-    # the sum/difference argument convention is ambiguous beyond
-    # proportional pairs, which is why the kernel is evaluated at the
-    # squared norms directly
-    with pytest.raises(NonSquareArgumentError):
-        parallelogram_check(34, 10)
-
-
-def test_parallelogram_rejects_non_square_product():
-    with pytest.raises(NonSquareArgumentError):
-        parallelogram_check(3, 1)
-
-
-def test_modular_meta_landmarks():
-    meta = modular_meta(CHI_M4, CHI_8, 4)
-    assert meta.level == 256
-    assert meta.level % (4 * CHI_8.modulus ** 2) == 0
-    assert meta.level % (4 * CHI_M4.modulus ** 2) == 0
-    assert meta.weight == F(0)
-    assert meta.full_claim and meta.caveat is None
-    assert meta.shadow_label == "theta_conj(chi)^4"
-    # nebentypus = conj(chi) * inverse(psi * chi_minus4); all real here, so it
-    # collapses to chi_8 times the even square of chi_minus4 at modulus 8
-    expected = char_product(CHI_8, char_product(CHI_M4, CHI_M4))
-    assert meta.nebentypus == expected
-    assert meta.nebentypus.parity == 0
-
-
-def test_theta_space_labels():
-    assert theta_space_label(CHI_M4) == "S_3/2(Gamma0(64), psi*chi_minus4)"
-    assert theta_space_label(CHI_8) == "M_1/2(Gamma0(256), psi)"
-
-
-def test_modular_meta_parity_validation_and_caveat():
-    with pytest.raises(WeightError):
-        modular_meta(CHI_8, CHI_8, 4)
-    with pytest.raises(WeightError):
-        modular_meta(CHI_M4, CHI_M4, 4)
-    meta3 = modular_meta(CHI_M4, CHI_8, 3)
-    assert not meta3.full_claim
-    assert meta3.caveat is not None
 
 
 def test_bivariate_laurent_canonical_form():

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 
 import holoproj
 
-from holoproj.characters import char_kronecker
+from holoproj.characters import char_from_table, char_kronecker
 from holoproj.kernel import WeightError
 from holoproj.projection import (
     CalibrationInstance,
@@ -20,11 +22,12 @@ from holoproj.projection import (
     eisenstein_e2,
     full_pairs_side,
     lemma_gap_witnesses,
+    ordered_coefficient,
     ordered_pairs_side,
     residual_report,
     sigma_side,
 )
-from holoproj.rings import cyc
+from holoproj.rings import CyclotomicNumber, cyc, value_to_json
 from holoproj.smalldiv import CharacterParityError, MultiIndex, sigma_sm
 
 F = Fraction
@@ -110,6 +113,78 @@ def test_ordered_side_l4_minimum_exponent():
         assert o.coeff(r).is_zero()
     # r = 12: single pair ((1,1,1,1), (2,2,2,2)), killed by psi(16) = 0
     assert o.coeff(12).is_zero()
+
+
+def _unit_table(modulus, generator, value_of_power):
+    """Character table: the generator's k-th power maps to value_of_power(k)."""
+    table, g = [cyc(0)] * modulus, 1
+    for k in range(modulus - 1):
+        table[g] = value_of_power(k)
+        g = g * generator % modulus
+    return char_from_table(modulus, table)
+
+
+# values tagged at orders 1, 3 and 6, so that sums mix order tags
+SEXTIC_MOD7 = _unit_table(7, 3, lambda k: CyclotomicNumber.zeta(3, k // 2) if k in (2, 4)
+                          else CyclotomicNumber.zeta(6) ** k)
+CUBIC_MOD7 = _unit_table(7, 3, lambda k: CyclotomicNumber.zeta(3, k) if k % 3 else cyc(1))
+QUARTIC_MOD5 = char_from_table(5, [cyc(0), cyc(1), CyclotomicNumber.zeta(4),
+                                   -CyclotomicNumber.zeta(4), cyc(-1)])
+ORACLE_PAIRS = {
+    "m4-8": (CHI_M4, CHI_8),
+    "m3-5": (char_kronecker(-3), CHI_5),
+    "quartic5-8": (QUARTIC_MOD5, CHI_8),
+    "quartic5-5": (QUARTIC_MOD5, CHI_5),
+    "sextic7-cubic7": (SEXTIC_MOD7, CUBIC_MOD7),
+    "m4-cubic7": (CHI_M4, CUBIC_MOD7),
+}
+
+
+def _ordered_oracle(cfg, kernel, rmax):
+    """r -> the ordered sum by brute force, or the exception it raises: every
+    tuple of coordinate pairs 1 <= m < n with share n^2 - m^2 <= r - 3(l - 1),
+    no character pruning, and a term skipped only when chi(prod m) or
+    psi(prod n) is 0."""
+    l = cfg.l
+    cap = rmax - 3 * (l - 1)
+    steps = [(m, n) for n in range(2, cap) for m in range(1, n) if n * n - m * m <= cap]
+    picks = {r: [] for r in range(1, rmax + 1)}
+    for pick in itertools.product(steps, repeat=l):
+        r = sum(n * n - m * m for m, n in pick)
+        if r <= rmax:
+            picks[r].append(pick)
+    out = {}
+    for r, at_r in picks.items():
+        total = cyc(0)
+        try:
+            for pick in at_r:
+                pm, pn = math.prod(m for m, _ in pick), math.prod(n for _, n in pick)
+                cm, cn = cfg.chi(pm), cfg.psi(pn)
+                if cm.is_zero() or cn.is_zero():
+                    continue
+                M = sum(m * m for m, _ in pick)
+                total = total + cn * (cm * cyc(kernel.eval(M + r, M) * pm ** cfg.chi.parity)) \
+                    * pn ** cfg.psi.parity
+            out[r] = value_to_json(total)
+        except ValueError as exc:
+            out[r] = type(exc)
+    return out
+
+
+@pytest.mark.parametrize("pair", list(ORACLE_PAIRS))
+@pytest.mark.parametrize("l,rmax", [(1, 40), (3, 20), (4, 20), (5, 20), (6, 24)])
+def test_ordered_coefficient_matches_brute_force(l, rmax, pair):
+    """Values and order tags, or for odd l the exception type."""
+    psi, chi = ORACLE_PAIRS[pair]
+    cfg = ProjectionConfig(psi, chi, l, rmax, modes=("ordered",))
+    kernel = cfg.kernel()
+    expected = _ordered_oracle(cfg, kernel, rmax)
+    for r in range(1, rmax + 1):
+        try:
+            got = value_to_json(ordered_coefficient(cfg, kernel, r))
+        except ValueError as exc:
+            got = type(exc)
+        assert got == expected[r], (r, got, expected[r])
 
 
 @pytest.mark.parametrize("l,rmax,chi", [
