@@ -30,8 +30,8 @@ from .projection import (
     CharacterPlacement,
     ProjectionConfig,
     calibrate_constants,
-    compositions,
     residual_report,
+    sigma_entry_table,
 )
 from .rings import value_to_json
 from .smalldiv import MultiIndex, sigma_sm
@@ -101,6 +101,22 @@ def _cmd_theta(args) -> int:
     return 0
 
 
+def _table_indices(values, table, total, parts):
+    """The compositions of total into parts whose entries all have a
+    surviving divisor substitution in table (values: its sorted keys), in
+    lexicographic order.  sigma_sm vanishes on every other composition: an
+    entry without one zeroes each of its terms."""
+    if parts == 1:
+        if total in table:
+            yield (total,)
+        return
+    for first in values:
+        if first + (parts - 1) * values[0] > total:
+            return
+        for rest in _table_indices(values, table, total - first, parts - 1):
+            yield (first,) + rest
+
+
 def _cmd_sigma_table(args) -> int:
     with _inputs():
         cfg = ProjectionConfig(
@@ -110,9 +126,11 @@ def _cmd_sigma_table(args) -> int:
             orientation=args.orientation,
         )
     kernel = cfg.kernel()
+    table = sigma_entry_table(cfg, cfg.rmax)
+    values = sorted(table)
     rows = []
     for r in range(1, cfg.rmax + 1):
-        for parts in compositions(r, cfg.l):
+        for parts in _table_indices(values, table, r, cfg.l):
             val = sigma_sm(MultiIndex(parts), cfg.psi, cfg.chi, kernel, cfg.placement)
             if not val.is_zero():
                 rows.append({"n": list(parts), "sigma_sm": value_to_json(val)})

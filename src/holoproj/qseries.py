@@ -6,11 +6,30 @@ coefficients above the truncation are unknown.  Every operation's output
 range is a deterministic function of the input ranges, so reports can state
 exactly which coefficients are certified.  Storage is dense over the window
 (exponent ranges stay small, predictable memory beats sparse bookkeeping).
+
+Products use Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", 2009): the terms of
+one order tag are scaled to integer coordinate vectors and packed, q and
+zeta together, into one Python integer per operand, so a product costs one
+big-integer multiplication (CPython's Karatsuba) per pair of order tags
+instead of a cyclotomic multiplication per pair of terms.  The digits are
+read back through one byte string, then reduced mod Phi_e; values and order
+tags are those of adding the term products one pair at a time.
 """
 
 from __future__ import annotations
 
-from .rings import CyclotomicNumber, cyc, value_to_json, rational_to_str
+from fractions import Fraction
+from math import lcm
+
+from .rings import (
+    CyclotomicNumber,
+    _divmod,
+    cyc,
+    cyclotomic_polynomial,
+    rational_to_str,
+    value_to_json,
+)
 
 
 class SeriesRangeError(ValueError):
@@ -18,6 +37,107 @@ class SeriesRangeError(ValueError):
 
 
 _ZERO = cyc(0)
+
+
+def _order_groups(series: "QSeries") -> dict:
+    """order tag -> the nonzero terms (exponent, value) of that order, in
+    increasing exponent."""
+    groups: dict[int, list] = {}
+    for e, c in series.nonzero_items():
+        groups.setdefault(c.order, []).append((e, c))
+    return groups
+
+
+def _integer_rows(terms, order: int):
+    """The terms' coordinates at the given order times their common
+    denominator: (integer rows, denominator)."""
+    coords = [c.coords if c.order == order else c.lift(order).coords for _, c in terms]
+    scale = lcm(*(x.denominator for row in coords for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in coords], scale
+
+
+def _pack(terms, rows, stride: int, width: int) -> int:
+    """Sum of rows[i][k] * X^((e_i - e_0) * stride + k), X = 256^width: the
+    digits are laid out as little-endian bytes, positive and negative ones
+    in separate strings, so packing is linear in the output size."""
+    base = terms[0][0]
+    zero = bytes(width)
+    pos = [zero] * ((terms[-1][0] - base) * stride + len(rows[0]))
+    neg = list(pos)
+    for (e, _), row in zip(terms, rows):
+        at = (e - base) * stride
+        for k, x in enumerate(row):
+            if x > 0:
+                pos[at + k] = x.to_bytes(width, "little")
+            elif x < 0:
+                neg[at + k] = (-x).to_bytes(width, "little")
+    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(b"".join(neg), "little")
+
+
+def _digits(value: int, count: int, width: int) -> bytes:
+    """The balanced base-256^width digits of value, each stored as digit +
+    256^width / 2 in width little-endian bytes: adding that bias to every
+    digit at once leaves no borrow between digits."""
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    return (value + bias).to_bytes(count * width, "little")
+
+
+def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: int) -> None:
+    """Add every product of a term of terms_a and a term of terms_b that
+    lands at or below n into data (the slots of exponents v..n), at the
+    given order.
+
+    Kronecker substitution: each operand's coordinates are scaled to
+    integers and packed into one integer, the z^k coordinate of the q^e term
+    at digit (e - e_0) * (2 phi - 1) + k, so one integer product holds every
+    coefficient of the product in Z[q, z], whose z-degree stays below
+    2 phi - 1.  A product digit sums at most min(n_a, n_b) * phi products of
+    coordinates, so a digit of bits(max|a| max|b| min(n_a, n_b) phi) bits
+    plus a sign bit never carries into the next.  Each slot's digits are
+    then reduced mod Phi_order and divided by the two denominators.
+    """
+    terms_a = [t for t in terms_a if t[0] + terms_b[0][0] <= n]
+    if not terms_a:
+        return
+    terms_b = [t for t in terms_b if t[0] + terms_a[0][0] <= n]
+    rows_a, scale_a = _integer_rows(terms_a, order)
+    rows_b, scale_b = _integer_rows(terms_b, order)
+    phi = len(rows_a[0])
+    stride = 2 * phi - 1
+    bound = (max(abs(x) for row in rows_a for x in row)
+             * max(abs(x) for row in rows_b for x in row)
+             * min(len(terms_a), len(terms_b)) * phi)
+    width = bound.bit_length() // 8 + 1
+    base = terms_a[0][0] + terms_b[0][0]
+    top = terms_a[-1][0] + terms_b[-1][0] - base  # the last q-slot of the product
+    product = _pack(terms_a, rows_a, stride, width) * _pack(terms_b, rows_b, stride, width)
+    raw = _digits(product, (top + 1) * stride, width)
+    half = 1 << (8 * width - 1)
+    scale = scale_a * scale_b
+    modulus = cyclotomic_polynomial(order)
+    if order > 1:
+        # a slot whose products cancel still takes the order tag: find the
+        # exponents some term pair lands on, by the same substitution on 0/1 rows
+        width_hit = min(len(terms_a), len(terms_b)).bit_length() // 8 + 1
+        hits = _pack(terms_a, [[1]] * len(terms_a), 1, width_hit) * _pack(
+            terms_b, [[1]] * len(terms_b), 1, width_hit)
+        hits = hits.to_bytes((top + 1) * width_hit, "little")
+        miss = bytes(width_hit)
+    for s in range(min(n - base, top) + 1):
+        at = s * stride * width
+        digits = [int.from_bytes(raw[i:i + width], "little") - half
+                  for i in range(at, at + stride * width, width)]
+        if any(digits) or order > 1 and hits[s * width_hit:(s + 1) * width_hit] != miss:
+            coords = _divmod(digits, modulus)[1]
+            _add_into(data, base + s - v,
+                      CyclotomicNumber(order, [Fraction(c, scale) for c in coords]))
+
+
+def _add_into(data: list, i: int, value: CyclotomicNumber) -> None:
+    """data[i] += value; a slot still holding the shared order-1 zero takes
+    value as it is, which is that sum."""
+    current = data[i]
+    data[i] = value if current is _ZERO else current + value
 
 
 class QSeries:
@@ -127,22 +247,25 @@ class QSeries:
         return out
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        """Exact Cauchy convolution; output window
-        [v_a + v_b, min(N_a + v_b, N_b + v_a)]."""
+        """Exact Cauchy product by Kronecker substitution; output window
+        [v_a + v_b, min(N_a + v_b, N_b + v_a)].
+
+        Each operand's nonzero terms are grouped by order tag, and every pair
+        of groups is multiplied with one integer product at E, the lcm of the
+        two orders (see _convolve).  The order tag of an output slot is the
+        lcm of E over the group pairs with a term pair landing on it, even
+        when their sum cancels: the tag of adding the term products one at a
+        time to an order-1 zero.
+        """
         if not isinstance(other, QSeries):
             return NotImplemented
         v = self.valuation + other.valuation
         n = min(self.truncation + other.valuation, other.truncation + self.valuation)
         out = QSeries(v, n)
-        data = out._coeffs
-        terms_a = list(self.nonzero_items())
-        terms_b = list(other.nonzero_items())
-        for ea, ca in terms_a:
-            for eb, cb in terms_b:
-                e = ea + eb
-                if e > n:
-                    break
-                data[e - v] = data[e - v] + ca * cb
+        groups_b = _order_groups(other)
+        for order_a, terms_a in _order_groups(self).items():
+            for order_b, terms_b in groups_b.items():
+                _convolve(out._coeffs, v, n, terms_a, terms_b, lcm(order_a, order_b))
         return out
 
     def pow(self, exponent: int) -> "QSeries":

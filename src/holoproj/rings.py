@@ -15,6 +15,7 @@ lcm order, so callers never manage orders themselves.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -23,11 +24,20 @@ from math import gcd
 Rational = Fraction
 
 
+def _int_to_str(n: int) -> str:
+    """str(n), also past CPython's int->str digit limit: Decimal converts an
+    int exactly and prints it without that limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def rational_to_str(q: Fraction) -> str:
     """Serialize a rational as "p/q" ("p" when the denominator is 1)."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_to_str(q.numerator)
+    return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"
 
 
 class UnivariatePoly:

@@ -148,6 +148,64 @@ def test_sigma_table(tmp_path):
     assert data["rows"] == [{"n": [8, 8, 8, 8], "sigma_sm": "-8192/729"}]
 
 
+QUARTIC_MOD5 = json.dumps({"modulus": 5, "values": [
+    "0", "1", {"order": 4, "coords": ["0", "1"]}, {"order": 4, "coords": ["0", "-1"]}, "-1"]})
+
+
+def test_verify_writes_values_past_the_int_str_limit(tmp_path, default_int_str_limit):
+    """Full mode at B = 8192 gives coefficients of more than 4300 digits,
+    CPython's default int->str limit."""
+    cfg = write_config(tmp_path, l=4, rmax=40, modes=["full"], b_schedule=[8192], B=8192)
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--config", str(cfg), "--out", str(out), "--no-timestamp") == 0
+    assert sys.get_int_max_str_digits() == default_int_str_limit
+    text = out.read_text()
+    json.loads(text)
+    assert max(len(word) for word in text.split('"')) > default_int_str_limit
+
+
+def _rows_or_error(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("psi", ["kronecker:-4", QUARTIC_MOD5], ids=["kron_m4", "quartic_mod5"])
+@pytest.mark.parametrize("placement", ["psi_on_larger", "chi_on_larger"])
+@pytest.mark.parametrize("l, rmax", [(1, 40), (3, 26), (4, 32), (6, 18)])
+def test_sigma_table_matches_every_composition(tmp_path, psi, placement, l, rmax):
+    """Rows and their order, or for odd l the exception type (the kernel
+    needs square norms there), equal those of sigma_sm on every composition."""
+    from holoproj.cli import _parse_char
+    from holoproj.projection import CharacterPlacement, ProjectionConfig, compositions
+    from holoproj.rings import value_to_json
+    from holoproj.smalldiv import MultiIndex, sigma_sm
+
+    out = tmp_path / "table.json"
+
+    def table():
+        assert run_cli("sigma-table", "--psi", psi, "--chi", "kronecker:8", "--l", str(l),
+                       "--rmax", str(rmax), "--placement", placement, "--out", str(out)) == 0
+        return json.loads(out.read_text())["rows"]
+
+    def brute_force():
+        cfg = ProjectionConfig(_parse_char(psi), _parse_char("kronecker:8"), l, rmax,
+                               modes=("ordered",), placement=CharacterPlacement(placement))
+        kernel, rows = cfg.kernel(), []
+        for r in range(1, rmax + 1):
+            for parts in compositions(r, l):
+                val = sigma_sm(MultiIndex(parts), cfg.psi, cfg.chi, kernel, cfg.placement)
+                if not val.is_zero():
+                    rows.append({"n": list(parts), "sigma_sm": value_to_json(val)})
+        return rows
+
+    want = _rows_or_error(brute_force)
+    assert _rows_or_error(table) == want
+    if l == 3:
+        assert want == "NonSquareArgumentError"
+
+
 def test_closed_forms_command(tmp_path):
     out = tmp_path / "forms.json"
     assert run_cli("closed-forms", "--out", str(out)) == 0

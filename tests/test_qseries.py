@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holoproj.qseries import QSeries, SeriesRangeError
-from holoproj.rings import cyc
+from holoproj.rings import CyclotomicNumber, cyc, euler_phi, value_to_json
+from holoproj.theta import theta_power_direct, theta_power_series
+from test_theta import ORACLE_CHARS
 
 
 def series(valuation, truncation, coeffs):
@@ -165,3 +167,107 @@ def test_json_rows():
 def test_csv_rows():
     a = series(0, 4, {0: Fraction(1, 3), 4: -2})
     assert list(a.to_csv_rows()) == [(0, "1/3"), (4, "-2")]
+
+
+# -- QSeries.__mul__ against the schoolbook product -------------------------
+
+def schoolbook_product(a, b):
+    """The Cauchy product one term pair at a time: every pair adds its
+    product to a slot that starts as an order-1 zero, which fixes both the
+    values and the order tags."""
+    v = a.valuation + b.valuation
+    n = min(a.truncation + b.valuation, b.truncation + a.valuation)
+    slots = [cyc(0)] * (n - v + 1)
+    for ea, ca in a.nonzero_items():
+        for eb, cb in b.nonzero_items():
+            if ea + eb <= n:
+                slots[ea + eb - v] = slots[ea + eb - v] + ca * cb
+    return QSeries(v, n, {v + i: c for i, c in enumerate(slots)})
+
+
+def schoolbook_pow(a, exponent):
+    out, base = None, a
+    while exponent:
+        if exponent & 1:
+            out = base if out is None else schoolbook_product(out, base)
+        exponent >>= 1
+        if exponent:
+            base = schoolbook_product(base, base)
+    return out
+
+
+def slots(series):
+    """Window and every slot's JSON value, zeros included, so order tags
+    count even where a sum cancels."""
+    return (series.valuation, series.truncation,
+            [value_to_json(series.coeff(e))
+             for e in range(series.valuation, series.truncation + 1)])
+
+
+# numerators up to 2^80 exercise the digit width; mixed denominators the scaling
+coordinate = st.builds(
+    Fraction,
+    st.one_of(st.integers(-6, 6), st.integers(-2 ** 80, 2 ** 80)),
+    st.sampled_from([1, 1, 2, 3, 4, 9, 35]),
+)
+
+
+@st.composite
+def tagged_value(draw, orders):
+    order = draw(st.sampled_from(orders))
+    coords = [draw(coordinate) for _ in range(euler_phi(order))]
+    if draw(st.booleans()):
+        coords[1:] = [0] * (len(coords) - 1)  # a rational value carried at this order
+    return CyclotomicNumber(order, coords)
+
+
+@st.composite
+def tagged_series(draw):
+    orders = draw(st.lists(st.sampled_from([1, 3, 4, 6]), min_size=1, max_size=3, unique=True))
+    v = draw(st.integers(min_value=-4, max_value=4))
+    width = draw(st.integers(min_value=0, max_value=14))
+    coeffs = {}
+    for e in range(v, v + width + 1):
+        if draw(st.integers(0, 2)):  # a third of the slots stay zero gaps
+            coeffs[e] = draw(tagged_value(orders))
+    return QSeries(v, v + width, coeffs)
+
+
+@given(tagged_series(), tagged_series())
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_schoolbook_product(a, b):
+    assert slots(a * b) == slots(schoolbook_product(a, b))
+
+
+def test_mul_matches_schoolbook_product_landmarks():
+    i = CyclotomicNumber.zeta(4)
+    w = CyclotomicNumber.zeta(3)
+    big = 2 ** 64 + 1
+    cases = [
+        # i * (-i) + i * i cancels at q^1: the zero there keeps order 4
+        (QSeries(0, 4, {0: i, 1: i}), QSeries(0, 4, {0: i, 1: -i})),
+        (QSeries(0, 4, {0: i, 1: 1}), QSeries(0, 4, {0: i, 1: 1})),
+        (QSeries(-3, 2, {-3: Fraction(-1, 3), 0: w, 2: big}),
+         QSeries(1, 9, {1: CyclotomicNumber(6, [big, -big]), 5: Fraction(5, 7)})),
+        (QSeries(0, 5, {0: CyclotomicNumber(4, [Fraction(1, 2), 0])}), QSeries(0, 5, {3: 2})),
+        (QSeries(0, 6, {0: -big * big, 6: 1}), QSeries(0, 6, {0: big * big})),
+        # 15 * 17 = 255 fills 8 bits exactly: the digit needs a ninth for the sign
+        (QSeries(0, 2, {0: 15, 1: -15}), QSeries(0, 2, {0: 17})),
+    ]
+    for a, b in cases:
+        assert slots(a * b) == slots(schoolbook_product(a, b))
+        assert slots(b * a) == slots(schoolbook_product(b, a))
+    assert value_to_json((cases[0][0] * cases[0][1]).coeff(1)) == {"order": 4, "coords": ["0", "0"]}
+
+
+@pytest.mark.parametrize("name", ["quartic_mod5", "sextic_mod7"])
+@pytest.mark.parametrize("l", [2, 4, 6])
+def test_theta_power_series_matches_lattice_and_schoolbook(name, l):
+    from holoproj.theta import theta_series
+
+    psi, n = ORACLE_CHARS[name], 120
+    powered = theta_power_series(psi, l, n)
+    assert powered.agrees_with(theta_power_direct(psi, l, n), l, n)
+    oracle = schoolbook_pow(theta_series(psi, n), l)
+    assert powered.to_json_obj() == oracle.to_json_obj()
+    assert slots(powered) == slots(oracle)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -161,3 +162,28 @@ def test_univariate_poly_arithmetic():
     assert composed(Fraction(1, 4)) == p(Fraction(1, 2))
     with pytest.raises(ZeroDivisionError):
         divmod(p, UnivariatePoly([0]))
+
+
+def _chunked_decimal(n: int) -> str:
+    """Decimal digits of n by repeated divmod by 10^9: str() only ever sees
+    integers of at most nine digits."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= 10 ** 9:
+        n, low = divmod(n, 10 ** 9)
+        chunks.append(f"{low:09d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
+
+
+def test_rational_to_str_past_the_int_str_limit(default_int_str_limit):
+    q = Fraction(-(3 ** 11000) - 1, 7 ** 6000)
+    p, d = q.numerator, q.denominator
+    for part in (p, d):
+        assert len(_chunked_decimal(abs(part))) > max(5000, default_int_str_limit)
+        with pytest.raises(ValueError):
+            str(part)
+    assert rational_to_str(q) == f"{_chunked_decimal(p)}/{_chunked_decimal(d)}"
+    assert rational_to_str(Fraction(p)) == _chunked_decimal(p)
+    assert value_to_json(cyc(q)) == rational_to_str(q)
+    assert sys.get_int_max_str_digits() == default_int_str_limit
