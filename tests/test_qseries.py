@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holoproj.qseries import QSeries, SeriesRangeError
 from holoproj.rings import CyclotomicNumber, cyc, euler_phi, value_to_json
-from holoproj.theta import theta_power_direct, theta_power_series
+from holoproj.theta import theta_power_direct, theta_power_series, theta_series
 from test_theta import ORACLE_CHARS
 
 
@@ -204,10 +204,13 @@ def slots(series):
              for e in range(series.valuation, series.truncation + 1)])
 
 
-# numerators up to 2^80 exercise the digit width; mixed denominators the scaling
+# numerators up to 2^80 exercise the digit width, +-(2^k - 1) fill their bits
+# exactly; mixed denominators exercise the scaling
 coordinate = st.builds(
     Fraction,
-    st.one_of(st.integers(-6, 6), st.integers(-2 ** 80, 2 ** 80)),
+    st.one_of(st.integers(-6, 6), st.integers(-2 ** 80, 2 ** 80),
+              st.builds(lambda k, sign: sign * (2 ** k - 1), st.integers(1, 72),
+                        st.sampled_from([1, -1]))),
     st.sampled_from([1, 1, 2, 3, 4, 9, 35]),
 )
 
@@ -234,6 +237,7 @@ def tagged_series(draw):
 
 
 @given(tagged_series(), tagged_series())
+@example(QSeries(0, 2, {0: 15, 1: -15}), QSeries(0, 2, {0: 17}))  # 255: 8 bits and a sign
 @settings(max_examples=300, deadline=None)
 def test_mul_matches_schoolbook_product(a, b):
     assert slots(a * b) == slots(schoolbook_product(a, b))
@@ -251,8 +255,6 @@ def test_mul_matches_schoolbook_product_landmarks():
          QSeries(1, 9, {1: CyclotomicNumber(6, [big, -big]), 5: Fraction(5, 7)})),
         (QSeries(0, 5, {0: CyclotomicNumber(4, [Fraction(1, 2), 0])}), QSeries(0, 5, {3: 2})),
         (QSeries(0, 6, {0: -big * big, 6: 1}), QSeries(0, 6, {0: big * big})),
-        # 15 * 17 = 255 fills 8 bits exactly: the digit needs a ninth for the sign
-        (QSeries(0, 2, {0: 15, 1: -15}), QSeries(0, 2, {0: 17})),
     ]
     for a, b in cases:
         assert slots(a * b) == slots(schoolbook_product(a, b))
@@ -263,8 +265,6 @@ def test_mul_matches_schoolbook_product_landmarks():
 @pytest.mark.parametrize("name", ["quartic_mod5", "sextic_mod7"])
 @pytest.mark.parametrize("l", [2, 4, 6])
 def test_theta_power_series_matches_lattice_and_schoolbook(name, l):
-    from holoproj.theta import theta_series
-
     psi, n = ORACLE_CHARS[name], 120
     powered = theta_power_series(psi, l, n)
     assert powered.agrees_with(theta_power_direct(psi, l, n), l, n)
