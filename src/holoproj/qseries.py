@@ -129,15 +129,8 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
                   for i in range(at, at + stride * width, width)]
         if any(digits) or order > 1 and hits[s * width_hit:(s + 1) * width_hit] != miss:
             coords = _divmod(digits, modulus)[1]
-            _add_into(data, base + s - v,
-                      CyclotomicNumber(order, [Fraction(c, scale) for c in coords]))
-
-
-def _add_into(data: list, i: int, value: CyclotomicNumber) -> None:
-    """data[i] += value; a slot still holding the shared order-1 zero takes
-    value as it is, which is that sum."""
-    current = data[i]
-    data[i] = value if current is _ZERO else current + value
+            i = base + s - v
+            data[i] = data[i] + CyclotomicNumber(order, [Fraction(c, scale) for c in coords])
 
 
 class QSeries:

@@ -24,20 +24,14 @@ from math import gcd
 Rational = Fraction
 
 
-def _int_to_str(n: int) -> str:
-    """str(n), also past CPython's int->str digit limit: Decimal converts an
-    int exactly and prints it without that limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return str(Decimal(n))
-
-
 def rational_to_str(q: Fraction) -> str:
-    """Serialize a rational as "p/q" ("p" when the denominator is 1)."""
+    """Serialize a rational as "p/q" ("p" when the denominator is 1).
+
+    Integers print through Decimal, which converts an int exactly and, unlike
+    str(), has no digit limit."""
     if q.denominator == 1:
-        return _int_to_str(q.numerator)
-    return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 class UnivariatePoly:
