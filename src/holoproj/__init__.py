@@ -9,19 +9,14 @@ from .characters import (
     char_from_spec,
     char_from_table,
     char_kronecker,
-    char_product,
 )
 from .qseries import QSeries, SeriesRangeError
 from .theta import theta_power_direct, theta_power_series, theta_series
 from .smalldiv import (
-    ABPair,
     CharacterParityError,
     CharacterPlacement,
-    DivisorTuple,
     MultiIndex,
-    ab_substitution,
     divisor_sum,
-    divisor_tuples,
     sigma_sm,
     sigma_sm_classical,
     small_divisors,

@@ -184,18 +184,6 @@ def char_kronecker(D: int) -> DirichletCharacter:
     return char_from_table(M, [kronecker_symbol(D, a) for a in range(M)])
 
 
-def char_product(psi: DirichletCharacter, chi: DirichletCharacter) -> DirichletCharacter:
-    """Pointwise product at the lcm modulus."""
-    M = psi.modulus * chi.modulus // gcd(psi.modulus, chi.modulus)
-    table = []
-    for a in range(M):
-        if gcd(a, M) > 1:
-            table.append(cyc(0))
-        else:
-            table.append(psi(a) * chi(a))
-    return char_from_table(M, table)
-
-
 def char_conjugate(chi: DirichletCharacter) -> DirichletCharacter:
     """Complex conjugate character (coordinate-wise zeta -> zeta^(-1))."""
     return char_from_table(chi.modulus, [v.conjugate() for v in chi.values])

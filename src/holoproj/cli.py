@@ -27,14 +27,12 @@ from .numeric import (
 from .projection import (
     CAL_UNKNOWNS,
     CalibrationInstance,
-    CharacterPlacement,
     ProjectionConfig,
     calibrate_constants,
     residual_report,
-    sigma_entry_table,
 )
 from .rings import value_to_json
-from .smalldiv import MultiIndex, sigma_sm
+from .smalldiv import CharacterPlacement, MultiIndex, sigma_entry_table, sigma_sm
 from .theta import theta_power_direct, theta_series
 
 import mpmath as mp
@@ -68,13 +66,32 @@ def _parse_char(text: str):
     raise ConfigError(f"character spec {text!r}: use kronecker:D or inline JSON")
 
 
+def _open_output(path, flag: str, newline=None):
+    """path opened for writing; a path that cannot be is a usage error."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _write_json(path, obj):
     data = json.dumps(obj, indent=2) + "\n"
     if path == "-":
         sys.stdout.write(data)
     else:
-        with open(path, "w") as fh:
+        with _open_output(path, "--out") as fh:
             fh.write(data)
+
+
+def _write_csv(path, rows):
+    with _open_output(path, "--csv", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _check_dimension(l: int) -> None:
+    """Odd l >= 3 gives the kernel non-square norms, which it cannot evaluate."""
+    if l != 1 and l % 2:
+        raise ConfigError(f"l must be 1 or even, got {l}")
 
 
 def _cmd_theta(args) -> int:
@@ -93,11 +110,7 @@ def _cmd_theta(args) -> int:
     }
     _write_json(args.out, obj)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("exponent", "value"))
-            for row in series.to_csv_rows():
-                writer.writerow(row)
+        _write_csv(args.csv, [("exponent", "value"), *series.to_csv_rows()])
     return 0
 
 
@@ -118,6 +131,7 @@ def _table_indices(values, table, total, parts):
 
 
 def _cmd_sigma_table(args) -> int:
+    _check_dimension(args.l)
     with _inputs():
         cfg = ProjectionConfig(
             _parse_char(args.psi), _parse_char(args.chi), args.l, args.rmax,
@@ -169,6 +183,7 @@ def _load_verify_config(path):
     psi = char_from_spec(_field(raw, "psi", lambda v: isinstance(v, dict), "an object"))
     chi = char_from_spec(_field(raw, "chi", lambda v: isinstance(v, dict), "an object"))
     l = _field(raw, "l", _is_int, "an integer")
+    _check_dimension(l)
     rmax = _field(raw, "rmax", _is_int, "an integer")
     modes = _field(raw, "modes", lambda v: isinstance(v, list) and all(type(m) is str for m in v),
                    "a list of strings", ["ordered", "full"])
@@ -211,10 +226,7 @@ def _cmd_verify(args) -> int:
     obj["asserted_failures"] = failures
     _write_json(args.out, obj)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in report.csv_rows():
-                writer.writerow(row)
+        _write_csv(args.csv, report.csv_rows())
     return 1 if failures else 0
 
 

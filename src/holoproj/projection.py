@@ -28,9 +28,10 @@ from .smalldiv import (
     CharacterPlacement,
     divisor_sum,
     require_twist_pair,
+    sigma_entry_table,
     sigma_sm_classical,
 )
-from .theta import theta_power_direct, theta_power_series
+from .theta import theta_power_direct
 
 
 @dataclass(frozen=True)
@@ -74,38 +75,6 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def sigma_entry_table(cfg: ProjectionConfig, rmax: int) -> dict:
-    """Per entry value n <= rmax: the surviving divisor substitutions as
-    (a^2, b^2, weight) with weight the per-entry character factor.  Complete
-    multiplicativity makes the product of per-entry weights equal the
-    multi-index weight, so sigma sums can walk these tables instead of
-    re-deriving divisor tuples per multi-index."""
-    from .smalldiv import small_divisors
-
-    if cfg.placement == CharacterPlacement.PSI_ON_LARGER:
-        on_larger, lam_larger = cfg.psi, cfg.psi.parity
-        on_smaller, lam_smaller = cfg.chi, cfg.chi.parity
-    else:
-        on_larger, lam_larger = cfg.chi, cfg.chi.parity
-        on_smaller, lam_smaller = cfg.psi, cfg.psi.parity
-    table = {}
-    for n in range(1, rmax + 1):
-        entries = []
-        for d in small_divisors(n):
-            q = n // d
-            a, b = (q + d) // 2, (q - d) // 2
-            ca = on_larger(a)
-            if ca.is_zero():
-                continue
-            cb = on_smaller(b)
-            if cb.is_zero():
-                continue
-            entries.append((a * a, b * b, ca * cb * (a ** lam_larger * b ** lam_smaller)))
-        if entries:
-            table[n] = entries
-    return table
-
-
 def sigma_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int,
                       table: dict | None = None) -> CyclotomicNumber:
     """Sum of sigma_sm over the multi-indices with entry sum r, walking the
@@ -123,15 +92,15 @@ def sigma_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int,
     def walk(j, remaining, a_sq, b_sq, weight):
         nonlocal total
         if j == l - 1:
-            for a2, b2, w in table.get(remaining, ()):
-                total = total + weight * w * cyc(kernel.eval(a_sq + a2, b_sq + b2))
+            for a, b, w in table.get(remaining, ()):
+                total = total + weight * w * cyc(kernel.eval(a_sq + a * a, b_sq + b * b))
             return
         budget = remaining - (l - 1 - j) * vmin
         for v in values:
             if v > budget:
                 break
-            for a2, b2, w in table[v]:
-                walk(j + 1, remaining - v, a_sq + a2, b_sq + b2, weight * w)
+            for a, b, w in table[v]:
+                walk(j + 1, remaining - v, a_sq + a * a, b_sq + b * b, weight * w)
 
     walk(0, r, 0, 0, cyc(1))
     return total
@@ -209,20 +178,7 @@ class FullSideResult:
     tail_delta: dict  # r -> CyclotomicNumber, change from B/2 to B
 
 
-def _collapsed_sequences(cfg: ProjectionConfig, B: int, source: str):
-    """alpha: theta_chi^l coefficients to B; beta: theta_psi^l to B + rmax."""
-    if source == "direct":
-        alpha = theta_power_direct(cfg.chi, cfg.l, B)
-        beta = theta_power_direct(cfg.psi, cfg.l, B + cfg.rmax)
-    elif source == "power":
-        alpha = theta_power_series(cfg.chi, cfg.l, B)
-        beta = theta_power_series(cfg.psi, cfg.l, B + cfg.rmax)
-    else:
-        raise ValueError(f"unknown coefficient source {source!r}")
-    return alpha, beta
-
-
-def full_pairs_side(cfg: ProjectionConfig, B: int | None = None, source: str = "direct") -> FullSideResult:
+def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResult:
     """Collapsed unrestricted-pair sum: coefficient of q^r is
 
         sum over M <= B of alpha(M) beta(M + r) K(M + r, M)
@@ -240,7 +196,8 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None, source: str = "
     if B < cfg.rmax:
         raise ValueError(f"need B >= rmax, got B={B} < {cfg.rmax}")
     kernel = cfg.kernel()
-    alpha, beta = _collapsed_sequences(cfg, B, source)
+    alpha = theta_power_direct(cfg.chi, cfg.l, B)
+    beta = theta_power_direct(cfg.psi, cfg.l, B + cfg.rmax)
     half = B // 2
 
     full_at_b: dict[int, CyclotomicNumber] = {}

@@ -229,10 +229,10 @@ class CyclotomicNumber:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.coords[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -389,6 +389,10 @@ def value_to_json(z: CyclotomicNumber):
 
 
 def value_from_json(obj) -> CyclotomicNumber:
-    if isinstance(obj, dict):
-        return CyclotomicNumber(obj["order"], [Fraction(c) for c in obj["coords"]])
-    return CyclotomicNumber(1, (Fraction(obj),))
+    """The inverse of value_to_json; a malformed value raises ValueError."""
+    try:
+        if isinstance(obj, dict):
+            return CyclotomicNumber(obj["order"], [Fraction(c) for c in obj["coords"]])
+        return CyclotomicNumber(1, (Fraction(obj),))
+    except (KeyError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed value {obj!r}: {exc!r}") from None

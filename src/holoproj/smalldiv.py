@@ -1,9 +1,11 @@
-"""Small divisor sets, multi-index divisor tuples, and the small divisor
-functions (one-dimensional and multi-index).
+"""The small-divisor layer: the sets D_n, the divisor substitution over them,
+the placement of the two characters, the per-entry table built from both, and
+the small divisor functions (one-dimensional and multi-index) that read it.
 
 D_n is the set of divisors d | n with d <= n/d and d = n/d (mod 2); the
-parity condition makes (n/d + d)/2 and (n/d - d)/2 integers, which is the
-substitution a = (n/d + d)/2, b = (n/d - d)/2 used everywhere below.
+parity condition makes a = (n/d + d)/2 and b = (n/d - d)/2 integers, with
+a^2 - b^2 = n, a - b = d and a + b = n/d.  `substitutions` is the one place
+that computes them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .characters import DirichletCharacter
 from .kernel import ProjectionKernel
@@ -33,6 +36,11 @@ def small_divisors(n: int) -> list[int]:
             out.append(d)
         d += 1
     return out
+
+
+def substitutions(n: int) -> list[tuple[int, int]]:
+    """(a, b) = ((n/d + d)/2, (n/d - d)/2) for each d in D_n, by increasing d."""
+    return [((n // d + d) // 2, (n // d - d) // 2) for d in small_divisors(n)]
 
 
 def divisor_sum(n: int, k: int = 1) -> int:
@@ -62,84 +70,6 @@ class MultiIndex:
     def __len__(self):
         return len(self.entries)
 
-    def product(self) -> int:
-        out = 1
-        for e in self.entries:
-            out *= e
-        return out
-
-    def entry_sum(self) -> int:
-        return sum(self.entries)
-
-    def norm_sq(self) -> int:
-        return sum(e * e for e in self.entries)
-
-
-@dataclass(frozen=True)
-class DivisorTuple:
-    base: MultiIndex
-    divisors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "divisors", tuple(int(d) for d in self.divisors))
-        if len(self.divisors) != len(self.base):
-            raise ValueError("divisor tuple length mismatch")
-        for n, d in zip(self.base.entries, self.divisors):
-            if n % d != 0 or d * d > n or (d - n // d) % 2 != 0:
-                raise ValueError(f"{d} is not a small divisor of {n}")
-
-
-@dataclass(frozen=True)
-class ABPair:
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
-            raise ValueError("component count mismatch")
-        for aj, bj in zip(self.a, self.b):
-            if not (aj > bj >= 0):
-                raise ValueError(f"need a_j > b_j >= 0, got ({aj}, {bj})")
-
-    def a_norm_sq(self) -> int:
-        return sum(x * x for x in self.a)
-
-    def b_norm_sq(self) -> int:
-        return sum(x * x for x in self.b)
-
-    def a_product(self) -> int:
-        out = 1
-        for x in self.a:
-            out *= x
-        return out
-
-    def b_product(self) -> int:
-        out = 1
-        for x in self.b:
-            out *= x
-        return out
-
-
-def divisor_tuples(n: MultiIndex) -> list[DivisorTuple]:
-    """Cartesian product of the small-divisor sets; empty when any factor
-    set is empty (e.g. any entry equal to 2)."""
-    per_entry = [small_divisors(e) for e in n.entries]
-    if any(not s for s in per_entry):
-        return []
-    return [DivisorTuple(n, ds) for ds in product(*per_entry)]
-
-
-def ab_substitution(t: DivisorTuple) -> ABPair:
-    """a_j = (n_j/d_j + d_j)/2, b_j = (n_j/d_j - d_j)/2; the parity condition
-    in D_n makes both integral, and a_j^2 - b_j^2 = n_j."""
-    a = []
-    b = []
-    for n, d in zip(t.base.entries, t.divisors):
-        q = n // d
-        a.append((q + d) // 2)
-        b.append((q - d) // 2)
-    return ABPair(tuple(a), tuple(b))
-
 
 class CharacterPlacement(enum.Enum):
     """Which character evaluates on the larger substitution argument a.
@@ -152,6 +82,10 @@ class CharacterPlacement(enum.Enum):
     PSI_ON_LARGER = "psi_on_larger"
     CHI_ON_LARGER = "chi_on_larger"
 
+    def characters(self, psi: DirichletCharacter, chi: DirichletCharacter):
+        """(the character on a, the character on b)."""
+        return (psi, chi) if self is CharacterPlacement.PSI_ON_LARGER else (chi, psi)
+
 
 def require_twist_pair(psi: DirichletCharacter, chi: DirichletCharacter) -> None:
     if not psi.is_odd():
@@ -160,6 +94,36 @@ def require_twist_pair(psi: DirichletCharacter, chi: DirichletCharacter) -> None
         raise CharacterParityError("chi must be even")
     if chi.is_trivial():
         raise CharacterParityError("chi must be non-trivial")
+
+
+def _surviving(n: int, on_larger: DirichletCharacter, on_smaller: DirichletCharacter):
+    """(a, b, on_larger(a), on_smaller(b)) for the substitutions of n on which
+    both characters are nonzero."""
+    for a, b in substitutions(n):
+        ca = on_larger(a)
+        if ca.is_zero():
+            continue
+        cb = on_smaller(b)
+        if not cb.is_zero():
+            yield a, b, ca, cb
+
+
+def sigma_entry_table(cfg, rmax: int) -> dict:
+    """Per entry value n <= rmax with a surviving substitution: its rows
+    (a, b, weight) for the characters and placement of cfg, weight =
+    on_larger(a) a^lambda * on_smaller(b) b^lambda with each lambda its
+    character's parity.  The characters are completely multiplicative, so a
+    multi-index term is nonzero exactly when every entry picks a row, and the
+    product of the row weights is its character factor (up to the order tag
+    the characters print it with)."""
+    on_larger, on_smaller = cfg.placement.characters(cfg.psi, cfg.chi)
+    table = {}
+    for n in range(1, rmax + 1):
+        rows = [(a, b, ca * cb * (a ** on_larger.parity * b ** on_smaller.parity))
+                for a, b, ca, cb in _surviving(n, on_larger, on_smaller)]
+        if rows:
+            table[n] = rows
+    return table
 
 
 def sigma_sm(
@@ -171,33 +135,23 @@ def sigma_sm(
 ) -> CyclotomicNumber:
     """Multi-index small divisor function with the projection kernel weight.
 
-    Sums over the divisor tuples of n; each tuple contributes
+    Sums over one surviving substitution per entry of n; each choice contributes
     [char-on-larger](a!) (a!)^lambda * [char-on-smaller](b!) (b!)^lambda *
-    K(|a|^2, |b|^2).  Terms with any b_j = 0 vanish through the character
-    (chi(0) = 0 for non-trivial chi, and 0^0 = 1), never via a special case.
+    K(|a|^2, |b|^2), the characters taken at the products.  Choices with a
+    vanishing character (for instance b_j = 0, as chi(0) = 0 for non-trivial
+    chi) are never formed.
     """
     require_twist_pair(psi, chi)
     if len(n) != kernel.l:
         raise ValueError(f"kernel is for dimension {kernel.l}, index has {len(n)}")
-    if placement == CharacterPlacement.PSI_ON_LARGER:
-        on_larger, lam_larger = psi, psi.parity
-        on_smaller, lam_smaller = chi, chi.parity
-    else:
-        on_larger, lam_larger = chi, chi.parity
-        on_smaller, lam_smaller = psi, psi.parity
-
+    on_larger, on_smaller = placement.characters(psi, chi)
     total = cyc(0)
-    for t in divisor_tuples(n):
-        pair = ab_substitution(t)
-        pa, pb = pair.a_product(), pair.b_product()
-        ca = on_larger(pa)
-        if ca.is_zero():
-            continue
-        cb = on_smaller(pb)
-        if cb.is_zero():
-            continue
-        weight = kernel.eval(pair.a_norm_sq(), pair.b_norm_sq())
-        total = total + ca * cb * cyc(weight * pa ** lam_larger * pb ** lam_smaller)
+    for rows in product(*(_surviving(e, on_larger, on_smaller) for e in n.entries)):
+        a, b, _, _ = zip(*rows)
+        pa, pb = prod(a), prod(b)
+        weight = kernel.eval(sum(x * x for x in a), sum(x * x for x in b))
+        total = total + on_larger(pa) * on_smaller(pb) * cyc(
+            weight * pa ** on_larger.parity * pb ** on_smaller.parity)
     return total
 
 
@@ -215,14 +169,6 @@ def sigma_sm_classical(
     if power not in (1, 2):
         raise ValueError(f"supported weights are d and d^2, got power {power}")
     total = cyc(0)
-    for d in small_divisors(n):
-        q = n // d
-        a, b = (q + d) // 2, (q - d) // 2
-        cb = chi(b)
-        if cb.is_zero():
-            continue
-        ca = psi(a)
-        if ca.is_zero():
-            continue
-        total = total + ca * cb * (d ** power)
+    for a, b, ca, cb in _surviving(n, psi, chi):
+        total = total + ca * cb * ((a - b) ** power)
     return total

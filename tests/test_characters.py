@@ -8,7 +8,6 @@ from holoproj.characters import (
     char_from_spec,
     char_from_table,
     char_kronecker,
-    char_product,
     is_fundamental_discriminant,
     kronecker_symbol,
 )
@@ -101,10 +100,8 @@ def test_kronecker_symbol_matches_sympy():
 
 def test_product_of_chi_minus4_with_itself_is_even():
     chi = char_kronecker(-4)
-    sq = char_product(chi, chi)
-    assert sq.parity == 0
-    assert sq.modulus == 4
-    assert sq(3) == cyc(1)
+    sq = [chi(a) * chi(a) for a in range(4)]
+    assert sq == [cyc(0), cyc(1), cyc(0), cyc(1)]  # sq at -1 = 3 is 1: even
 
 
 def test_real_characters_self_conjugate():
@@ -115,13 +112,15 @@ def test_real_characters_self_conjugate():
 def test_product_parity_is_xor():
     builtins = [char_kronecker(d) for d in (-4, 8, -8, 5, -3, 12, 13)]
     for psi, chi in combinations_with_replacement(builtins, 2):
-        assert char_product(psi, chi).parity == psi.parity ^ chi.parity
+        minus_one = psi.modulus * chi.modulus - 1
+        assert psi(minus_one) * chi(minus_one) == cyc((-1) ** (psi.parity ^ chi.parity))
 
 
 def test_parity_of_chi_minus4_times_chi8():
-    prod = char_product(char_kronecker(-4), char_kronecker(8))
-    assert prod.parity == 1
-    assert prod.modulus == 8
+    psi, chi = char_kronecker(-4), char_kronecker(8)
+    prod = [psi(a) * chi(a) for a in range(32)]
+    assert prod[7] == cyc(-1)             # odd
+    assert prod == prod[:8] * 4           # period 8
 
 
 def test_kronecker_values_collapse_to_rationals():
@@ -139,8 +138,9 @@ def test_quartic_character_mod_5():
     conj = char_conjugate(chi)
     assert conj(2) == -i
     # chi^2 is the Legendre symbol mod 5
-    sq = char_product(chi, chi)
-    assert sq == char_kronecker(5)
+    legendre = char_kronecker(5)
+    for a in range(5):
+        assert chi(a) * chi(a) == legendre(a)
 
 
 def test_char_from_spec_formats():

@@ -3,8 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from holoproj.cli import main
+from holoproj.smalldiv import CharacterPlacement
 
 
 def run_cli(*argv):
@@ -175,19 +177,17 @@ def _rows_or_error(fn):
 @pytest.mark.parametrize("placement", ["psi_on_larger", "chi_on_larger"])
 @pytest.mark.parametrize("l, rmax", [(1, 40), (3, 26), (4, 32), (6, 18)])
 def test_sigma_table_matches_every_composition(tmp_path, psi, placement, l, rmax):
-    """Rows and their order, or for odd l the exception type (the kernel
-    needs square norms there), equal those of sigma_sm on every composition."""
+    """Rows and their order equal those of sigma_sm on every composition.  At
+    odd l the kernel needs square norms that sigma_sm does not meet, and the
+    CLI rejects the dimension up front."""
     from holoproj.cli import _parse_char
     from holoproj.projection import CharacterPlacement, ProjectionConfig, compositions
     from holoproj.rings import value_to_json
     from holoproj.smalldiv import MultiIndex, sigma_sm
 
     out = tmp_path / "table.json"
-
-    def table():
-        assert run_cli("sigma-table", "--psi", psi, "--chi", "kronecker:8", "--l", str(l),
-                       "--rmax", str(rmax), "--placement", placement, "--out", str(out)) == 0
-        return json.loads(out.read_text())["rows"]
+    argv = ("sigma-table", "--psi", psi, "--chi", "kronecker:8", "--l", str(l),
+            "--rmax", str(rmax), "--placement", placement, "--out", str(out))
 
     def brute_force():
         cfg = ProjectionConfig(_parse_char(psi), _parse_char("kronecker:8"), l, rmax,
@@ -201,9 +201,12 @@ def test_sigma_table_matches_every_composition(tmp_path, psi, placement, l, rmax
         return rows
 
     want = _rows_or_error(brute_force)
-    assert _rows_or_error(table) == want
     if l == 3:
         assert want == "NonSquareArgumentError"
+        assert run_cli(*argv) == 2 and not out.exists()
+        return
+    assert run_cli(*argv) == 0
+    assert json.loads(out.read_text())["rows"] == want
 
 
 def test_closed_forms_command(tmp_path):
@@ -252,6 +255,9 @@ def test_installed_entry_point_runs():
     assert json.loads(proc.stdout)["identities"]
 
 
+SIGMA_TABLE = ("sigma-table", "--psi", "kronecker:-4", "--chi", "kronecker:8")
+
+
 @pytest.mark.parametrize("argv", [
     ("theta", "--char", "kronecker:-4", "--terms", "0"),
     ("theta", "--char", "kronecker:-4", "--terms", "10", "--pow", "0"),
@@ -264,12 +270,32 @@ def test_installed_entry_point_runs():
     ("numeric", "xi", "--tau-v", "0.01"),
     ("numeric", "xi", "--tau-v", "3"),
     ("numeric", "f-minus", "--cutoff", "1"),
+    SIGMA_TABLE + ("--l", "3", "--rmax", "26"),
+    SIGMA_TABLE + ("--l", "5", "--rmax", "40"),
+    ("verify", "--config", "{odd_ordered_config}"),
+    ("theta", "--char", "kronecker:-4", "--terms", "10", "--out", "{missing}/x.json"),
+    ("theta", "--char", "kronecker:-4", "--terms", "10", "--out", "-", "--csv", "{missing}/x.csv"),
+    SIGMA_TABLE + ("--l", "4", "--rmax", "12", "--out", "{missing}/x.json"),
+    ("closed-forms", "--out", "{missing}/x.json"),
+    ("verify", "--config", "{small_config}", "--out", "{missing}/x.json"),
+    ("verify", "--config", "{small_config}", "--out", "-", "--csv", "{missing}/x.csv"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
+    """A case that names its own --out (an unwritable path, or - with an
+    unwritable --csv) keeps it; every other case writes to x.json."""
     list_config = tmp_path / "list.json"
     list_config.write_text("[1, 2]")
-    argv = [a.format(list_config=list_config) for a in argv]
-    assert run_cli(*argv, "--out", str(tmp_path / "x.json")) == 2
+    paths = {
+        "list_config": list_config,
+        "odd_ordered_config": write_config(tmp_path, "odd.json", l=3, rmax=12, modes=["ordered"]),
+        "small_config": write_config(tmp_path, "small.json", rmax=4, modes=["ordered"],
+                                     closed_forms=False),
+        "missing": tmp_path / "missing",
+    }
+    argv = [a.format(**paths) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "x.json")]
+    assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert not (tmp_path / "x.json").exists()
@@ -285,6 +311,8 @@ BAD_FIELDS = {
     "l-list": {"l": [4]},
     "l-bool": {"l": True},
     "l-float": {"l": 4.7},
+    "l-odd": {"l": 3},
+    "l-odd-negative": {"l": -1},
     "rmax-float": {"rmax": 12.9},
     "rmax-str": {"rmax": "40"},
     "B-str": {"B": "4096"},
@@ -320,3 +348,78 @@ def test_numeric_rejects_bad_input_before_computing(argv, tmp_path, monkeypatch)
     monkeypatch.setattr("holoproj.numeric.xi_finite_difference", no_sum)
     monkeypatch.setattr("holoproj.numeric.theta_power_direct", no_sum)
     assert run_cli("numeric", *argv, "--out", str(tmp_path / "x.json")) == 2
+
+
+GOOD_PSI = [{"kronecker": -4}, {"kronecker": -3}, json.loads(QUARTIC_MOD5)]
+GOOD_CHI = [{"kronecker": 8}, {"kronecker": 5}, {"kronecker": 12}]
+BAD_SPECS = [
+    {"kronecker": 8}, {"kronecker": -4}, {"kronecker": 1}, {"kronecker": 9}, {"kronecker": 0},
+    {"kronecker": "x"}, {"kronecker": None}, {"modulus": 4}, {"modulus": 0, "values": []},
+    {"modulus": "x", "values": []}, {"modulus": 4, "values": 5},
+    {"modulus": 4, "values": ["0", "1", "0", "1/0"]},
+    {"modulus": 4, "values": ["0", "1", "0", {"coords": ["-1"]}]},
+    {"modulus": 4, "values": ["0", "1", "0", {"order": 0, "coords": []}]},
+    {"modulus": 4, "values": ["0", "1", "0", {"order": "2", "coords": ["-1"]}]},
+    5, [], "kronecker:-4",
+]
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+FUZZ_L = st.sampled_from([1, 4, 6, 8]) | st.integers(-1, 9)
+
+
+def _specs(good):
+    """Two draws in three from the well-formed specs in good (psi odd, chi
+    even), else one of the wrong or malformed BAD_SPECS."""
+    return st.sampled_from(good) | st.sampled_from(good) | st.sampled_from(BAD_SPECS)
+
+
+def _exits_0_1_or_2(capsys, argv):
+    """No traceback, and exit 2 prints exactly one config error line."""
+    capsys.readouterr()
+    rc = run_cli(*argv)
+    err = capsys.readouterr().err.splitlines()
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+def _char_text(spec):
+    """The sigma-table argument for spec: kronecker:D where it reads as one."""
+    if isinstance(spec, dict) and list(spec) == ["kronecker"]:
+        return f"kronecker:{spec['kronecker']}"
+    return json.dumps(spec)
+
+
+@FUZZ
+@given(
+    psi=_specs(GOOD_PSI).map(_char_text) | st.sampled_from(["kronecker:", "{", "8", ""]),
+    chi=_specs(GOOD_CHI).map(_char_text),
+    l=FUZZ_L,
+    rmax=st.integers(-2, 24),
+    placement=st.sampled_from([p.value for p in CharacterPlacement]),
+)
+def test_sigma_table_arguments_exit_0_1_or_2(tmp_path, capsys, psi, chi, l, rmax, placement):
+    _exits_0_1_or_2(capsys, ("sigma-table", "--psi", psi, "--chi", chi, "--l", str(l),
+                             "--rmax", str(rmax), "--placement", placement,
+                             "--out", str(tmp_path / "out.json")))
+
+
+@FUZZ
+@given(
+    psi=_specs(GOOD_PSI),
+    chi=_specs(GOOD_CHI),
+    l=FUZZ_L,
+    rmax=st.integers(-2, 24),
+    modes=st.sampled_from([["ordered"], ["full"], ["ordered", "full"], [], ["sideways"]]),
+    schedule=st.none() | st.lists(st.integers(-4, 64), max_size=2),
+    B=st.none() | st.integers(-4, 64),
+)
+def test_verify_configs_exit_0_1_or_2(tmp_path, capsys, psi, chi, l, rmax, modes, schedule, B):
+    raw = {"psi": psi, "chi": chi, "l": l, "rmax": rmax, "modes": modes,
+           "b_schedule": schedule, "closed_forms": False}
+    if B is not None:
+        raw["B"] = B
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(raw))
+    _exits_0_1_or_2(capsys, ("verify", "--config", str(path), "--out", str(tmp_path / "out.json")))

@@ -243,13 +243,6 @@ def test_full_side_l4_row5_is_zero():
     assert f.series.coeff(5).is_zero()
 
 
-def test_full_side_sources_agree():
-    cfg = cfg_for(4, 16, modes=("full",), B=200)
-    direct = full_pairs_side(cfg, source="direct")
-    powered = full_pairs_side(cfg, source="power")
-    assert direct.series == powered.series
-
-
 def test_full_side_rejects_odd_dimensions_above_one():
     cfg = ProjectionConfig(CHI_M4, CHI_8, 3, 8, modes=("full",), B=64)
     with pytest.raises(OddDimensionError):

@@ -1,26 +1,28 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
-from holoproj.characters import char_kronecker
+from holoproj.characters import char_from_table, char_kronecker
 from holoproj.kernel import projection_kernel
-from holoproj.rings import cyc
+from holoproj.rings import CyclotomicNumber, cyc, value_to_json
 from holoproj.smalldiv import (
-    ABPair,
     CharacterParityError,
     CharacterPlacement,
-    DivisorTuple,
     MultiIndex,
-    ab_substitution,
     divisor_sum,
-    divisor_tuples,
     sigma_sm,
     sigma_sm_classical,
     small_divisors,
+    substitutions,
 )
 
 CHI_M4 = char_kronecker(-4)
 CHI_8 = char_kronecker(8)
+_I = CyclotomicNumber.zeta(4)
+PSI_MOD5 = char_from_table(5, [cyc(0), cyc(1), _I, -_I, cyc(-1)])  # order 4, odd
 
 
 def test_small_divisors_examples():
@@ -38,48 +40,30 @@ def test_parity_guarantee_up_to_1e4():
             assert (q - d) % 2 == 0
 
 
-def test_divisor_tuples_products():
-    ts = divisor_tuples(MultiIndex((15, 3)))
-    assert [t.divisors for t in ts] == [(1, 1), (1, 1)] or len(ts) == 2
-    assert {t.divisors for t in ts} == {(1, 1), (3, 1)}
-    assert divisor_tuples(MultiIndex((2, 3))) == []
-    ones = divisor_tuples(MultiIndex((1, 1, 1)))
-    assert len(ones) == 1 and ones[0].divisors == (1, 1, 1)
-
-
 def test_ab_substitution_values():
-    t = DivisorTuple(MultiIndex((8,)), (2,))
-    assert ab_substitution(t) == ABPair((3,), (1,))
-    t9 = DivisorTuple(MultiIndex((9,)), (3,))
-    assert ab_substitution(t9) == ABPair((3,), (0,))
+    assert substitutions(8) == [(3, 1)]
+    assert substitutions(9) == [(5, 4), (3, 0)]
+    assert substitutions(15) == [(8, 7), (4, 1)]
+    assert substitutions(2) == []
 
 
 def test_ab_substitution_round_trip():
     for n in range(1, 201):
-        for t in divisor_tuples(MultiIndex((n,))):
-            pair = ab_substitution(t)
-            a, b = pair.a[0], pair.b[0]
+        pairs = substitutions(n)
+        assert len(pairs) == len(small_divisors(n))
+        for (a, b), d in zip(pairs, small_divisors(n)):
             assert a * a - b * b == n
-            assert a - b == t.divisors[0]
-            assert a + b == n // t.divisors[0]
+            assert a - b == d
+            assert a + b == n // d
 
 
 def test_multi_index_accessors():
     n = MultiIndex((3, 1, 4))
-    assert n.product() == 12
-    assert n.entry_sum() == 8
-    assert n.norm_sq() == 26
+    assert n.entries == (3, 1, 4) and len(n) == 3
     with pytest.raises(ValueError):
         MultiIndex((0, 1))
-
-
-def test_divisor_tuple_validation():
     with pytest.raises(ValueError):
-        DivisorTuple(MultiIndex((8,)), (3,))    # 3 does not divide 8
-    with pytest.raises(ValueError):
-        DivisorTuple(MultiIndex((4,)), (1,))    # parity fails
-    with pytest.raises(ValueError):
-        ABPair((1,), (1,))                      # needs a > b
+        MultiIndex(())
 
 
 def test_sigma_sm_all_ones_vanishes():
@@ -130,6 +114,59 @@ def test_sigma_sm_parity_validation():
         sigma_sm(MultiIndex((8, 8, 8, 8)), CHI_M4, CHI_M4, k)  # chi must be even
     with pytest.raises(ValueError):
         sigma_sm(MultiIndex((8, 8)), CHI_M4, CHI_8, k)        # dimension mismatch
+
+
+def _divisor_tuples(entries):
+    """(a, b) per tuple of small divisors d_j | n_j, componentwise
+    a = (n/d + d)/2, b = (n/d - d)/2."""
+    for ds in product(*(small_divisors(n) for n in entries)):
+        yield ([(n // d + d) // 2 for n, d in zip(entries, ds)],
+               [(n // d - d) // 2 for n, d in zip(entries, ds)])
+
+
+def _sigma_sm_divisor_tuple_scan(entries, on_a, on_b, kernel):
+    """sigma_sm as the scan over divisor tuples: each gives the term
+    on_a(prod a) on_b(prod b) (prod a)^lambda (prod b)^lambda K(|a|^2, |b|^2),
+    skipped once a character at a product vanishes."""
+    total = cyc(0)
+    for a, b in _divisor_tuples(entries):
+        ca, cb = on_a(prod(a)), on_b(prod(b))
+        if ca.is_zero() or cb.is_zero():
+            continue
+        k = kernel.eval(sum(x * x for x in a), sum(x * x for x in b))
+        total = total + ca * cb * cyc(k * prod(a) ** on_a.parity * prod(b) ** on_b.parity)
+    return total
+
+
+@pytest.mark.parametrize("placement", list(CharacterPlacement), ids=lambda p: p.value)
+@pytest.mark.parametrize("psi", [CHI_M4, PSI_MOD5], ids=["m4", "psi_mod5"])
+@pytest.mark.parametrize("l", [1, 4, 6])
+def test_sigma_sm_matches_divisor_tuple_scan(l, psi, placement):
+    """Every index with entries <= 12 at l = 1; else the constant ones and a
+    fixed sample over the entries with a nonzero term, so most values are
+    nonzero."""
+    on_a, on_b = (psi, CHI_8) if placement == CharacterPlacement.PSI_ON_LARGER else (CHI_8, psi)
+    live = [n for n in range(1, 13) if any(
+        not (on_a(a[0]) * on_b(b[0])).is_zero() for a, b in _divisor_tuples((n,)))]
+    rng = random.Random(l)
+    indices = [(n,) * l for n in range(1, 13)] + [
+        tuple(rng.choice(live) for _ in range(l)) for _ in range(0 if l == 1 else 60)]
+    k = projection_kernel(l)
+    nonzero = 0
+    for n in indices:
+        want = _sigma_sm_divisor_tuple_scan(n, on_a, on_b, k)
+        got = sigma_sm(MultiIndex(n), psi, CHI_8, k, placement)
+        assert value_to_json(got) == value_to_json(want), n
+        nonzero += not want.is_zero()
+    assert nonzero >= len(live)
+
+
+def test_sigma_sm_order_tag_of_the_product_landmark():
+    """The characters act on the products: each entry gives a = 2, b = 1, and
+    psi(16) = 1 prints as a rational, where the product of the per-entry
+    values psi(2)^4 = i^4 would keep order tag 4."""
+    val = sigma_sm(MultiIndex((3, 3, 3, 3)), PSI_MOD5, CHI_8, projection_kernel(4))
+    assert value_to_json(val) == "-243/256"
 
 
 def test_sigma_sm_classical_values():
