@@ -1,7 +1,7 @@
 """Exact q-series engine and verification toolkit for small-divisor /
 holomorphic-projection identities."""
 
-from .rings import CyclotomicNumber, Rational, UnivariatePoly, cyc, value_from_json, value_to_json
+from .rings import CyclotomicNumber, UnivariatePoly, cyc, value_from_json, value_to_json
 from .characters import (
     CharacterTableError,
     DirichletCharacter,
@@ -40,13 +40,10 @@ from .kernel import (
     weights_for_dim,
 )
 from .projection import (
-    CalibrationInstance,
-    CalibrationResult,
     FullSideResult,
     OddDimensionError,
     ProjectionConfig,
     ResidualReport,
-    calibrate_constants,
     eisenstein_e2,
     full_pairs_side,
     lemma_gap_witnesses,
@@ -54,6 +51,7 @@ from .projection import (
     residual_report,
     sigma_side,
 )
+from .calibrate import CalibrationInstance, CalibrationResult, calibrate_constants
 from .numeric import (
     EichlerCalibration,
     FMinusValue,

@@ -1,0 +1,184 @@
+"""Calibrate-then-verify on the one-dimensional instances the paper builds on.
+
+Each family reads its cancellation as lhs(r) = sum_k scalar_k * basis_k(r),
+solves the unknown scalars exactly from the first probe rows and verifies
+them on every further row.  The projection sums of classical-d2 and
+kernel-1dim are this package's own l = 1 ordered and full sides.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+
+from .characters import DirichletCharacter, char_conjugate
+from .kernel import _pow_half
+from .projection import ProjectionConfig, full_pairs_side, ordered_coefficient, sigma_coefficient
+from .rings import cyc, value_to_json
+from .smalldiv import divisor_sum, require_twist_pair, sigma_sm_classical
+
+CAL_UNKNOWNS = {"classical-d": ("alpha", "C"), "classical-d2": ("C",), "kernel-1dim": ("C",)}
+CAL_FAMILIES = tuple(CAL_UNKNOWNS)
+
+
+@dataclass(frozen=True)
+class CalibrationInstance:
+    """One-dimensional cancellation instance.
+
+    classical-d:   weight d,   psi = chi non-trivial; unknowns (alpha, C)
+                   where alpha scales the weight-2 Eisenstein correction and
+                   C the projection sum.
+    classical-d2:  weight d^2, psi odd, chi even non-trivial; unknown C.
+    kernel-1dim:   this package's kernel-weighted sigma at l = 1; unknown C.
+    """
+
+    family: str
+    psi: DirichletCharacter
+    chi: DirichletCharacter
+
+    def __post_init__(self):
+        if self.family not in CAL_FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.family == "classical-d":
+            if self.psi != self.chi or self.psi.is_trivial():
+                raise ValueError("classical-d needs psi = chi, non-trivial")
+        else:
+            require_twist_pair(self.psi, self.chi)
+
+
+@dataclass
+class CalibrationResult:
+    family: str
+    scalars: dict
+    consistent: bool
+    underdetermined: bool
+    probe_rows: int
+    verified_rows: int
+    failures: list
+
+    def to_json_obj(self):
+        return {
+            "family": self.family,
+            "scalars": {k: value_to_json(v) for k, v in self.scalars.items()},
+            "consistent": self.consistent,
+            "underdetermined": self.underdetermined,
+            "probe_rows": self.probe_rows,
+            "verified_rows": self.verified_rows,
+            "failures": self.failures,
+        }
+
+
+def _calibration_equation(inst: CalibrationInstance, r: int):
+    """Row (coefficients-of-unknowns, rhs) of the linear system at exponent r.
+
+    The cancellation reads lhs(r) = sum_k scalar_k * basis_k(r); rows are
+    returned as ([basis_k(r)...], lhs(r)).
+    """
+    psi, chi = inst.psi, inst.chi
+    if inst.family == "classical-d":
+        # The kernel is the kappa = 2 power difference and the mu character
+        # conj(psi) is odd, which ProjectionConfig does not admit.
+        lam = psi.parity
+        k_f = Fraction(3, 2) - lam  # weight of the corrected quotient
+        shadow = char_conjugate(psi)
+        proj = cyc(0)
+        for mu in range(1, (r - 1) // 2 + 1):  # nu > mu forces r >= 2 mu + 1
+            N = mu * mu + r
+            nu = isqrt(N)
+            if nu * nu != N:
+                continue
+            am = shadow(mu)
+            bn = psi(nu)
+            if am.is_zero() or bn.is_zero():
+                continue
+            kern = _pow_half(N, int(2 * (k_f - 1))) - _pow_half(mu * mu, int(2 * (k_f - 1)))
+            proj = proj + am * (mu ** lam) * bn * (nu ** lam) * cyc(kern)
+        e2 = cyc(-24 * divisor_sum(r, 1))
+        sigma = sigma_sm_classical(r, psi, chi, power=1)
+        # sigma(r) + alpha e2(r) - C proj(r) = 0
+        return [e2, -proj], -sigma
+
+    if inst.family == "classical-d2":
+        cfg = ProjectionConfig(psi, chi, 1, r, modes=("ordered",))
+        return [ordered_coefficient(cfg, cfg.kernel(), r)], sigma_sm_classical(r, psi, chi, power=2)
+
+    # kernel-1dim
+    cfg = ProjectionConfig(psi, chi, 1, r, modes=("full",), B=max(r * r, r))
+    kernel = cfg.kernel()
+    sigma = sigma_coefficient(cfg, kernel, r)
+    full = full_pairs_side(cfg, B=cfg.B).series.coeff(r)
+    return [full], sigma
+
+
+def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,
+                        verify_rows: int = 120) -> CalibrationResult:
+    """Solve the unknown scalars from the first probe_count cancellation
+    equations exactly, then verify the cancellation on every computed row
+    (the probes and the following verify_rows coefficients).  An inconsistent
+    system is a finding, not an error: the offending rows land in
+    ``failures``.
+    """
+    names = CAL_UNKNOWNS[inst.family]
+    n_unknown = len(names)
+    if probe_count < n_unknown + 1:
+        raise ValueError(f"probe_count must be >= {n_unknown + 1}")
+    if verify_rows < 0:
+        raise ValueError(f"verify_rows must be >= 0, got {verify_rows}")
+
+    equations = [_calibration_equation(inst, r) for r in range(1, probe_count + 1)]
+    solution = _solve_from_pivots(equations, n_unknown)
+    if solution is None:
+        return CalibrationResult(inst.family, {}, False, True,
+                                 probe_count, 0, failures=[])
+
+    failures = []
+    for r in range(1, probe_count + verify_rows + 1):
+        basis, rhs = equations[r - 1] if r <= probe_count else _calibration_equation(inst, r)
+        acc = cyc(0)
+        for coeff, scal in zip(basis, solution):
+            acc = acc + coeff * scal
+        if acc != rhs:
+            failures.append(r)
+    return CalibrationResult(
+        inst.family,
+        dict(zip(names, solution)),
+        consistent=not failures,
+        underdetermined=False,
+        probe_rows=probe_count,
+        verified_rows=verify_rows,
+        failures=failures,
+    )
+
+
+def _solve_from_pivots(equations, n_unknown):
+    """Exact Gaussian elimination over the cyclotomic field using the first
+    independent probe rows; returns None when the probes cannot determine all
+    unknowns.  Inconsistency is not detected here; the verification pass
+    checks every row against the returned solution."""
+    work = [([b for b in basis], rhs) for basis, rhs in equations]
+    pivot_rows = {}
+    for col in range(n_unknown):
+        pivot = None
+        for idx, (basis, _) in enumerate(work):
+            if idx not in pivot_rows and not basis[col].is_zero():
+                pivot = idx
+                break
+        if pivot is None:
+            return None
+        pivot_rows[pivot] = col
+        pb, prhs = work[pivot]
+        inv = pb[col].inverse()
+        for idx, (basis, rhs) in enumerate(work):
+            if idx == pivot or basis[col].is_zero():
+                continue
+            factor = basis[col] * inv
+            work[idx] = (
+                [b - factor * p for b, p in zip(basis, pb)],
+                rhs - factor * prhs,
+            )
+    solution = [cyc(0)] * n_unknown
+    for idx, col in pivot_rows.items():
+        basis, rhs = work[idx]
+        solution[col] = rhs * basis[col].inverse()
+    return solution

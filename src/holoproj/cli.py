@@ -13,7 +13,8 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from itertools import chain
 
 from .characters import char_from_spec, char_kronecker
 from .kernel import ORIENTATIONS, verify_closed_forms
@@ -24,13 +25,8 @@ from .numeric import (
     inc_gamma,
     xi_check,
 )
-from .projection import (
-    CAL_UNKNOWNS,
-    CalibrationInstance,
-    ProjectionConfig,
-    calibrate_constants,
-    residual_report,
-)
+from .calibrate import CAL_FAMILIES, CAL_UNKNOWNS, CalibrationInstance, calibrate_constants
+from .projection import ProjectionConfig, residual_report
 from .rings import value_to_json
 from .smalldiv import CharacterPlacement, MultiIndex, sigma_entry_table, sigma_sm
 from .theta import theta_power_direct, theta_series
@@ -74,18 +70,18 @@ def _open_output(path, flag: str, newline=None):
         raise ConfigError(f"{flag}: {exc}") from None
 
 
-def _write_json(path, obj):
+def _write_outputs(out, obj, csv_path=None, csv_rows=()):
+    """The JSON report to out ("-": stdout) and, given csv_path, the CSV rows.
+    Every path is opened before anything is written, the CSV first: an
+    unwritable --csv leaves no report behind, an unwritable --out at most an
+    empty CSV."""
     data = json.dumps(obj, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(data)
-    else:
-        with _open_output(path, "--out") as fh:
-            fh.write(data)
-
-
-def _write_csv(path, rows):
-    with _open_output(path, "--csv", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    with ExitStack() as files:
+        table = csv_path and files.enter_context(_open_output(csv_path, "--csv", newline=""))
+        fh = sys.stdout if out == "-" else files.enter_context(_open_output(out, "--out"))
+        fh.write(data)
+        if table:
+            csv.writer(table).writerows(csv_rows)
 
 
 def _check_dimension(l: int) -> None:
@@ -95,22 +91,20 @@ def _check_dimension(l: int) -> None:
 
 
 def _cmd_theta(args) -> int:
-    with _inputs("--char: "):
-        psi = _parse_char(args.char)
     if args.terms < 1 or args.pow < 1:
         raise ConfigError(f"--terms and --pow must be >= 1, got {args.terms} and {args.pow}")
-    if args.pow == 1:
-        series = theta_series(psi, args.terms)
-    else:
-        series = theta_power_direct(psi, args.pow, args.terms)
+    with _inputs("--char: "):  # the mod-1 character is rejected before any summation
+        psi = _parse_char(args.char)
+        if args.pow == 1:
+            series = theta_series(psi, args.terms)
+        else:
+            series = theta_power_direct(psi, args.pow, args.terms)
     obj = {
         "character": {"modulus": psi.modulus, "parity": psi.parity, "order": psi.order},
         "power": args.pow,
         "series": series.to_json_obj(),
     }
-    _write_json(args.out, obj)
-    if args.csv:
-        _write_csv(args.csv, [("exponent", "value"), *series.to_csv_rows()])
+    _write_outputs(args.out, obj, args.csv, chain([("exponent", "value")], series.to_csv_rows()))
     return 0
 
 
@@ -156,7 +150,7 @@ def _cmd_sigma_table(args) -> int:
         "rows": rows,
         "note": "multi-indices with zero value are suppressed",
     }
-    _write_json(args.out, obj)
+    _write_outputs(args.out, obj)
     return 0
 
 
@@ -224,15 +218,13 @@ def _cmd_verify(args) -> int:
             failures.append(f"closed forms without a matching reading: {bad}")
 
     obj["asserted_failures"] = failures
-    _write_json(args.out, obj)
-    if args.csv:
-        _write_csv(args.csv, report.csv_rows())
+    _write_outputs(args.out, obj, args.csv, report.csv_rows())
     return 1 if failures else 0
 
 
 def _cmd_closed_forms(args) -> int:
     obj = verify_closed_forms(args.orientation)
-    _write_json(args.out, obj)
+    _write_outputs(args.out, obj)
     return 0
 
 
@@ -240,10 +232,11 @@ def _cmd_calibrate(args) -> int:
     with _inputs():
         inst = CalibrationInstance(args.family, _parse_char(args.psi), _parse_char(args.chi))
     need = len(CAL_UNKNOWNS[args.family]) + 1
-    if args.probes < need:
-        raise ConfigError(f"--probes must be >= {need} for {args.family}")
+    if args.probes < need or args.verify_rows < 0:
+        raise ConfigError(f"--probes must be >= {need} for {args.family} and --verify-rows >= 0, "
+                          f"got {args.probes} and {args.verify_rows}")
     result = calibrate_constants(inst, probe_count=args.probes, verify_rows=args.verify_rows)
-    _write_json(args.out, result.to_json_obj())
+    _write_outputs(args.out, result.to_json_obj())
     return 0
 
 
@@ -275,9 +268,9 @@ def _cmd_numeric(args) -> int:
                     asym.append({"s": str(s), "v": vv, "ratio_minus_1": mp.nstr(err, 5),
                                  "pass": err <= mp.mpf(tol)})
             ok = all(r["pass"] for r in rows) and all(r["pass"] for r in asym)
-            _write_json(args.out, {"check": "gamma-grid",
-                                   "functional_equation": rows,
-                                   "asymptotic": asym, "pass": ok})
+            _write_outputs(args.out, {"check": "gamma-grid",
+                                      "functional_equation": rows,
+                                      "asymptotic": asym, "pass": ok})
             return 0 if ok else 1
 
     if args.check in ("xi", "f-minus"):
@@ -295,7 +288,7 @@ def _cmd_numeric(args) -> int:
         with _inputs():  # the point or cutoff is rejected before any computation
             res = xi_check(cfg, point, args.h, cutoff=args.cutoff)
         ok = res.rel_error <= tolerance
-        _write_json(args.out, {
+        _write_outputs(args.out, {
             "check": "xi", "l": args.l,
             "point": {"u": args.tau_u, "v": args.tau_v},
             "h": args.h,
@@ -312,10 +305,10 @@ def _cmd_numeric(args) -> int:
     if args.check == "f-minus":
         with _inputs():  # the tail bound is checked before any computation
             res = eval_f_minus(cfg, point, args.cutoff)
-        _write_json(args.out, {
+        _write_outputs(args.out, {
             "check": "f-minus", "l": args.l,
             "point": {"u": args.tau_u, "v": args.tau_v},
-            "value": {"re": mp.nstr(mp.re(res.value), 20), "im": mp.nstr(mp.im(res.value), 20)},
+            "value": _c_str(res.value),
             "tail_estimate": mp.nstr(res.tail_estimate, 5),
             "cutoff": res.cutoff,
             "terms_used": res.terms_used,
@@ -332,10 +325,9 @@ def _cmd_numeric(args) -> int:
         cal = calibrate_eichler(char, args.lam_shift, fit, verify)
         tol = mp.mpf("1e-8")
         ok = all(e <= tol for e in cal.rel_errors)
-        _write_json(args.out, {
+        _write_outputs(args.out, {
             "check": "eichler",
-            "constant": {"re": mp.nstr(mp.re(cal.constant), 20),
-                         "im": mp.nstr(mp.im(cal.constant), 20)},
+            "constant": _c_str(cal.constant),
             "verification_rel_errors": [mp.nstr(e, 5) for e in cal.rel_errors],
             "tolerance": "1e-8",
             "pass": bool(ok),
@@ -383,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     cf.set_defaults(func=_cmd_closed_forms)
 
     c = sub.add_parser("calibrate", help="calibrate-then-verify a 1-dim instance")
-    c.add_argument("--family", required=True,
-                   choices=["classical-d", "classical-d2", "kernel-1dim"])
+    c.add_argument("--family", required=True, choices=CAL_FAMILIES)
     c.add_argument("--psi", required=True)
     c.add_argument("--chi", required=True)
     c.add_argument("--probes", type=int, default=12)

@@ -16,9 +16,10 @@ from fractions import Fraction
 import mpmath as mp
 
 from .characters import DirichletCharacter, char_conjugate
+from .kernel import weights_for_dim
 from .projection import ProjectionConfig
 from .rings import CyclotomicNumber
-from .theta import theta_power_direct
+from .theta import theta_power_direct, theta_series
 
 
 def _to_mpf(x):
@@ -125,15 +126,15 @@ class FMinusValue:
     terms_used: int
 
 
-def _f_minus_raw(alpha_series, l: int, tau):
-    """Collapsed truncated sum given the chi-side theta-power coefficients."""
+def _gamma_series(coeffs, k_f: Fraction, tau):
+    """sum over M of a(M) M^(k_f-1) Gamma(1-k_f, 4 pi M v) q^(-M) for the
+    coefficients a(M) of the series coeffs, and the number of terms."""
     v = mp.im(tau)
     q = mp.e ** (2j * mp.pi * tau)
-    k_f = Fraction(2) - Fraction(l, 2)
     s = Fraction(1) - k_f
     acc = mp.mpc(0)
     terms = 0
-    for M, aM in alpha_series.nonzero_items():
+    for M, aM in coeffs.nonzero_items():
         acc += (
             embed_cyclotomic(aM)
             * mp.mpf(M) ** _to_mpf(k_f - 1)
@@ -141,7 +142,14 @@ def _f_minus_raw(alpha_series, l: int, tau):
             * q ** (-M)
         )
         terms += 1
-    return acc / mp.gamma(_to_mpf(s)), terms
+    return acc, terms
+
+
+def _f_minus_raw(alpha_series, l: int, tau):
+    """Collapsed truncated sum given the chi-side theta-power coefficients."""
+    k_f = weights_for_dim(l).k_f
+    acc, terms = _gamma_series(alpha_series, k_f, tau)
+    return acc / mp.gamma(_to_mpf(1 - k_f)), terms
 
 
 def eval_f_minus(cfg: ProjectionConfig, point: UpperHalfPoint, cutoff: int,
@@ -179,8 +187,7 @@ def f_minus_tail_bound(l: int, lam_chi: int, v, cutoff: int):
     each contributing (m!)^lambda <= M^(l lambda/2).  The tail is then a
     geometric-type series summed from M = cutoff + 1.
     """
-    k_f = Fraction(2) - Fraction(l, 2)
-    s = Fraction(1) - k_f
+    s = Fraction(1) - weights_for_dim(l).k_f
     v = _to_mpf(v)
     M0 = cutoff + 1
     if s > 1 and 4 * mp.pi * M0 * v < _to_mpf(s):
@@ -233,9 +240,7 @@ def xi_check(cfg: ProjectionConfig, point: UpperHalfPoint, h,
         tau = point.tau()
         v = mp.im(tau)
         l = cfg.l
-        k_f = Fraction(2) - Fraction(l, 2)
-        k_g = Fraction(3 * l, 2)
-        kappa = l + 2
+        w = weights_for_dim(l)
 
         theta_psi_here = theta_numeric(cfg.psi, tau)
         if abs(theta_psi_here) < mp.mpf("1e-6"):
@@ -250,7 +255,7 @@ def xi_check(cfg: ProjectionConfig, point: UpperHalfPoint, h,
             fm, _ = _f_minus_raw(alpha, l, t)
             return fm * theta_numeric(cfg.psi, t) ** l
 
-        fd = xi_finite_difference(F, tau, kappa, h)
+        fd = xi_finite_difference(F, tau, w.kappa, h)
 
         chibar = char_conjugate(cfg.chi)
         series = theta_power_direct(chibar, l, cutoff)
@@ -259,9 +264,9 @@ def xi_check(cfg: ProjectionConfig, point: UpperHalfPoint, h,
         for M, aM in series.nonzero_items():
             theta_chibar_l += embed_cyclotomic(aM) * q ** M
         closed = (
-            -((4 * mp.pi) ** _to_mpf(1 - k_f))
-            / mp.gamma(_to_mpf(1 - k_f))
-            * v ** _to_mpf(k_g)
+            -((4 * mp.pi) ** _to_mpf(1 - w.k_f))
+            / mp.gamma(_to_mpf(1 - w.k_f))
+            * v ** _to_mpf(w.k_g)
             * theta_chibar_l
             * mp.conj(theta_psi_here) ** l
         )
@@ -291,34 +296,6 @@ def eichler_integral(chi: DirichletCharacter, lam_shift: int, point: UpperHalfPo
         return 1j * mp.quad(integrand, [0, _to_mpf(path_truncation)])
 
 
-def gamma_series_f_minus_1dim(chi: DirichletCharacter, k_f: Fraction, point: UpperHalfPoint,
-                              cutoff: int = 60):
-    """One-dimensional incomplete-Gamma series
-
-        sum over mu >= 1 of chi(mu) mu^lambda (mu^2)^(k_f - 1)
-            Gamma(1 - k_f, 4 pi mu^2 v) q^(-mu^2)
-
-    which is the series the period integral must match up to one constant."""
-    with mp.workdps(point.dps):
-        tau = point.tau()
-        v = mp.im(tau)
-        q = mp.e ** (2j * mp.pi * tau)
-        s = Fraction(1) - k_f
-        acc = mp.mpc(0)
-        for mu in range(1, cutoff + 1):
-            c = chi(mu)
-            if c.is_zero():
-                continue
-            acc += (
-                embed_cyclotomic(c)
-                * mu ** chi.parity
-                * mp.mpf(mu * mu) ** _to_mpf(k_f - 1)
-                * inc_gamma(s, 4 * mp.pi * mu * mu * v)
-                * q ** (-(mu * mu))
-            )
-        return acc
-
-
 @dataclass
 class EichlerCalibration:
     constant: object
@@ -331,16 +308,20 @@ def calibrate_eichler(chi: DirichletCharacter, lam_shift: int,
                       fit_point: UpperHalfPoint, verify_points) -> EichlerCalibration:
     """Fit the single proportionality constant between the period integral
     and the incomplete-Gamma series at one point, then verify it at the
-    others."""
+    others.  The series runs over theta_chi, chi(mu) mu^lambda at mu^2, for
+    mu <= 60."""
     k_f = Fraction(3, 2) - lam_shift
-    e0 = eichler_integral(chi, lam_shift, fit_point)
-    s0 = gamma_series_f_minus_1dim(chi, k_f, fit_point)
-    c = e0 / s0
+    theta = theta_series(chi, 60 * 60)
+
+    def series(point):
+        with mp.workdps(point.dps):
+            return _gamma_series(theta, k_f, point.tau())[0]
+
+    c = eichler_integral(chi, lam_shift, fit_point) / series(fit_point)
     errs = []
     for pt in verify_points:
         e = eichler_integral(chi, lam_shift, pt)
-        s = gamma_series_f_minus_1dim(chi, k_f, pt)
-        errs.append(abs(e - c * s) / abs(e))
+        errs.append(abs(e - c * series(pt)) / abs(e))
     return EichlerCalibration(
         constant=c,
         rel_errors=errs,

@@ -190,16 +190,8 @@ class QSeries:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, valuation: int, truncation: int) -> "QSeries":
-        return cls(valuation, truncation)
-
-    @classmethod
     def one(cls, truncation: int) -> "QSeries":
         return cls(0, truncation, {0: 1})
-
-    @classmethod
-    def monomial(cls, value, exponent: int, truncation: int) -> "QSeries":
-        return cls(exponent, truncation, {exponent: value})
 
     # -- ring operations -------------------------------------------------------
 
@@ -229,15 +221,6 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return self + (-other)
-
-    def scale(self, factor) -> "QSeries":
-        factor = cyc(factor)
-        out = QSeries(self.valuation, self.truncation)
-        data = out._coeffs
-        if not factor.is_zero():
-            for e, c in self.nonzero_items():
-                data[e - self.valuation] = factor * c
-        return out
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Exact Cauchy product by Kronecker substitution; output window

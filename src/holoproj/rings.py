@@ -21,9 +21,6 @@ from functools import lru_cache
 from math import gcd
 
 
-Rational = Fraction
-
-
 def rational_to_str(q: Fraction) -> str:
     """Serialize a rational as "p/q" ("p" when the denominator is 1).
 
@@ -185,18 +182,6 @@ class CyclotomicNumber:
         return (CyclotomicNumber, (self.order, self.coords))
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q) -> "CyclotomicNumber":
-        return cls(1, (Fraction(q),))
-
-    @classmethod
-    def zero(cls) -> "CyclotomicNumber":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "CyclotomicNumber":
-        return _ONE
 
     @classmethod
     def zeta(cls, e: int, k: int = 1) -> "CyclotomicNumber":
@@ -367,7 +352,6 @@ class CyclotomicNumber:
         return f"Cyc(order={self.order}, [{terms}])"
 
 
-_ZERO = CyclotomicNumber(1, (Fraction(0),))
 _ONE = CyclotomicNumber(1, (Fraction(1),))
 
 
@@ -392,7 +376,9 @@ def value_from_json(obj) -> CyclotomicNumber:
     """The inverse of value_to_json; a malformed value raises ValueError."""
     try:
         if isinstance(obj, dict):
+            if type(obj["order"]) is not int:
+                raise TypeError("order must be an integer")
             return CyclotomicNumber(obj["order"], [Fraction(c) for c in obj["coords"]])
         return CyclotomicNumber(1, (Fraction(obj),))
-    except (KeyError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed value {obj!r}: {exc!r}") from None

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from holoproj.calibrate import CAL_FAMILIES
 from holoproj.cli import main
 from holoproj.smalldiv import CharacterPlacement
 
@@ -279,6 +280,11 @@ SIGMA_TABLE = ("sigma-table", "--psi", "kronecker:-4", "--chi", "kronecker:8")
     ("closed-forms", "--out", "{missing}/x.json"),
     ("verify", "--config", "{small_config}", "--out", "{missing}/x.json"),
     ("verify", "--config", "{small_config}", "--out", "-", "--csv", "{missing}/x.csv"),
+    ("theta", "--char", "kronecker:-4", "--terms", "10", "--csv", "{missing}/x.csv"),
+    ("verify", "--config", "{small_config}", "--csv", "{missing}/x.csv"),
+    ("theta", "--char", "kronecker:1", "--terms", "10"),
+    ("calibrate", "--family", "classical-d", "--psi", "kronecker:-4",
+     "--chi", "kronecker:-4", "--verify-rows", "-3"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     """A case that names its own --out (an unwritable path, or - with an
@@ -382,6 +388,7 @@ def _exits_0_1_or_2(capsys, argv):
     assert rc in (0, 1, 2)
     if rc == 2:
         assert len(err) == 1 and err[0].startswith("config error:"), err
+    return rc
 
 
 def _char_text(spec):
@@ -423,3 +430,33 @@ def test_verify_configs_exit_0_1_or_2(tmp_path, capsys, psi, chi, l, rmax, modes
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(raw))
     _exits_0_1_or_2(capsys, ("verify", "--config", str(path), "--out", str(tmp_path / "out.json")))
+
+
+@FUZZ
+@given(
+    char=(_specs(GOOD_PSI + GOOD_CHI).map(_char_text)
+          | st.sampled_from(["kronecker:1", "kronecker:", "{"])),
+    power=st.integers(-1, 6),
+    terms=st.integers(-2, 60),
+)
+def test_theta_arguments_exit_0_1_or_2(tmp_path, capsys, char, power, terms):
+    _exits_0_1_or_2(capsys, ("theta", "--char", char, "--pow", str(power), "--terms", str(terms),
+                             "--out", str(tmp_path / "out.json")))
+
+
+@FUZZ
+@given(
+    family=st.sampled_from(CAL_FAMILIES),
+    psi=_specs(GOOD_PSI).map(_char_text),
+    chi=st.none() | _specs(GOOD_CHI).map(_char_text),
+    probes=st.integers(-1, 14),
+    verify_rows=st.integers(-3, 12),
+)
+def test_calibrate_arguments_exit_0_1_or_2(tmp_path, capsys, family, psi, chi, probes, verify_rows):
+    """chi None reuses psi, the pair classical-d asks for.  A negative row
+    count is a usage error, never a report."""
+    rc = _exits_0_1_or_2(capsys, ("calibrate", "--family", family, "--psi", psi,
+                                  "--chi", chi or psi, "--probes", str(probes),
+                                  "--verify-rows", str(verify_rows),
+                                  "--out", str(tmp_path / "out.json")))
+    assert rc == 2 or verify_rows >= 0

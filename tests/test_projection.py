@@ -13,11 +13,10 @@ import holoproj
 
 from holoproj.characters import char_from_table, char_kronecker
 from holoproj.kernel import WeightError
+from holoproj.calibrate import CalibrationInstance, calibrate_constants
 from holoproj.projection import (
-    CalibrationInstance,
     OddDimensionError,
     ProjectionConfig,
-    calibrate_constants,
     compositions,
     eisenstein_e2,
     full_pairs_side,

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -140,6 +141,13 @@ def test_value_serialization_round_trip():
     r = cyc(Fraction(-2, 9))
     assert value_to_json(r) == "-2/9"
     assert value_from_json("-2/9") == r
+
+
+@pytest.mark.parametrize("obj", [{"order": "2", "coords": ["-1"]}, {"order": 2.0, "coords": ["-1"]},
+                                 {"order": True, "coords": ["1"]}, {"order": 2, "coords": 5}])
+def test_value_with_a_non_integer_order_or_bad_coords_is_malformed(obj):
+    with pytest.raises(ValueError, match=re.escape(f"malformed value {obj!r}")):
+        value_from_json(obj)
 
 
 def test_cyclotomic_polynomial_matches_sympy():
