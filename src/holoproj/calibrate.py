@@ -2,8 +2,8 @@
 
 Each family reads its cancellation as lhs(r) = sum_k scalar_k * basis_k(r),
 solves the unknown scalars exactly from the first probe rows and verifies
-them on every further row.  The projection sums of classical-d2 and
-kernel-1dim are this package's own l = 1 ordered and full sides.
+them on every further row.  The projection sum of classical-d2 and
+kernel-1dim is this package's own l = 1 ordered side.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from math import isqrt
 
 from .characters import DirichletCharacter, char_conjugate
 from .kernel import _pow_half
-from .projection import ProjectionConfig, full_pairs_side, ordered_coefficient, sigma_coefficient
+from .projection import ProjectionConfig, ordered_coefficient, sigma_coefficient
 from .rings import cyc, value_to_json
 from .smalldiv import divisor_sum, require_twist_pair, sigma_sm_classical
 
@@ -99,16 +99,13 @@ def _calibration_equation(inst: CalibrationInstance, r: int):
         # sigma(r) + alpha e2(r) - C proj(r) = 0
         return [e2, -proj], -sigma
 
+    # classical-d2 and kernel-1dim: every pair with nu^2 - mu^2 = r has
+    # nu > mu, so the l = 1 ordered side is the whole projection sum
+    cfg = ProjectionConfig(psi, chi, 1, r, modes=("ordered",))
+    proj = ordered_coefficient(cfg, cfg.kernel(), r)
     if inst.family == "classical-d2":
-        cfg = ProjectionConfig(psi, chi, 1, r, modes=("ordered",))
-        return [ordered_coefficient(cfg, cfg.kernel(), r)], sigma_sm_classical(r, psi, chi, power=2)
-
-    # kernel-1dim
-    cfg = ProjectionConfig(psi, chi, 1, r, modes=("full",), B=max(r * r, r))
-    kernel = cfg.kernel()
-    sigma = sigma_coefficient(cfg, kernel, r)
-    full = full_pairs_side(cfg, B=cfg.B).series.coeff(r)
-    return [full], sigma
+        return [proj], sigma_sm_classical(r, psi, chi, power=2)
+    return [proj], sigma_coefficient(cfg, cfg.kernel(), r)
 
 
 def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 
 from .characters import char_from_spec, char_kronecker
@@ -26,7 +27,7 @@ from .numeric import (
     xi_check,
 )
 from .calibrate import CAL_FAMILIES, CAL_UNKNOWNS, CalibrationInstance, calibrate_constants
-from .projection import ProjectionConfig, residual_report
+from .projection import ProjectionConfig, compositions, residual_report
 from .rings import value_to_json
 from .smalldiv import CharacterPlacement, MultiIndex, sigma_entry_table, sigma_sm
 from .theta import theta_power_direct, theta_series
@@ -62,25 +63,30 @@ def _parse_char(text: str):
     raise ConfigError(f"character spec {text!r}: use kronecker:D or inline JSON")
 
 
-def _open_output(path, flag: str, newline=None):
-    """path opened for writing; a path that cannot be is a usage error."""
-    try:
-        return open(path, "w", newline=newline)
-    except OSError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-
-
 def _write_outputs(out, obj, csv_path=None, csv_rows=()):
     """The JSON report to out ("-": stdout) and, given csv_path, the CSV rows.
-    Every path is opened before anything is written, the CSV first: an
-    unwritable --csv leaves no report behind, an unwritable --out at most an
-    empty CSV."""
+    Every path is opened for appending, which truncates nothing, before any is
+    written: a path that cannot be opened is a usage error that leaves every
+    output as it was (a file created here is removed again)."""
     data = json.dumps(obj, indent=2) + "\n"
-    with ExitStack() as files:
-        table = csv_path and files.enter_context(_open_output(csv_path, "--csv", newline=""))
-        fh = sys.stdout if out == "-" else files.enter_context(_open_output(out, "--out"))
+    targets = [("--csv", csv_path)] if csv_path else []
+    if out != "-":
+        targets.append(("--out", out))
+    created = []
+    for flag, path in targets:
+        fresh = not os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            for made in created:
+                os.remove(made)
+            raise ConfigError(f"{flag}: {exc}") from None
+        if fresh:
+            created.append(path)
+    with nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
         fh.write(data)
-        if table:
+    if csv_path:
+        with open(csv_path, "w", newline="") as table:
             csv.writer(table).writerows(csv_rows)
 
 
@@ -108,22 +114,6 @@ def _cmd_theta(args) -> int:
     return 0
 
 
-def _table_indices(values, table, total, parts):
-    """The compositions of total into parts whose entries all have a
-    surviving divisor substitution in table (values: its sorted keys), in
-    lexicographic order.  sigma_sm vanishes on every other composition: an
-    entry without one zeroes each of its terms."""
-    if parts == 1:
-        if total in table:
-            yield (total,)
-        return
-    for first in values:
-        if first + (parts - 1) * values[0] > total:
-            return
-        for rest in _table_indices(values, table, total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _cmd_sigma_table(args) -> int:
     _check_dimension(args.l)
     with _inputs():
@@ -135,10 +125,10 @@ def _cmd_sigma_table(args) -> int:
         )
     kernel = cfg.kernel()
     table = sigma_entry_table(cfg, cfg.rmax)
-    values = sorted(table)
     rows = []
     for r in range(1, cfg.rmax + 1):
-        for parts in _table_indices(values, table, r, cfg.l):
+        # sigma_sm vanishes unless every entry has a surviving substitution
+        for parts in compositions(r, cfg.l, table):
             val = sigma_sm(MultiIndex(parts), cfg.psi, cfg.chi, kernel, cfg.placement)
             if not val.is_zero():
                 rows.append({"n": list(parts), "sigma_sm": value_to_json(val)})
@@ -280,9 +270,9 @@ def _cmd_numeric(args) -> int:
             cfg = ProjectionConfig(psi, chi, args.l, 1, modes=())
             point = UpperHalfPoint(args.tau_u, args.tau_v)
             if args.check == "xi":
-                if mp.mpf(args.h) <= 0:
-                    raise ValueError(f"--h must be > 0, got {args.h}")
-                tolerance = mp.mpf(args.tolerance)
+                h, tolerance = mp.mpf(args.h), mp.mpf(args.tolerance)
+                if not (mp.isfinite(h) and h > 0 and mp.isfinite(tolerance) and tolerance >= 0):
+                    raise ValueError(f"need finite --h > 0 and --tolerance >= 0, got {args.h}, {args.tolerance}")
 
     if args.check == "xi":
         with _inputs():  # the point or cutoff is rejected before any computation
@@ -322,7 +312,8 @@ def _cmd_numeric(args) -> int:
         verify = [UpperHalfPoint("0.3", "0.9"), UpperHalfPoint("-0.2", "1.3"),
                   UpperHalfPoint("0.05", "0.7"), UpperHalfPoint("0", "2.0"),
                   UpperHalfPoint("0.4", "1.1")]
-        cal = calibrate_eichler(char, args.lam_shift, fit, verify)
+        with _inputs():  # the shift and the character are rejected before any quadrature
+            cal = calibrate_eichler(char, args.lam_shift, fit, verify)
         tol = mp.mpf("1e-8")
         ok = all(e <= tol for e in cal.rel_errors)
         _write_outputs(args.out, {

@@ -30,16 +30,17 @@ def _to_mpf(x):
 
 @dataclass(frozen=True)
 class UpperHalfPoint:
-    """tau = u + i v with v > 0, plus the working precision in decimal
-    digits."""
+    """tau = u + i v with u, v finite doubles and v > 0, plus the working
+    precision in decimal digits."""
 
     u: object
     v: object
     dps: int = 40
 
     def __post_init__(self):
-        if _to_mpf(self.v) <= 0:
-            raise ValueError("need v > 0")
+        u, v = float(_to_mpf(self.u)), float(_to_mpf(self.v))
+        if not (mp.isfinite(u) and mp.isfinite(v) and v > 0):
+            raise ValueError(f"need u, v finite doubles and v > 0, got u = {self.u}, v = {self.v}")
         if self.dps < 30:
             raise ValueError("acceptance runs require >= 30 digits")
 
@@ -187,6 +188,8 @@ def f_minus_tail_bound(l: int, lam_chi: int, v, cutoff: int):
     each contributing (m!)^lambda <= M^(l lambda/2).  The tail is then a
     geometric-type series summed from M = cutoff + 1.
     """
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     s = Fraction(1) - weights_for_dim(l).k_f
     v = _to_mpf(v)
     M0 = cutoff + 1
@@ -242,12 +245,13 @@ def xi_check(cfg: ProjectionConfig, point: UpperHalfPoint, h,
         l = cfg.l
         w = weights_for_dim(l)
 
-        theta_psi_here = theta_numeric(cfg.psi, tau)
-        if abs(theta_psi_here) < mp.mpf("1e-6"):
-            raise ValueError("evaluation point too close to a theta zero")
+        # the tail first: theta_numeric needs about 1/sqrt(v) terms
         tail = f_minus_tail_bound(l, cfg.chi.parity, v - _to_mpf(h), cutoff)
         if tail > mp.mpf("1e-25"):
             raise ValueError("cutoff too small for the finite-difference stencil")
+        theta_psi_here = theta_numeric(cfg.psi, tau)
+        if abs(theta_psi_here) < mp.mpf("1e-6"):
+            raise ValueError("evaluation point too close to a theta zero")
 
         alpha = theta_power_direct(cfg.chi, l, cutoff)
 

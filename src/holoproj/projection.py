@@ -15,8 +15,10 @@ numbers.
 from __future__ import annotations
 
 import datetime as _dt
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from math import isqrt, prod
 
 from .characters import DirichletCharacter
@@ -61,46 +63,55 @@ class ProjectionConfig:
         return projection_kernel(self.l, self.orientation)
 
 
-def compositions(total: int, parts: int):
-    """All tuples of `parts` positive integers summing to `total`, in
-    lexicographic order."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
+def compositions(total: int, parts: int, keys=None):
+    """Every tuple of `parts` members of `keys` (distinct positive integers,
+    all of them by default) that sums to `total`, in lexicographic order.  A
+    prefix stops as soon as the parts still to come cannot fit at the least
+    key.  The one multi-index enumerator: the sigma and ordered sides, the
+    sigma table and the lemma-gap witnesses all walk it."""
+    keys = sorted(range(1, total + 1) if keys is None else keys)
+    if not keys or parts < 1:
         return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    least, members = keys[0], set(keys)
+
+    def walk(prefix, remaining, left):
+        if left == 1:
+            if remaining in members:
+                yield prefix + (remaining,)
+            return
+        for key in keys:
+            if key + (left - 1) * least > remaining:
+                return
+            yield from walk(prefix + (key,), remaining - key, left - 1)
+
+    yield from walk((), total, parts)
 
 
 def sigma_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int,
                       table: dict | None = None) -> CyclotomicNumber:
-    """Sum of sigma_sm over the multi-indices with entry sum r, walking the
-    per-entry divisor-substitution tables (equal, term for term, to summing
-    sigma_sm over compositions, a consistency the tests pin down)."""
+    """Sum of sigma_sm over the multi-indices with entry sum r.
+
+    Walks the compositions of r into l keys of the per-entry table; each
+    contributes every choice of one row (a, b, weight) per entry, weighted by
+    the product of the row weights.  A term depends on the entries only as a
+    multiset, so each multiset is expanded once and its weights scaled by the
+    number of its orderings.  Every row has a^2 - b^2 = n, so |a|^2 = |b|^2 + r
+    and the kernel depends on |b|^2 alone: the weights are summed per |b|^2
+    and the kernel is evaluated once per group, at (|b|^2 + r, |b|^2).  Equal,
+    term for term, to summing sigma_sm over compositions, a consistency the
+    tests pin down."""
     if table is None:
         table = sigma_entry_table(cfg, r)
-    l = cfg.l
-    values = sorted(v for v in table if v <= r)
-    if not values or r < l * values[0]:
-        return cyc(0)
-    vmin = values[0]
+    orderings = Counter(tuple(sorted(parts)) for parts in compositions(r, cfg.l, table))
+    groups: dict[int, CyclotomicNumber] = {}
+    for parts, count in orderings.items():
+        for rows in product(*(table[v] for v in parts)):
+            b_sq = sum(b * b for _, b, _ in rows)
+            weight = prod((w for _, _, w in rows), start=count)
+            groups[b_sq] = groups[b_sq] + weight if b_sq in groups else weight
     total = cyc(0)
-
-    def walk(j, remaining, a_sq, b_sq, weight):
-        nonlocal total
-        if j == l - 1:
-            for a, b, w in table.get(remaining, ()):
-                total = total + weight * w * cyc(kernel.eval(a_sq + a * a, b_sq + b * b))
-            return
-        budget = remaining - (l - 1 - j) * vmin
-        for v in values:
-            if v > budget:
-                break
-            for a, b, w in table[v]:
-                walk(j + 1, remaining - v, a_sq + a * a, b_sq + b * b, weight * w)
-
-    walk(0, r, 0, 0, cyc(1))
+    for b_sq, weight in groups.items():
+        total = total + weight * cyc(kernel.eval(b_sq + r, b_sq))
     return total
 
 
@@ -117,10 +128,13 @@ def sigma_side(cfg: ProjectionConfig) -> QSeries:
 def ordered_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int) -> CyclotomicNumber:
     """Sum over pairs (m, n) with n_j > m_j for all j and |n|^2 - |m|^2 = r.
 
-    One walk picks a coordinate pair (m_j, n_j) per position among those with
-    chi(m_j) and psi(n_j) nonzero, by their share n_j^2 - m_j^2 of r.  The
-    characters are completely multiplicative, so these are exactly the tuples
-    with nonzero character values.  This path never looks at divisors.
+    The coordinate pairs (m_j, n_j) with chi(m_j) and psi(n_j) nonzero are
+    keyed by their share n_j^2 - m_j^2 of r; each composition of r into l
+    shares contributes every choice of one pair per share.  The characters
+    are completely multiplicative, so these are exactly the tuples with
+    nonzero character values.  As for sigma, each multiset of shares is
+    expanded once and scaled by its number of orderings.  This path never
+    looks at divisors.
     """
     l, psi, chi = cfg.l, cfg.psi, cfg.chi
     lam_psi, lam_chi = psi.parity, chi.parity
@@ -131,28 +145,16 @@ def ordered_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int)
             for n in range(m + 1, isqrt(cap + m * m) + 1):
                 if not psi(n).is_zero():
                     pairs.setdefault(n * n - m * m, []).append((m, n))
-    shares = sorted(pairs)
-    least = min(pairs, default=3)
     total = cyc(0)
     bases = {}  # (prod m, |m|^2) -> the m side of a term, shared by all n
-
-    def walk(j, budget, M, prod_m, prod_n):
-        nonlocal total
-        if j == l - 1:
-            for m, n in pairs.get(budget, ()):
-                pm, pn, Mf = prod_m * m, prod_n * n, M + m * m
-                if (pm, Mf) not in bases:
-                    bases[pm, Mf] = chi(pm) * cyc(kernel.eval(Mf + r, Mf) * pm ** lam_chi)
-                total = total + psi(pn) * bases[pm, Mf] * pn ** lam_psi
-            return
-        limit = budget - (l - 1 - j) * least
-        for k in shares:
-            if k > limit:
-                break
-            for m, n in pairs[k]:
-                walk(j + 1, budget - k, M + m * m, prod_m * m, prod_n * n)
-
-    walk(0, r, 0, 1, 1)
+    orderings = Counter(tuple(sorted(shares)) for shares in compositions(r, l, pairs))
+    for shares, count in orderings.items():
+        for choice in product(*(pairs[k] for k in shares)):
+            pm, pn = prod(m for m, _ in choice), prod(n for _, n in choice)
+            M = sum(m * m for m, _ in choice)
+            if (pm, M) not in bases:
+                bases[pm, M] = chi(pm) * cyc(kernel.eval(M + r, M) * pm ** lam_chi)
+            total = total + psi(pn) * bases[pm, M] * (count * pn ** lam_psi)
     return total
 
 
@@ -231,34 +233,20 @@ def lemma_gap_witnesses(cfg: ProjectionConfig, r: int, cap: int = 3, max_entry_s
     l = cfg.l
     out = []
     for msum in range(l, max_entry_sum + 1):
-        if len(out) >= cap:
-            break
         for m in compositions(msum, l):
-            if len(out) >= cap:
-                break
             N = sum(x * x for x in m) + r
-
-            def descend(j, budget, tup):
+            for squares in compositions(N, l, [v * v for v in range(1, isqrt(N) + 1)]):
+                n = tuple(isqrt(s) for s in squares)
+                if all(nj > mj for nj, mj in zip(n, m)):
+                    continue
+                out.append({
+                    "m": list(m),
+                    "n": list(n),
+                    "chi_weight": value_to_json(cfg.chi(prod(m))),
+                    "psi_weight": value_to_json(cfg.psi(prod(n))),
+                })
                 if len(out) >= cap:
-                    return
-                if j == l:
-                    if budget == 0:
-                        n = tup
-                        if all(nj > mj for nj, mj in zip(n, m)):
-                            return
-                        out.append({
-                            "m": list(m),
-                            "n": list(n),
-                            "chi_weight": value_to_json(cfg.chi(prod(m))),
-                            "psi_weight": value_to_json(cfg.psi(prod(n))),
-                        })
-                    return
-                v = 1
-                while v * v + (l - 1 - j) <= budget:
-                    descend(j + 1, budget - v * v, tup + (v,))
-                    v += 1
-
-            descend(0, N, ())
+                    return out
     return out
 
 

@@ -187,40 +187,7 @@ class QSeries:
     def is_zero_on_window(self) -> bool:
         return all(c.is_zero() for c in self._coeffs)
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def one(cls, truncation: int) -> "QSeries":
-        return cls(0, truncation, {0: 1})
-
     # -- ring operations -------------------------------------------------------
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        v = min(self.valuation, other.valuation)
-        n = min(self.truncation, other.truncation)
-        out = QSeries(v, n)
-        data = out._coeffs
-        for e, c in self.nonzero_items():
-            if e <= n:
-                data[e - v] = data[e - v] + c
-        for e, c in other.nonzero_items():
-            if e <= n:
-                data[e - v] = data[e - v] + c
-        return out
-
-    def __neg__(self) -> "QSeries":
-        out = QSeries(self.valuation, self.truncation)
-        data = out._coeffs
-        for e, c in self.nonzero_items():
-            data[e - self.valuation] = -c
-        return out
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Exact Cauchy product by Kronecker substitution; output window
@@ -312,9 +279,6 @@ class QSeries:
             and self.truncation == other.truncation
             and self._coeffs == other._coeffs
         )
-
-    def __hash__(self):
-        return hash((self.valuation, self.truncation, tuple(self._coeffs)))
 
     def __repr__(self):
         head = ", ".join(f"q^{e}:{c!r}" for e, c in list(self.nonzero_items())[:6])

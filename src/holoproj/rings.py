@@ -311,12 +311,6 @@ class CyclotomicNumber:
         inv = s1 * (1 / r1.coeffs[0])
         return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(inv.coeffs, self.order))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
     def multiplicative_order(self, bound: int = 10_000) -> int:
         """Smallest k >= 1 with self^k == 1 (for roots of unity)."""
         acc = self

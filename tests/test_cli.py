@@ -285,13 +285,37 @@ SIGMA_TABLE = ("sigma-table", "--psi", "kronecker:-4", "--chi", "kronecker:8")
     ("theta", "--char", "kronecker:1", "--terms", "10"),
     ("calibrate", "--family", "classical-d", "--psi", "kronecker:-4",
      "--chi", "kronecker:-4", "--verify-rows", "-3"),
+    ("theta", "--char", "kronecker:-4", "--terms", "10", "--out", "{missing}/x.json",
+     "--csv", "{kept_csv}"),
+    ("theta", "--char", "kronecker:-4", "--terms", "10", "--out", "{missing}/x.json",
+     "--csv", "{fresh_csv}"),
+    ("theta", "--char", "kronecker:-4", "--terms", "10", "--out", "{kept_json}",
+     "--csv", "{missing}/x.csv"),
+    ("verify", "--config", "{small_config}", "--out", "{missing}/x.json", "--csv", "{kept_csv}"),
+    ("verify", "--config", "{small_config}", "--out", "{missing}/x.json", "--csv", "{fresh_csv}"),
+    ("numeric", "eichler", "--lam-shift", "2"),
+    ("numeric", "eichler", "--char", "kronecker:1"),
+    ("numeric", "xi", "--tau-v", "nan"),
+    ("numeric", "f-minus", "--tau-u", "inf"),
+    ("numeric", "xi", "--h", "nan"),
+    ("numeric", "xi", "--tolerance=-1"),
+    ("numeric", "f-minus", "--cutoff=-1"),
+    ("numeric", "xi", "--tau-v", "1e-12"),
+    ("numeric", "f-minus", "--tau-v", "1e400"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
-    """A case that names its own --out (an unwritable path, or - with an
-    unwritable --csv) keeps it; every other case writes to x.json."""
+    """A case that names its own --out (an unwritable path, a kept file, or -
+    with an unwritable --csv) keeps it; every other case writes to x.json.
+    No output is left behind, and a file that was there keeps its bytes."""
     list_config = tmp_path / "list.json"
     list_config.write_text("[1, 2]")
+    kept = {tmp_path / "kept.csv": b"exponent,value\r\n1,1\r\n", tmp_path / "kept.json": b"{}\n"}
+    for path, data in kept.items():
+        path.write_bytes(data)
     paths = {
+        "kept_csv": tmp_path / "kept.csv",
+        "kept_json": tmp_path / "kept.json",
+        "fresh_csv": tmp_path / "fresh.csv",
         "list_config": list_config,
         "odd_ordered_config": write_config(tmp_path, "odd.json", l=3, rmax=12, modes=["ordered"]),
         "small_config": write_config(tmp_path, "small.json", rmax=4, modes=["ordered"],
@@ -305,6 +329,8 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert not (tmp_path / "x.json").exists()
+    assert not (tmp_path / "fresh.csv").exists()
+    assert {path: path.read_bytes() for path in kept} == kept
 
 
 BAD_FIELDS = {
@@ -460,3 +486,28 @@ def test_calibrate_arguments_exit_0_1_or_2(tmp_path, capsys, family, psi, chi, p
                                   "--verify-rows", str(verify_rows),
                                   "--out", str(tmp_path / "out.json")))
     assert rc == 2 or verify_rows >= 0
+
+
+@settings(FUZZ, max_examples=40)
+@given(
+    check=st.sampled_from(["gamma-grid", "xi", "f-minus", "eichler"]),
+    l=FUZZ_L,
+    psi=st.none() | _specs(GOOD_PSI).map(_char_text),
+    chi=st.none() | _specs(GOOD_CHI).map(_char_text),
+    char=st.none() | _specs(GOOD_PSI + GOOD_CHI).map(_char_text) | st.just("kronecker:1"),
+    tau_u=st.sampled_from(["0.1", "-0.3", "0", "1e400", "abc", "nan", "inf"]),
+    tau_v=st.sampled_from(["0.8", "1.5", "0.3", "0", "-1", "1e-12", "1e400", "abc", "nan", "inf"]),
+    h=st.sampled_from(["1e-5", "1e-3", "0.8", "0", "-1e-5", "abc", "nan"]),
+    cutoff=st.integers(-2, 400),
+    lam_shift=st.integers(-1, 3),
+    tolerance=st.sampled_from(["1e-5", "0", "-1", "abc", "nan"]),
+)
+def test_numeric_arguments_exit_0_1_or_2(tmp_path, capsys, check, l, psi, chi, char, tau_u,
+                                         tau_v, h, cutoff, lam_shift, tolerance):
+    """Absent characters take the command's defaults; --flag=value keeps a
+    negative value from reading as a flag."""
+    options = {"l": l, "tau-u": tau_u, "tau-v": tau_v, "h": h, "cutoff": cutoff,
+               "lam-shift": lam_shift, "tolerance": tolerance, "psi": psi, "chi": chi,
+               "char": char, "out": tmp_path / "out.json"}
+    _exits_0_1_or_2(capsys, ["numeric", check] + [
+        f"--{name}={value}" for name, value in options.items() if value is not None])

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import holoproj
 
@@ -56,6 +57,22 @@ def test_compositions():
     assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
     assert list(compositions(3, 3)) == [(1, 1, 1)]
     assert list(compositions(2, 3)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.sets(st.integers(1, 40), max_size=8), parts=st.integers(1, 5),
+       total=st.integers(0, 30))
+def test_compositions_match_the_filtered_product(keys, parts, total):
+    """Against an oracle that prunes nothing: the tuples of keys that sum to
+    total, in lexicographic order."""
+    want = [t for t in itertools.product(sorted(keys), repeat=parts) if sum(t) == total]
+    assert list(compositions(total, parts, keys)) == want
+
+
+@given(parts=st.integers(1, 3), total=st.integers(0, 30))
+def test_compositions_default_to_every_positive_integer(parts, total):
+    want = [t for t in itertools.product(range(1, total + 1), repeat=parts) if sum(t) == total]
+    assert list(compositions(total, parts)) == want
 
 
 def test_sigma_side_structural_vanishing_l4():

@@ -27,7 +27,7 @@ def test_binomial_product():
 
 def test_multiplicative_identity():
     a = series(0, 10, {0: 3, 2: Fraction(1, 2), 7: -1})
-    one = QSeries.one(10)
+    one = QSeries(0, 10, {0: 1})
     assert (a * one).agrees_with(a, 0, 10)
 
 
