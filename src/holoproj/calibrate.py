@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import isqrt
 
 from .characters import DirichletCharacter, char_conjugate
-from .kernel import _pow_half
 from .projection import ProjectionConfig, ordered_coefficient, sigma_coefficient
 from .rings import cyc, value_to_json
 from .smalldiv import divisor_sum, require_twist_pair, sigma_sm_classical
@@ -92,7 +91,7 @@ def _calibration_equation(inst: CalibrationInstance, r: int):
             bn = psi(nu)
             if am.is_zero() or bn.is_zero():
                 continue
-            kern = _pow_half(N, int(2 * (k_f - 1))) - _pow_half(mu * mu, int(2 * (k_f - 1)))
+            kern = Fraction(nu) ** int(2 * (k_f - 1)) - Fraction(mu) ** int(2 * (k_f - 1))
             proj = proj + am * (mu ** lam) * bn * (nu ** lam) * cyc(kern)
         e2 = cyc(-24 * divisor_sum(r, 1))
         sigma = sigma_sm_classical(r, psi, chi, power=1)

@@ -125,11 +125,16 @@ def _cmd_sigma_table(args) -> int:
         )
     kernel = cfg.kernel()
     table = sigma_entry_table(cfg, cfg.rmax)
-    rows = []
+    rows, by_multiset = [], {}
     for r in range(1, cfg.rmax + 1):
-        # sigma_sm vanishes unless every entry has a surviving substitution
+        # sigma_sm vanishes unless every entry has a surviving substitution;
+        # it depends on the entries only as a multiset, so each is summed once
         for parts in compositions(r, cfg.l, table):
-            val = sigma_sm(MultiIndex(parts), cfg.psi, cfg.chi, kernel, cfg.placement)
+            key = tuple(sorted(parts))
+            if key not in by_multiset:
+                by_multiset[key] = sigma_sm(MultiIndex(key), cfg.psi, cfg.chi, kernel,
+                                            cfg.placement)
+            val = by_multiset[key]
             if not val.is_zero():
                 rows.append({"n": list(parts), "sigma_sm": value_to_json(val)})
     obj = {

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -99,6 +100,68 @@ def test_odd_kernel_needs_square_arguments():
         k3.eval(11, 3)
     # both perfect squares: exact value comes out
     assert k1.eval(25, 4) == F((5 - 2) ** 2, 2 * 5)
+
+
+def fraction_eval(kernel, N, M):
+    """N^(k_f-1) P(1 - 2M/N) - M^(k_f-1) by Fraction Horner on the u-form,
+    half powers through exact square roots: the evaluation the integer form
+    replaced."""
+    if kernel.orientation == "prefactor_on_smaller":
+        N, M = M, N
+    two_e = kernel.weights.two_e
+
+    def half_power(n):
+        if two_e % 2 == 0:
+            return F(n) ** (two_e // 2)
+        root = math.isqrt(n)
+        if root * root != n:
+            raise NonSquareArgumentError(n)
+        return F(root) ** two_e
+
+    return half_power(N) * kernel.u_form(F(M, N)) - half_power(M)
+
+
+GRID = [(N, M) for N in range(2, 41) for M in range(1, N)] + [
+    (65536 + 40, 65536), (10 ** 6 + 3, 17), (2 ** 61 - 1, 2 ** 31)]
+SQUARE_GRID = [(n * n, m * m) for n in range(2, 30) for m in range(1, n)] + [
+    (1001 ** 2, 1000 ** 2), (12345 ** 2, 7 ** 2)]
+
+
+@pytest.mark.parametrize("orientation", ["prefactor_on_larger", "prefactor_on_smaller"])
+@pytest.mark.parametrize("l", [1, 3, 4, 5, 6, 8, 10])
+def test_integer_form_equals_the_fraction_evaluation(l, orientation):
+    k = projection_kernel(l, orientation)
+    for N, M in GRID if l % 2 == 0 else SQUARE_GRID:
+        num, den = k.ratio(N, M)
+        assert den > 0
+        assert k.eval(N, M) == F(num, den) == fraction_eval(k, N, M), (N, M)
+
+
+@pytest.mark.parametrize("l", [4, 6, 8, 10])
+def test_integer_form_denominator_powers(l):
+    """D M^a N^b with a = l/2 - 1 and b = deg P + a, slots swapped for
+    prefactor_on_smaller."""
+    a = l // 2 - 1
+    b = projection_kernel(l).u_form.degree() + a
+    for orientation in ("prefactor_on_larger", "prefactor_on_smaller"):
+        k = projection_kernel(l, orientation)
+        assert k.powers == (a, b) and not k.roots
+        N, M = 3 ** 5, 2 ** 7
+        x, y = (N, M) if orientation == "prefactor_on_larger" else (M, N)
+        assert k.ratio(N, M)[1] == k.scale * y ** a * x ** b
+        assert all(isinstance(g, int) for g in k.form)
+
+
+@pytest.mark.parametrize("orientation", ["prefactor_on_larger", "prefactor_on_smaller"])
+@pytest.mark.parametrize("l", [1, 3, 5])
+def test_odd_integer_form_rejects_non_square_arguments(l, orientation):
+    k = projection_kernel(l, orientation)
+    assert k.roots
+    for N, M in ((8, 1), (9, 2), (11, 3), (50, 49)):
+        with pytest.raises(NonSquareArgumentError):
+            k.ratio(N, M)
+        with pytest.raises(NonSquareArgumentError):
+            k.eval(N, M)
 
 
 def test_kernel_eval_matches_printed_table():

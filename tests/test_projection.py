@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import holoproj
 
+from holoproj import projection
 from holoproj.characters import char_from_table, char_kronecker
 from holoproj.kernel import WeightError
 from holoproj.calibrate import CalibrationInstance, calibrate_constants
@@ -27,6 +28,7 @@ from holoproj.projection import (
     residual_report,
     sigma_side,
 )
+from holoproj.qseries import QSeries
 from holoproj.rings import CyclotomicNumber, cyc, value_to_json
 from holoproj.smalldiv import CharacterParityError, MultiIndex, sigma_sm
 
@@ -273,6 +275,86 @@ def test_full_side_tail_delta_definition():
         assert res.tail_delta[r] == res.series.coeff(r) - res_half.series.coeff(r)
 
 
+# -- full_pairs_side against the term-by-term loop ------------------------------
+
+def full_pairs_oracle(cfg, B):
+    """The full side one term at a time: every term alpha(M) K(M + r, M)
+    beta(M + r) is added to an order-1 zero, which fixes both the values and
+    the order tags; (series, tail_delta) as JSON."""
+    kernel = cfg.kernel()
+    alpha = projection.theta_power_direct(cfg.chi, cfg.l, B)
+    beta = projection.theta_power_direct(cfg.psi, cfg.l, B + cfg.rmax)
+    series, deltas = [], []
+    for r in range(1, cfg.rmax + 1):
+        acc = acc_half = cyc(0)
+        for M, aM in alpha.nonzero_items():
+            bN = beta.coeff(M + r)
+            if M > B or bN.is_zero():
+                continue
+            term = aM * cyc(kernel.eval(M + r, M)) * bN
+            acc = acc + term
+            if M <= B // 2:
+                acc_half = acc_half + term
+        series.append(value_to_json(acc))
+        deltas.append(value_to_json(acc - acc_half))
+    return series, deltas
+
+
+def full_pairs_json(cfg, B):
+    res = full_pairs_side(cfg, B=B)
+    rs = range(1, cfg.rmax + 1)
+    return ([value_to_json(res.series.coeff(r)) for r in rs],
+            [value_to_json(res.tail_delta[r]) for r in rs])
+
+
+@pytest.mark.parametrize("pair", ["m4-8", "m3-5", "quartic5-8", "quartic5-5", "sextic7-cubic7"])
+@pytest.mark.parametrize("orientation", ["prefactor_on_larger", "prefactor_on_smaller"])
+@pytest.mark.parametrize("l,rmax,bounds", [(1, 20, (400, 401)), (4, 12, (160, 161)),
+                                           (6, 10, (100, 101))])
+def test_full_side_matches_the_term_by_term_loop(l, rmax, bounds, orientation, pair):
+    """Values and order tags of every coefficient and tail delta, at an even
+    and an odd bound."""
+    psi, chi = ORACLE_PAIRS[pair]
+    cfg = ProjectionConfig(psi, chi, l, rmax, modes=("full",), B=bounds[0],
+                           orientation=orientation)
+    for B in bounds:
+        assert full_pairs_json(cfg, B) == full_pairs_oracle(cfg, B), B
+
+
+def _cancelling_thetas(monkeypatch):
+    """Theta powers with which, at r = 1, the two terms of the (4, 1) order
+    group cancel: alpha(1) = i K(3, 2), alpha(2) = -i K(2, 1) and
+    beta(2) = beta(3) = 1.  Returns a config that reads them."""
+    cfg = ProjectionConfig(QUARTIC_MOD5, CHI_8, 4, 3, modes=("full",), B=4)
+    K, i = cfg.kernel(), CyclotomicNumber.zeta(4)
+    fake = {
+        "chi": {1: i * K.eval(3, 2), 2: -i * K.eval(2, 1)},
+        "psi": {2: cyc(1), 3: cyc(1)},
+    }
+    monkeypatch.setattr(projection, "theta_power_direct", lambda char, l, N: QSeries(
+        1, N, fake["chi" if char is cfg.chi else "psi"]))
+    return cfg
+
+
+def test_a_cancelled_group_keeps_its_order_tag(monkeypatch):
+    cfg = _cancelling_thetas(monkeypatch)
+    got = full_pairs_json(cfg, 4)
+    assert got == full_pairs_oracle(cfg, 4)
+    assert got[0][0] == {"order": 4, "coords": ["0", "0"]}
+
+
+def test_dropping_a_cancelled_groups_tag_is_caught(monkeypatch):
+    """Mutant: a group whose terms cancel contributes an order-1 zero."""
+    cfg = _cancelling_thetas(monkeypatch)
+    group_sums = projection._group_sums
+
+    def untagged(*args):
+        return tuple(cyc(0) if v.is_zero() else v for v in group_sums(*args))
+
+    monkeypatch.setattr(projection, "_group_sums", untagged)
+    assert full_pairs_json(cfg, 4) != full_pairs_oracle(cfg, 4)
+
+
 def test_lemma_gap_witness_row5():
     # the known witness shape: m a permutation of (1,2,1,1), n of (3,1,1,1),
     # norm difference 5 but no componentwise domination
@@ -308,6 +390,21 @@ def test_residual_report_l4_discrepancy_documented():
     assert not row8.residual_full.is_zero()
     assert rep.witnesses, "nonzero residual rows must come with witness pairs"
     assert len(rep.schedule) == 2
+
+
+def test_full_residual_verdict_is_decided_exactly():
+    """|res| > 4 |delta| through w = |res|^2 - 16 |delta|^2: zero and rational
+    w exactly, irrational w by an interval that must separate values closer
+    than a double can."""
+    exceeds = projection._exceeds
+    assert not exceeds(cyc(4), cyc(1))                     # w = 0
+    assert exceeds(cyc(F(4 * 10 ** 30 + 1, 10 ** 30)), cyc(1))
+    assert not exceeds(CyclotomicNumber.zeta(4) * 3, cyc(F(3, 4)))
+    golden = cyc(1) + CyclotomicNumber.zeta(5)             # |.| = 2 cos(pi/5)
+    cos_pi_5 = F(8090169943749474241022934171828190588601545899, 10 ** 46)  # 40+ digits
+    eps = F(1, 10 ** 40)
+    assert exceeds(golden, cyc((cos_pi_5 - eps) / 2))
+    assert not exceeds(golden, cyc((cos_pi_5 + eps) / 2))
 
 
 def test_residual_report_worker_independence():
