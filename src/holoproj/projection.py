@@ -263,8 +263,8 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResu
     becomes one CyclotomicNumber at the lcm of its two orders, kept even
     when its terms cancel, so the order tag of a coefficient is that of
     adding the terms one at a time to an order-1 zero.  At l = 4, R = 40,
-    B = 65536 (kronecker -4 and 8) this takes about 6 s on a 2-vCPU host,
-    4.5-5 s of it building the theta powers; the term-by-term Fraction loop
+    B = 65536 (kronecker -4 and 8) this takes 6-7 s on a 2-vCPU host,
+    4.5-5.6 s of it building the theta powers; the term-by-term Fraction loop
     it replaced took 18 s there.
     """
     if cfg.l != 1 and cfg.l % 2 != 0:

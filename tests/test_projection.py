@@ -401,7 +401,7 @@ def test_full_residual_verdict_is_decided_exactly():
     assert exceeds(cyc(F(4 * 10 ** 30 + 1, 10 ** 30)), cyc(1))
     assert not exceeds(CyclotomicNumber.zeta(4) * 3, cyc(F(3, 4)))
     golden = cyc(1) + CyclotomicNumber.zeta(5)             # |.| = 2 cos(pi/5)
-    cos_pi_5 = F(8090169943749474241022934171828190588601545899, 10 ** 46)  # 40+ digits
+    cos_pi_5 = F(8090169943749474241022934171828190588601545899, 10 ** 46)  # to 46 digits
     eps = F(1, 10 ** 40)
     assert exceeds(golden, cyc((cos_pi_5 - eps) / 2))
     assert not exceeds(golden, cyc((cos_pi_5 + eps) / 2))
