@@ -18,7 +18,6 @@ from __future__ import annotations
 import datetime as _dt
 from bisect import bisect_right
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -452,6 +451,7 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     _set_row_ctx(ctx)
     try:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
             with ProcessPoolExecutor(max_workers=workers, initializer=_set_row_ctx,
                                      initargs=(ctx,)) as pool:
                 computed = list(pool.map(_row_task, rs, chunksize=max(1, len(rs) // (4 * workers))))

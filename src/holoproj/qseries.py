@@ -10,15 +10,17 @@ exactly which coefficients are certified.  Storage is dense over the window
 Products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", 2009): the terms of
 one order tag are scaled to integer coordinate vectors and packed, q and
-zeta together, into one Python integer per operand, so a product costs one
-big-integer multiplication (CPython's Karatsuba) per pair of order tags
-instead of a cyclotomic multiplication per pair of terms.  The digits are
-read back through one byte string, then reduced mod Phi_e; values and order
-tags are those of adding the term products one pair at a time.
+zeta together, as base-10^w digits of one decimal number per operand, so a
+product costs one multiplication (libmpdec's number-theoretic transform for
+large operands) per pair of order tags instead of a cyclotomic
+multiplication per pair of terms.  The digits are read back as slices of one
+string, then reduced mod Phi_e; values and order tags are those of adding
+the term products one pair at a time.
 """
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -37,6 +39,7 @@ class SeriesRangeError(ValueError):
 
 
 _ZERO = cyc(0)
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # integer arithmetic, never rounded
 
 
 def _order_groups(series: "QSeries") -> dict:
@@ -56,30 +59,41 @@ def _integer_rows(terms, order: int):
     return [[x.numerator * (scale // x.denominator) for x in row] for row in coords], scale
 
 
-def _pack(terms, rows, stride: int, width: int) -> int:
-    """Sum of rows[i][k] * X^((e_i - e_0) * stride + k), X = 256^width: the
-    digits are laid out as little-endian bytes, positive and negative ones
-    in separate strings, so packing is linear in the output size."""
+def _pack(terms, rows, stride: int, width: int) -> Decimal:
+    """Sum of rows[i][k] * X^((e_i - e_0) * stride + k), X = 10^width: the
+    digits are written as width decimal characters, positive and negative
+    ones in separate strings, so packing is linear in the output size."""
     base = terms[0][0]
-    zero = bytes(width)
+    zero = "0" * width
     pos = [zero] * ((terms[-1][0] - base) * stride + len(rows[0]))
     neg = list(pos)
     for (e, _), row in zip(terms, rows):
         at = (e - base) * stride
         for k, x in enumerate(row):
-            if x > 0:
-                pos[at + k] = x.to_bytes(width, "little")
-            elif x < 0:
-                neg[at + k] = (-x).to_bytes(width, "little")
-    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(b"".join(neg), "little")
+            if x:
+                (pos if x > 0 else neg)[at + k] = str(Decimal(abs(x))).zfill(width)
+    return _EXACT.subtract(Decimal("".join(reversed(pos))), Decimal("".join(reversed(neg))))
 
 
-def _digits(value: int, count: int, width: int) -> bytes:
-    """The balanced base-256^width digits of value, each stored as digit +
-    256^width / 2 in width little-endian bytes: adding that bias to every
-    digit at once leaves no borrow between digits."""
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    return (value + bias).to_bytes(count * width, "little")
+def _product_digits(terms_a, rows_a, terms_b, rows_b, stride: int, bound: int, count: int) -> list:
+    """The lowest count digits of the product of the packed operands, each
+    at most bound in absolute value, in balanced base 10^w, where w, from the
+    bit length of 2 bound, has 10^w > 2 bound.  A square (terms_b is
+    terms_a, rows equal) packs once.  One decimal product (libmpdec
+    multiplies large operands by a number-theoretic transform) gets
+    5 * 10^(w - 1) added to every digit at once, which leaves no borrow
+    between digits, so each digit is a slice of one str().  Ints convert
+    through Decimal, which has no digit limit."""
+    width = (2 * bound).bit_length() * 30103 // 100000 + 1
+    zero = "5" + "0" * (width - 1)  # the slice of a zero digit
+    total = (terms_a[-1][0] - terms_a[0][0] + terms_b[-1][0] - terms_b[0][0] + 1) * stride
+    packed_a = _pack(terms_a, rows_a, stride, width)
+    packed_b = packed_a if terms_b is terms_a else _pack(terms_b, rows_b, stride, width)
+    end = total * width
+    raw = str(_EXACT.fma(packed_a, packed_b, Decimal(zero * total))).zfill(end)
+    half = 5 * 10 ** (width - 1)
+    return [0 if d == zero else int(Decimal(d)) - half
+            for d in (raw[i - width:i] for i in range(end, end - count * width, -width))]
 
 
 def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: int) -> None:
@@ -88,47 +102,44 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
     given order.
 
     Kronecker substitution: each operand's coordinates are scaled to
-    integers and packed into one integer, the z^k coordinate of the q^e term
-    at digit (e - e_0) * (2 phi - 1) + k, so one integer product holds every
-    coefficient of the product in Z[q, z], whose z-degree stays below
+    integers and packed into one number, the z^k coordinate of the q^e term
+    at base-10^w digit (e - e_0) * (2 phi - 1) + k, so one product holds
+    every coefficient of the product in Z[q, z], whose z-degree stays below
     2 phi - 1.  A product digit sums at most min(n_a, n_b) * phi products of
-    coordinates, so a digit of bits(max|a| max|b| min(n_a, n_b) phi) bits
-    plus a sign bit never carries into the next.  Each slot's digits are
-    then reduced mod Phi_order and divided by the two denominators.
+    coordinates, which bounds it (see _product_digits).  Each slot's digits
+    are then reduced mod Phi_order and divided by the two denominators.
     """
+    square = terms_a is terms_b
     terms_a = [t for t in terms_a if t[0] + terms_b[0][0] <= n]
     if not terms_a:
         return
-    terms_b = [t for t in terms_b if t[0] + terms_a[0][0] <= n]
+    terms_b = terms_a if square else [t for t in terms_b if t[0] + terms_a[0][0] <= n]
     rows_a, scale_a = _integer_rows(terms_a, order)
-    rows_b, scale_b = _integer_rows(terms_b, order)
+    rows_b, scale_b = (rows_a, scale_a) if square else _integer_rows(terms_b, order)
     phi = len(rows_a[0])
     stride = 2 * phi - 1
+    pairs = min(len(terms_a), len(terms_b))
     bound = (max(abs(x) for row in rows_a for x in row)
-             * max(abs(x) for row in rows_b for x in row)
-             * min(len(terms_a), len(terms_b)) * phi)
-    width = bound.bit_length() // 8 + 1
+             * max(abs(x) for row in rows_b for x in row) * pairs * phi)
     base = terms_a[0][0] + terms_b[0][0]
-    top = terms_a[-1][0] + terms_b[-1][0] - base  # the last q-slot of the product
-    product = _pack(terms_a, rows_a, stride, width) * _pack(terms_b, rows_b, stride, width)
-    raw = _digits(product, (top + 1) * stride, width)
-    half = 1 << (8 * width - 1)
+    slots = min(n - base, terms_a[-1][0] + terms_b[-1][0] - base) + 1  # the q-slots read
+    digits = _product_digits(terms_a, rows_a, terms_b, rows_b, stride, bound, slots * stride)
     scale = scale_a * scale_b
+    if order == 1:
+        for s, d in enumerate(digits):
+            if d:
+                value = CyclotomicNumber(1, (Fraction(d, scale),))
+                i = base + s - v
+                data[i] = value if data[i] is _ZERO else data[i] + value  # as _ZERO + value
+        return
+    # a slot whose products cancel still takes the order tag: find the
+    # exponents some term pair lands on, by the same substitution on 0/1 rows
+    hits = _product_digits(terms_a, [[1]] * len(terms_a), terms_b, [[1]] * len(terms_b),
+                           1, pairs, slots)
     modulus = cyclotomic_polynomial(order)
-    if order > 1:
-        # a slot whose products cancel still takes the order tag: find the
-        # exponents some term pair lands on, by the same substitution on 0/1 rows
-        width_hit = min(len(terms_a), len(terms_b)).bit_length() // 8 + 1
-        hits = _pack(terms_a, [[1]] * len(terms_a), 1, width_hit) * _pack(
-            terms_b, [[1]] * len(terms_b), 1, width_hit)
-        hits = hits.to_bytes((top + 1) * width_hit, "little")
-        miss = bytes(width_hit)
-    for s in range(min(n - base, top) + 1):
-        at = s * stride * width
-        digits = [int.from_bytes(raw[i:i + width], "little") - half
-                  for i in range(at, at + stride * width, width)]
-        if any(digits) or order > 1 and hits[s * width_hit:(s + 1) * width_hit] != miss:
-            coords = _divmod(digits, modulus)[1]
+    for s in range(slots):
+        if hits[s]:
+            coords = _divmod(digits[s * stride:(s + 1) * stride], modulus)[1]
             i = base + s - v
             data[i] = data[i] + CyclotomicNumber(order, [Fraction(c, scale) for c in coords])
 
@@ -174,7 +185,7 @@ class QSeries:
     def nonzero_items(self):
         v = self.valuation
         for i, c in enumerate(self._coeffs):
-            if not c.is_zero():
+            if c is not _ZERO and any(c.coords):
                 yield v + i, c
 
     def min_nonzero_exponent(self) -> int:
@@ -205,8 +216,9 @@ class QSeries:
         v = self.valuation + other.valuation
         n = min(self.truncation + other.valuation, other.truncation + self.valuation)
         out = QSeries(v, n)
-        groups_b = _order_groups(other)
-        for order_a, terms_a in _order_groups(self).items():
+        groups_a = _order_groups(self)
+        groups_b = groups_a if other is self else _order_groups(other)
+        for order_a, terms_a in groups_a.items():
             for order_b, terms_b in groups_b.items():
                 _convolve(out._coeffs, v, n, terms_a, terms_b, lcm(order_a, order_b))
         return out
@@ -269,6 +281,9 @@ class QSeries:
         windows (or on [lo, hi] if given)."""
         lo = max(self.valuation, other.valuation) if lo is None else lo
         hi = min(self.truncation, other.truncation) if hi is None else hi
+        va, vb = self.valuation, other.valuation
+        if max(va, vb) <= lo <= hi <= min(self.truncation, other.truncation):
+            return self._coeffs[lo - va:hi - va + 1] == other._coeffs[lo - vb:hi - vb + 1]
         return all(self.coeff(e) == other.coeff(e) for e in range(lo, hi + 1))
 
     def __eq__(self, other):

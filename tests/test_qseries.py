@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -243,7 +244,7 @@ def test_mul_matches_schoolbook_product(a, b):
     assert slots(a * b) == slots(schoolbook_product(a, b))
 
 
-def test_mul_matches_schoolbook_product_landmarks():
+def test_mul_matches_schoolbook_product_landmarks(default_int_str_limit):
     i = CyclotomicNumber.zeta(4)
     w = CyclotomicNumber.zeta(3)
     big = 2 ** 64 + 1
@@ -256,10 +257,43 @@ def test_mul_matches_schoolbook_product_landmarks():
         (QSeries(0, 5, {0: CyclotomicNumber(4, [Fraction(1, 2), 0])}), QSeries(0, 5, {3: 2})),
         (QSeries(0, 6, {0: -big * big, 6: 1}), QSeries(0, 6, {0: big * big})),
     ]
+    # decimal digit boundaries: coefficients +-(10^k - 1) and +-5 * 10^(k-1)
+    # fill or half-fill k decimal places; the one product digit of two
+    # single terms is the bound itself, and 5 * 10^(k-1) is exactly the bias
+    # of a width-k digit, so the width must go past k
+    for k in (1, 2, 3, 9, 10, 19, 20, 38):
+        nines, fives = 10 ** k - 1, 5 * 10 ** (k - 1)
+        cases += [
+            (QSeries(0, 3, {0: nines, 1: -nines, 2: fives, 3: -fives}),
+             QSeries(0, 3, {0: fives, 1: nines, 2: -nines, 3: 1})),
+            (QSeries(0, 0, {0: fives}), QSeries(0, 0, {0: 1})),
+            (QSeries(0, 0, {0: -fives}), QSeries(0, 0, {0: 1})),
+            (QSeries(0, 1, {0: fives - 1, 1: fives + 1}), QSeries(0, 1, {0: -1, 1: 1})),
+            (QSeries(0, 2, {0: CyclotomicNumber(4, [nines, -fives])}),
+             QSeries(0, 2, {0: CyclotomicNumber(4, [-fives, nines]), 2: i})),
+        ]
+    # products that cancel to a zero digit (its biased slice is the bias
+    # itself): order 1 keeps the shared zero, order 4 keeps its tag
+    cases += [
+        (QSeries(0, 2, {0: 5, 1: 5}), QSeries(0, 2, {0: 1, 1: -1})),
+        (QSeries(0, 2, {0: 5 * i, 1: 5 * i}), QSeries(0, 2, {0: i, 1: -i})),
+    ]
     for a, b in cases:
         assert slots(a * b) == slots(schoolbook_product(a, b))
         assert slots(b * a) == slots(schoolbook_product(b, a))
     assert value_to_json((cases[0][0] * cases[0][1]).coeff(1)) == {"order": 4, "coords": ["0", "0"]}
+    assert value_to_json((cases[-2][0] * cases[-2][1]).coeff(1)) == "0"
+    assert value_to_json((cases[-1][0] * cases[-1][1]).coeff(1)) == {"order": 4, "coords": ["0", "0"]}
+    # a coefficient past the 4,300-digit limit of int <-> str conversion,
+    # sized by bit length (printing it as an int would raise)
+    huge = 7 ** 5200 + 1
+    assert huge.bit_length() * 30103 // 100000 > 4300
+    a = QSeries(0, 3, {0: huge, 1: -huge, 3: 2})
+    b = QSeries(0, 3, {0: huge - 1, 2: Fraction(1, 3), 3: CyclotomicNumber(4, [huge, -1])})
+    assert (a * b).coeff(1) == cyc(-huge * (huge - 1))
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        assert slots(x * y) == slots(schoolbook_product(x, y))
+    assert sys.get_int_max_str_digits() == default_int_str_limit
 
 
 @pytest.mark.parametrize("name", ["quartic_mod5", "sextic_mod7"])

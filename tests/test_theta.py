@@ -61,6 +61,16 @@ def test_dual_path_agreement(char, l):
     assert powered.agrees_with(direct, l, n)
 
 
+@pytest.mark.parametrize("name, l, n", [("kron_m4", 6, 4096), ("kron_m4", 8, 2048),
+                                        ("quartic_mod5", 4, 512)])
+def test_series_matches_lattice_at_transform_sizes(name, l, n):
+    """Series products whose largest packed product has more than 1,024
+    words of 19 decimal digits, where libmpdec switches from Karatsuba to a
+    number-theoretic transform."""
+    psi = ORACLE_CHARS[name]
+    assert theta_power_series(psi, l, n).agrees_with(theta_power_direct(psi, l, n), l, n)
+
+
 def test_odd_character_sign_pattern():
     for d in (-4, -8, -3):
         psi = char_kronecker(d)
