@@ -52,18 +52,20 @@ from .projection import (
     sigma_side,
 )
 from .calibrate import CalibrationInstance, CalibrationResult, calibrate_constants
-from .numeric import (
-    EichlerCalibration,
-    FMinusValue,
-    UpperHalfPoint,
-    XiCheckResult,
-    calibrate_eichler,
-    eichler_integral,
-    eval_f_minus,
-    inc_gamma,
-    theta_numeric,
-    xi_check,
-    xi_finite_difference,
-)
+
+# The mpmath-backed companion checks load on first use (PEP 562), so that
+# importing the package does not import mpmath.
+_NUMERIC = frozenset({
+    "EichlerCalibration", "FMinusValue", "UpperHalfPoint", "XiCheckResult", "calibrate_eichler",
+    "eichler_integral", "eval_f_minus", "inc_gamma", "theta_numeric", "xi_check",
+    "xi_finite_difference"})
+
+
+def __getattr__(name):
+    if name in _NUMERIC:
+        from . import numeric
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

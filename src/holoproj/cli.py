@@ -19,20 +19,11 @@ from itertools import chain
 
 from .characters import char_from_spec, char_kronecker
 from .kernel import ORIENTATIONS, verify_closed_forms
-from .numeric import (
-    UpperHalfPoint,
-    calibrate_eichler,
-    eval_f_minus,
-    inc_gamma,
-    xi_check,
-)
 from .calibrate import CAL_FAMILIES, CAL_UNKNOWNS, CalibrationInstance, calibrate_constants
 from .projection import ProjectionConfig, compositions, residual_report
 from .rings import value_to_json
 from .smalldiv import CharacterPlacement, MultiIndex, sigma_entry_table, sigma_sm
 from .theta import theta_power_direct, theta_series
-
-import mpmath as mp
 
 from fractions import Fraction
 
@@ -52,6 +43,7 @@ def _inputs(where: str = ""):
 
 
 def _c_str(z):
+    import mpmath as mp
     return {"re": mp.nstr(mp.re(z), 20), "im": mp.nstr(mp.im(z), 20)}
 
 
@@ -241,6 +233,8 @@ _GAMMA_GRID_X = ("0.1", "1", "5", "20")
 
 
 def _cmd_numeric(args) -> int:
+    import mpmath as mp  # mpmath and numeric load here: no other command uses them
+    from .numeric import UpperHalfPoint, calibrate_eichler, eval_f_minus, inc_gamma, xi_check
     if args.check == "gamma-grid":
         with mp.workdps(40):
             rows = []

@@ -3,16 +3,21 @@
 Two independent exact constructions: the three-term recurrence, and the
 terminating hypergeometric sum with all Gamma quotients evaluated as rising
 factorials (no Gamma function over the rationals, so poles at negative
-parameters never arise).  For the degenerate parameter families used by the
-projection kernels the recurrence can hit a vanishing leading factor; the
-hypergeometric path then covers.  Both build on ``rings.UnivariatePoly``,
-the package's one polynomial type, re-exported here.
+parameters never arise).  Both build on ``rings.UnivariatePoly``, the
+package's one polynomial type, re-exported here.
+
+For every even l the kernel parameters (l/2 - 1, -l - 1) make the recurrence's
+c1(j) vanish at j = l/2 + 1, so the kernels never use the recurrence: the 2F1
+sum is a polynomial in u = (1 - z)/2, which ``kernel.kernel_u_form`` reads
+from ``jacobi_hypergeom_u``.  Acceptance criterion 2 still asserts the
+recurrence/2F1 cross-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm, prod
 
 from .rings import UnivariatePoly
 
@@ -62,42 +67,46 @@ def jacobi_recurrence(r: int, a: Fraction, b: Fraction) -> UnivariatePoly:
     return p_cur
 
 
-def _rising(v: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= v + i
-    return out
-
-
 @lru_cache(maxsize=None)
-def jacobi_hypergeom(r: int, a: Fraction, b: Fraction) -> UnivariatePoly:
-    """Degree-r Jacobi polynomial from the terminating 2F1 representation,
+def jacobi_hypergeom_u(r: int, a: Fraction, b: Fraction) -> UnivariatePoly:
+    """Degree-r Jacobi polynomial as a polynomial in u = (1 - z)/2, from the
+    terminating 2F1 representation
 
-        ((a+1)_r / r!) * sum_k ((-r)_k (a+b+r+1)_k / ((a+1)_k k!)) u^k
+        ((a+1)_r / r!) * sum_k ((-r)_k (a+b+r+1)_k / ((a+1)_k k!)) u^k.
 
-    with u = (1 - z)/2.  Every Gamma quotient is a rising factorial, exact for
-    half-integer parameters.  Raises HypergeomPoleError if a denominator
-    Pochhammer vanishes while the numerator term is still nonzero.
+    Every Gamma quotient is a rising factorial, exact for half-integer
+    parameters.  Raises HypergeomPoleError if a denominator Pochhammer
+    vanishes while the numerator term is still nonzero.
     """
     if r < 0:
         raise ValueError("degree must be >= 0")
     a, b = Fraction(a), Fraction(b)
+    d = lcm(a.denominator, b.denominator)  # a = p/d and b = q/d
+    p, q = int(a * d), int(b * d)
+    # every Pochhammer factor is an integer over d; the d's of the k-th term's
+    # numerator and denominator cancel, those of (a+1)_r sit in scale_den
+    scale_num, scale_den = prod(p + i * d for i in range(1, r + 1)), factorial(r) * d ** r
     terms = []
-    num = Fraction(1)  # (-r)_k (a+b+r+1)_k
-    den = Fraction(1)  # (a+1)_k k!
+    num = den = 1  # d^k (-r)_k (a+b+r+1)_k and d^k (a+1)_k k!
     for k in range(r + 1):
         if k > 0:
-            num *= (-r + k - 1) * (a + b + r + k)
-            den *= (a + k) * k
+            num *= (k - 1 - r) * (p + q + (r + k) * d)
+            den *= (p + k * d) * k
         if num == 0:
             break  # the rising factorial stays zero from here on
         if den == 0:
             raise HypergeomPoleError(
                 f"denominator Pochhammer vanished at k={k} for parameters ({a}, {b})"
             )
-        terms.append(num / den)
-    in_u = UnivariatePoly(terms) * (_rising(a + 1, r) / _rising(Fraction(1), r))
-    return in_u(UnivariatePoly([Fraction(1, 2), Fraction(-1, 2)]))  # u = (1 - z)/2
+        terms.append(Fraction(scale_num * num, scale_den * den))
+    return UnivariatePoly(terms)
+
+
+@lru_cache(maxsize=None)
+def jacobi_hypergeom(r: int, a: Fraction, b: Fraction) -> UnivariatePoly:
+    """Degree-r Jacobi polynomial in z: ``jacobi_hypergeom_u`` with
+    u = (1 - z)/2 substituted."""
+    return jacobi_hypergeom_u(r, a, b)(UnivariatePoly([Fraction(1, 2), Fraction(-1, 2)]))
 
 
 def jacobi_poly(r: int, a, b) -> UnivariatePoly:

@@ -18,9 +18,12 @@ the defining condition is printed inconsistently across its sources and only
 one choice can cancel termwise against the projection sum.
 
 ``ProjectionKernel`` holds the Jacobi factor as its u-form P(1 - 2u), a
-``rings.UnivariatePoly`` in the squared-norm ratio u, and, derived from it when
-the kernel is built, an integer form: K is one integer homogeneous form G(x, y)
-over the integer D y^p x^q, x and y the two slots' squared norms (their square
+``rings.UnivariatePoly`` in the squared-norm ratio u read off the 2F1 sum in u
+(``jacobi.jacobi_hypergeom_u``: even l never uses the recurrence, whose c1
+vanishes at j = l/2 + 1; acceptance criterion 2 still asserts the
+recurrence/2F1 cross-check), and, derived from it when the kernel is built, an
+integer form: K is one integer homogeneous form G(x, y) over the integer
+D y^p x^q, x and y the two slots' squared norms (their square
 roots when 2(k_f-1) is odd).  For the default orientation and even l, p = l/2 - 1
 and q = deg P + p.  An evaluation is then one homogeneous Horner pass over
 small integers (about 4.5 us at l = 4 and 8 us at l = 10 on a 2-vCPU host,
@@ -35,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
-from .jacobi import jacobi_poly
+from .jacobi import jacobi_hypergeom_u
 from .rings import UnivariatePoly, rational_to_str
 
 
@@ -88,7 +91,8 @@ def weights_for_dim(l: int) -> WeightData:
 class BivariateLaurent:
     """Sparse exact Laurent polynomial sum c_ij x^i y^j, integer exponents of
     either sign; zero coefficients are never stored, so the representation is
-    canonical."""
+    canonical.  Coefficients are ints or Fractions, as they come: an int and
+    the equal Fraction compare, hash and print alike."""
 
     __slots__ = ("terms",)
 
@@ -97,7 +101,7 @@ class BivariateLaurent:
         data = {}
         for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
             key = (int(i), int(j))
-            data[key] = data.get(key, 0) + Fraction(c)
+            data[key] = data[key] + c if key in data else c
         self.terms = {k: c for k, c in sorted(data.items()) if c}
 
     def __add__(self, other):
@@ -114,7 +118,7 @@ class BivariateLaurent:
             return BivariateLaurent([((i1 + i2, j1 + j2), c1 * c2)
                                      for (i1, j1), c1 in self.terms.items()
                                      for (i2, j2), c2 in other.terms.items()])
-        return BivariateLaurent({k: c * Fraction(other) for k, c in self.terms.items()})
+        return BivariateLaurent({k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -180,9 +184,9 @@ def _exact_root(n: int) -> int:
 
 def kernel_u_form(w: WeightData) -> UnivariatePoly:
     """P_{kappa-2}(1 - 2u), with parameters (1 - k_f, 1 - kappa), as a
-    polynomial in the squared-norm ratio u = y^2/x^2."""
-    poly = jacobi_poly(w.kappa - 2, Fraction(1) - w.k_f, Fraction(1 - w.kappa))
-    return poly(UnivariatePoly([1, -2]))
+    polynomial in the squared-norm ratio u = y^2/x^2: the 2F1 sum in
+    u = (1 - z)/2 at z = 1 - 2u."""
+    return jacobi_hypergeom_u(w.kappa - 2, Fraction(1) - w.k_f, Fraction(1 - w.kappa))
 
 
 def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") -> BivariateLaurent:
@@ -273,11 +277,13 @@ def projection_kernel(l: int, orientation: str = "prefactor_on_larger") -> Proje
 
 # -- reference closed forms ---------------------------------------------------
 
-def _xx_minus_yy_pow(n: int) -> BivariateLaurent:
-    return BivariateLaurent({(2, 0): 1, (0, 2): -1}).pow(n)
+def _x_minus_y_pow(n: int, step: int = 1) -> BivariateLaurent:
+    """(x^step - y^step)^n by the binomial theorem."""
+    return BivariateLaurent({(step * (n - k), step * k): (-1) ** k * comb(n, k)
+                             for k in range(n + 1)})
 
-def _x_minus_y_pow(n: int) -> BivariateLaurent:
-    return BivariateLaurent({(1, 0): 1, (0, 1): -1}).pow(n)
+def _xx_minus_yy_pow(n: int) -> BivariateLaurent:
+    return _x_minus_y_pow(n, 2)
 
 
 def _reference_forms():
@@ -364,8 +370,9 @@ def _reference_forms():
 
 def verify_closed_forms(orientation: str = "prefactor_on_larger") -> dict:
     """Compare each tabulated closed form against the computed kernel,
-    directly and under the x<->y orientation swap.  Mismatches are report
-    content (the exact difference polynomial), never exceptions.
+    directly and under the x<->y orientation swap, term by term.  Mismatches
+    are report content (the exact difference polynomials, built only for a
+    candidate that matches neither way), never exceptions.
     """
     identities = []
     for form in _reference_forms():
@@ -374,15 +381,13 @@ def verify_closed_forms(orientation: str = "prefactor_on_larger") -> dict:
         overall = False
         orientation_used = None
         for label, ref in sorted(form["candidates"].items()):
-            direct = K - ref
-            swapped = K - ref.swap_vars()
-            if direct.is_zero():
+            if K == ref:
                 match, how, diff = True, "direct", "0"
-            elif swapped.is_zero():
+            elif K == ref.swap_vars():
                 match, how, diff = True, "swapped", "0"
             else:
                 match, how = False, None
-                diff = {"direct": str(direct), "swapped": str(swapped)}
+                diff = {"direct": str(K - ref), "swapped": str(K - ref.swap_vars())}
             candidates[label] = {
                 "match": match,
                 "orientation_used": how,

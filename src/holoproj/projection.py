@@ -23,8 +23,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 
-from mpmath import MPIntervalContext
-
 from .characters import DirichletCharacter
 from .kernel import ProjectionKernel, projection_kernel, weights_for_dim
 from .qseries import QSeries, _integer_rows, _order_groups
@@ -410,6 +408,7 @@ def _exceeds(res: CyclotomicNumber, delta: CyclotomicNumber) -> bool:
         return False
     if w.is_rational():
         return w.rational_value() > 0
+    from mpmath import MPIntervalContext  # loaded only for an irrational w
     iv = MPIntervalContext()  # its own precision, not mpmath.iv's
     iv.prec = 64
     while True:

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from holoproj.jacobi import jacobi_poly
+from holoproj.rings import UnivariatePoly
 from holoproj.kernel import (
     BivariateLaurent,
     NonSquareArgumentError,
     WeightError,
     kernel_bivariate,
+    kernel_u_form,
     projection_kernel,
     verify_closed_forms,
     weights_for_dim,
@@ -50,6 +52,26 @@ def test_kernel_l4_both_orientations():
     smaller = kernel_bivariate(weights_for_dim(4), "prefactor_on_smaller")
     assert larger == (-1) * xxyy5.shift(-10, -2)
     assert smaller == xxyy5.shift(-2, -10)
+
+
+@pytest.mark.parametrize("l", [1, 3, 4, 5, 6, 7, 8, 9, 10, 12])
+def test_u_form_is_jacobi_poly_at_one_minus_two_u(l):
+    """The u-form read off the 2F1 sum equals jacobi_poly composed with
+    z = 1 - 2u: the recurrence for odd l, the 2F1 fallback in z for even l;
+    l = 7, 9 and 12 have no tabulated closed form."""
+    w = weights_for_dim(l)
+    poly = jacobi_poly(w.kappa - 2, 1 - w.k_f, F(1 - w.kappa))
+    assert kernel_u_form(w) == poly(UnivariatePoly([1, -2]))
+
+
+def test_bivariate_laurent_int_and_fraction_coefficients_agree():
+    terms = {(2, 0): 7, (0, 2): 1, (-1, 3): -45, (3, -1): 0}
+    as_int = BivariateLaurent(terms)
+    as_fraction = BivariateLaurent({k: F(c) for k, c in terms.items()})
+    assert as_int == as_fraction
+    assert str(as_int) == str(as_fraction) == "(-45)*x^-1*y^3 + (1)*y^2 + (7)*x^2"
+    assert str(as_int * F(1, 2)) == str(as_fraction * F(1, 2))
+    assert (as_int - as_fraction).is_zero()
 
 
 @pytest.mark.parametrize("l", [1, 3, 4, 5, 6, 8, 10])
