@@ -67,24 +67,14 @@ class DirichletCharacter:
 
 
 def char_from_table(modulus: int, values) -> DirichletCharacter:
-    """Build and validate a character from residue -> value.
-
-    ``values`` may be a sequence indexed by residue or a dict {residue: value};
-    entries coerce from int / Fraction / CyclotomicNumber.
+    """Build and validate a character from its values, a sequence indexed by
+    residue; entries coerce from int / Fraction / CyclotomicNumber.
     """
     if modulus < 1:
         raise CharacterTableError(f"modulus must be positive, got {modulus}")
-    if isinstance(values, dict):
-        missing = [a for a in range(modulus) if a not in values]
-        if missing:
-            raise CharacterTableError(f"table misses residues {missing}")
-        table = [cyc(values[a]) for a in range(modulus)]
-    else:
-        table = [cyc(v) for v in values]
-        if len(table) != modulus:
-            raise CharacterTableError(
-                f"table covers {len(table)} residues, modulus is {modulus}"
-            )
+    table = [cyc(v) for v in values]
+    if len(table) != modulus:
+        raise CharacterTableError(f"table covers {len(table)} residues, modulus is {modulus}")
 
     one = cyc(1)
     if table[1 % modulus] != one:

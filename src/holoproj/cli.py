@@ -23,7 +23,7 @@ from .calibrate import CAL_FAMILIES, CAL_UNKNOWNS, CalibrationInstance, calibrat
 from .projection import ProjectionConfig, compositions, residual_report
 from .rings import value_to_json
 from .smalldiv import CharacterPlacement, MultiIndex, sigma_entry_table, sigma_sm
-from .theta import theta_power_direct, theta_series
+from .theta import theta_power_direct
 
 from fractions import Fraction
 
@@ -93,10 +93,7 @@ def _cmd_theta(args) -> int:
         raise ConfigError(f"--terms and --pow must be >= 1, got {args.terms} and {args.pow}")
     with _inputs("--char: "):  # the mod-1 character is rejected before any summation
         psi = _parse_char(args.char)
-        if args.pow == 1:
-            series = theta_series(psi, args.terms)
-        else:
-            series = theta_power_direct(psi, args.pow, args.terms)
+        series = theta_power_direct(psi, args.pow, args.terms)
     obj = {
         "character": {"modulus": psi.modulus, "parity": psi.parity, "order": psi.order},
         "power": args.pow,
@@ -156,11 +153,18 @@ def _is_int(value) -> bool:  # a JSON integer: not a bool, float or string
     return type(value) is int
 
 
+_CONFIG_FIELDS = ("psi", "chi", "l", "rmax", "modes", "b_schedule", "B", "placement",
+                  "orientation", "closed_forms")
+
+
 def _load_verify_config(path):
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"the config must be a JSON object, got {type(raw).__name__}")
+    unknown = [name for name in raw if name not in _CONFIG_FIELDS]
+    if unknown:
+        raise ConfigError(f"unknown config field {', '.join(map(repr, unknown))}")
     psi = char_from_spec(_field(raw, "psi", lambda v: isinstance(v, dict), "an object"))
     chi = char_from_spec(_field(raw, "chi", lambda v: isinstance(v, dict), "an object"))
     l = _field(raw, "l", _is_int, "an integer")
@@ -172,6 +176,9 @@ def _load_verify_config(path):
         _is_int(b) and b >= rmax for b in v), f"a list of integers >= rmax = {rmax}", None)
     B = _field(raw, "B", lambda v: v is None or _is_int(v), "an integer",
                schedule[-1] if schedule else None)
+    if schedule and B != schedule[-1]:
+        raise ConfigError(f"B must equal the last b_schedule entry {schedule[-1]}, "
+                          f"got {json.dumps(B)}")
     placements = [p.value for p in CharacterPlacement]
     placement = _field(raw, "placement", lambda v: v in placements, f"one of {placements}",
                        "psi_on_larger")
@@ -184,6 +191,8 @@ def _load_verify_config(path):
 
 
 def _cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     with _inputs():
         cfg, schedule, want_closed = _load_verify_config(args.config)
 
@@ -238,7 +247,6 @@ def _cmd_numeric(args) -> int:
     if args.check == "gamma-grid":
         with mp.workdps(40):
             rows = []
-            worst = mp.mpf(0)
             for s in _GAMMA_GRID_S:
                 for x in _GAMMA_GRID_X:
                     xm = mp.mpf(x)
@@ -246,7 +254,6 @@ def _cmd_numeric(args) -> int:
                     rhs = mp.mpf(s.numerator) / s.denominator * inc_gamma(s, xm) \
                         + xm ** (mp.mpf(s.numerator) / s.denominator) * mp.e ** (-xm)
                     rel = abs(lhs - rhs) / abs(lhs)
-                    worst = max(worst, rel)
                     rows.append({"s": str(s), "x": x, "rel_error": mp.nstr(rel, 5),
                                  "pass": rel <= mp.mpf("1e-12")})
             asym = []
@@ -304,28 +311,24 @@ def _cmd_numeric(args) -> int:
         })
         return 0
 
-    if args.check == "eichler":
-        with _inputs("--char: "):
-            char = _parse_char(args.char) if args.char else char_kronecker(8)
-        fit = UpperHalfPoint("0.1", "1.0")
-        verify = [UpperHalfPoint("0.3", "0.9"), UpperHalfPoint("-0.2", "1.3"),
-                  UpperHalfPoint("0.05", "0.7"), UpperHalfPoint("0", "2.0"),
-                  UpperHalfPoint("0.4", "1.1")]
-        with _inputs():  # the shift and the character are rejected before any quadrature
-            cal = calibrate_eichler(char, args.lam_shift, fit, verify)
-        tol = mp.mpf("1e-8")
-        ok = all(e <= tol for e in cal.rel_errors)
-        _write_outputs(args.out, {
-            "check": "eichler",
-            "constant": _c_str(cal.constant),
-            "verification_rel_errors": [mp.nstr(e, 5) for e in cal.rel_errors],
-            "tolerance": "1e-8",
-            "pass": bool(ok),
-        })
-        return 0 if ok else 1
-
-    print(f"unknown numeric check {args.check!r}", file=sys.stderr)
-    return 2
+    with _inputs("--char: "):  # eichler, the last of the parser's choices
+        char = _parse_char(args.char) if args.char else char_kronecker(8)
+    fit = UpperHalfPoint("0.1", "1.0")
+    verify = [UpperHalfPoint("0.3", "0.9"), UpperHalfPoint("-0.2", "1.3"),
+              UpperHalfPoint("0.05", "0.7"), UpperHalfPoint("0", "2.0"),
+              UpperHalfPoint("0.4", "1.1")]
+    with _inputs():  # the shift and the character are rejected before any quadrature
+        cal = calibrate_eichler(char, args.lam_shift, fit, verify)
+    tol = mp.mpf("1e-8")
+    ok = all(e <= tol for e in cal.rel_errors)
+    _write_outputs(args.out, {
+        "check": "eichler",
+        "constant": _c_str(cal.constant),
+        "verification_rel_errors": [mp.nstr(e, 5) for e in cal.rel_errors],
+        "tolerance": "1e-8",
+        "pass": bool(ok),
+    })
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

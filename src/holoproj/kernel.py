@@ -17,20 +17,19 @@ The two differ exactly by the swap x <-> y; both are kept runnable because
 the defining condition is printed inconsistently across its sources and only
 one choice can cancel termwise against the projection sum.
 
-``ProjectionKernel`` holds the Jacobi factor as its u-form P(1 - 2u), a
-``rings.UnivariatePoly`` in the squared-norm ratio u read off the 2F1 sum in u
+``ProjectionKernel`` holds the integer form of the printed kernel: K from
+``kernel_bivariate`` is homogeneous, so clearing its least powers y^p, x^q and
+its common denominator D leaves an integer homogeneous form G(x, y) with
+K = G(x, y) / (D y^p x^q), x and y the larger and smaller squared norms (their
+square roots when 2(k_f-1) is odd).  The orientation is decided once, in
+``kernel_bivariate``.  For the default orientation and even l, p = l/2 - 1 and
+q = deg P + p.  An evaluation is then one homogeneous Horner pass over small
+integers (about 4.5 us at l = 4 and 8 us at l = 10 on a 2-vCPU host, with the
+Fraction), and the full side adds the integer ratios without forming a
+Fraction per term.  The u-form P(1 - 2u) is read off the 2F1 sum in u
 (``jacobi.jacobi_hypergeom_u``: even l never uses the recurrence, whose c1
 vanishes at j = l/2 + 1; acceptance criterion 2 still asserts the
-recurrence/2F1 cross-check), and, derived from it when the kernel is built, an
-integer form: K is one integer homogeneous form G(x, y) over the integer
-D y^p x^q, x and y the two slots' squared norms (their square
-roots when 2(k_f-1) is odd).  For the default orientation and even l, p = l/2 - 1
-and q = deg P + p.  An evaluation is then one homogeneous Horner pass over
-small integers (about 4.5 us at l = 4 and 8 us at l = 10 on a 2-vCPU host,
-with the Fraction; 41 and 75 us for the Fraction Horner pass it replaced), and
-the full side adds the integer ratios without forming a Fraction per term.  ``BivariateLaurent`` is built
-from the u-form for the printed kernel and the closed-form algebra, whose odd
-exponents and (x - y) factors no polynomial in u can hold.
+recurrence/2F1 cross-check).
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ class WeightData:
     k_f: Fraction          # 2 - l/2
     kappa: int             # l + 2
     k_g: Fraction          # 3 l / 2 (odd twist side)
-    shadow_weight: int     # 2 - kappa
-    parity_class: str      # "even-l-integral" | "odd-l-half-integral"
     two_e: int             # 2 (k_f - 1), the prefactor's power of a norm's square root
 
 
@@ -82,8 +79,6 @@ def weights_for_dim(l: int) -> WeightData:
         k_f=k_f,
         kappa=kappa,
         k_g=Fraction(3 * l, 2),
-        shadow_weight=2 - kappa,
-        parity_class="even-l-integral" if l % 2 == 0 else "odd-l-half-integral",
         two_e=int(2 * (k_f - 1)),
     )
 
@@ -122,23 +117,12 @@ class BivariateLaurent:
 
     __rmul__ = __mul__
 
-    def pow(self, n: int) -> "BivariateLaurent":
-        if n < 0:
-            raise ValueError("only non-negative powers")
-        out = BivariateLaurent({(0, 0): 1})
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shift(self, di: int, dj: int) -> "BivariateLaurent":
         """Multiply by the monomial x^di y^dj."""
         return BivariateLaurent({(i + di, j + dj): c for (i, j), c in self.terms.items()})
 
     def swap_vars(self) -> "BivariateLaurent":
         return BivariateLaurent({(j, i): c for (i, j), c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def exponents_all_even(self) -> bool:
         return all(i % 2 == 0 and j % 2 == 0 for i, j in self.terms)
@@ -204,13 +188,12 @@ def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") ->
 
 @dataclass(frozen=True)
 class ProjectionKernel:
-    """Evaluation handle: weight data, orientation, the u-form
-    P_{kappa-2}(1 - 2u) and its integer form (see ``_integer_form``).
-    Cached per (l, orientation); immutable once published."""
+    """Evaluation handle: weight data, orientation and the integer form of
+    the printed kernel (see ``_integer_form``).  Cached per (l, orientation);
+    immutable once published."""
 
     weights: WeightData
     orientation: str
-    u_form: UnivariatePoly
     form: tuple        # integer coefficients g_0..g_deg of G, ascending in y
     scale: int         # D
     powers: tuple      # (p, q): K = G(x, y) / (D y^p x^q)
@@ -225,9 +208,7 @@ class ProjectionKernel:
         numerator and a positive integer denominator, not reduced."""
         if M < 1 or N <= M:
             raise ValueError(f"need N > M >= 1, got ({N}, {M})")
-        x, y = (M, N) if self.orientation == "prefactor_on_smaller" else (N, M)
-        if self.roots:
-            x, y = _exact_root(x), _exact_root(y)
+        x, y = (_exact_root(N), _exact_root(M)) if self.roots else (N, M)
         # G(x, y) = sum g_k y^k x^(deg - k) by homogeneous Horner
         acc, y_k = self.form[0], 1
         for g in self.form[1:]:
@@ -243,36 +224,30 @@ class ProjectionKernel:
         return Fraction(*self.ratio(N, M))
 
 
-def _integer_form(w: WeightData, u_form: UnivariatePoly):
-    """(form, scale, powers, roots) of K = x^(-A) P(u) - y^(-A).
+def _integer_form(K: BivariateLaurent):
+    """(form, scale, powers, roots) of the homogeneous Laurent form K(x, y).
 
-    The slot variables x, y are the prefactor's norm and the other one, or
-    their square roots when two_e is odd; A = -two_e in roots and -two_e/2 in
-    norms, so u = v^s with v = y/x and s = 2 or 1.  Then
-        K = y^(-A) g(v),  g = v^A P(v^s) - 1,            when A > 0,
-        K = x^(-A) g(v),  g = P(v^s) - v^(-A),           when A < 0 (l = 1),
-    so with D the least common denominator of g and G(x, y) = D x^deg(g) g(y/x),
-    an integer form, K = G(x, y) / (D y^max(A, 0) x^(deg(g) - max(-A, 0)))."""
-    roots = w.two_e % 2 != 0
-    s = 2 if roots else 1
-    A = -w.two_e if roots else -w.two_e // 2
-    p = max(A, 0)
-    shifted = [0] * (p + s * u_form.degree() + 1)  # v^p P(v^s)
-    for k, c in enumerate(u_form.coeffs):
-        shifted[p + s * k] = c
-    g = UnivariatePoly(shifted) - UnivariatePoly([0] * max(-A, 0) + [1])
-    scale = lcm(*(c.denominator for c in g.coeffs))
-    form = tuple(int(c * scale) for c in g.coeffs)
-    return form, scale, (p, g.degree() - max(-A, 0)), roots
+    With all exponents even, K is a Laurent form in the norms x^2 and y^2 and
+    is read in them; otherwise x and y stay the norms' square roots.  With
+    y^-p and x^-q the least powers of y and x in K and D the least common
+    denominator of its coefficients, G(x, y) = D y^p x^q K is an integer form
+    of degree deg, stored as g_k = its coefficient of y^k x^(deg - k)."""
+    roots = not K.exponents_all_even()
+    s = 1 if roots else 2
+    terms = {(i // s, j // s): c for (i, j), c in K.terms.items()}
+    p = -min(j for _, j in terms)
+    q = -min(i for i, _ in terms)
+    scale = lcm(*(c.denominator for c in terms.values()))
+    form = [0] * (max(j for _, j in terms) + p + 1)
+    for (_, j), c in terms.items():
+        form[j + p] = int(c * scale)
+    return tuple(form), scale, (p, q), roots
 
 
 @lru_cache(maxsize=None)
 def projection_kernel(l: int, orientation: str = "prefactor_on_larger") -> ProjectionKernel:
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown orientation {orientation!r}")
     w = weights_for_dim(l)
-    u_form = kernel_u_form(w)
-    return ProjectionKernel(w, orientation, u_form, *_integer_form(w, u_form))
+    return ProjectionKernel(w, orientation, *_integer_form(kernel_bivariate(w, orientation)))
 
 
 # -- reference closed forms ---------------------------------------------------

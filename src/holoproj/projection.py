@@ -176,7 +176,6 @@ class OddDimensionError(ValueError):
 @dataclass(frozen=True)
 class FullSideResult:
     series: QSeries
-    b_used: int
     tail_delta: dict  # r -> CyclotomicNumber, change from B/2 to B
 
 
@@ -261,8 +260,7 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResu
     when its terms cancel, so the order tag of a coefficient is that of
     adding the terms one at a time to an order-1 zero.  At l = 4, R = 40,
     B = 65536 (kronecker -4 and 8) this takes 6-7 s on a 2-vCPU host,
-    4.5-5.6 s of it building the theta powers; the term-by-term Fraction loop
-    it replaced took 18 s there.
+    4.5-5.6 s of it building the theta powers.
     """
     if cfg.l != 1 and cfg.l % 2 != 0:
         raise OddDimensionError(
@@ -297,7 +295,7 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResu
         full_at_b[r] = acc
         deltas[r] = acc - acc_half
 
-    return FullSideResult(series=QSeries(1, cfg.rmax, full_at_b), b_used=B, tail_delta=deltas)
+    return FullSideResult(series=QSeries(1, cfg.rmax, full_at_b), tail_delta=deltas)
 
 
 def lemma_gap_witnesses(cfg: ProjectionConfig, r: int, cap: int = 3, max_entry_sum: int = 16):

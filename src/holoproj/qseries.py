@@ -166,9 +166,6 @@ class QSeries:
     def __setattr__(self, *a):
         raise AttributeError("QSeries is immutable")
 
-    def __reduce__(self):
-        return (QSeries, (self.valuation, self.truncation, tuple(self.nonzero_items())))
-
     # -- access --------------------------------------------------------------
 
     def coeff(self, e: int) -> CyclotomicNumber:

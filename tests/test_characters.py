@@ -47,7 +47,7 @@ def test_table_validation_rejects():
         # multiplicativity: 2*2 = 4 = 1 mod 5 but table says chi(4) = -1, chi(2)^2 = 1
         char_from_table(5, [0, 1, 1, 1, -1])
     with pytest.raises(CharacterTableError):
-        char_from_table(4, {0: 0, 1: 1})  # missing residues
+        char_from_table(4, [0, 1])  # missing residues
 
 
 def test_kronecker_minus4():

@@ -119,6 +119,41 @@ def test_verify_swapped_placement_fails_asserted_check(tmp_path):
     assert data["asserted_failures"]
 
 
+def _with_verdict(real, verdict):
+    def run(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.verdicts["full_residual"] = verdict
+        return report
+    return run
+
+
+def test_verify_one_dimensional_closure_failure_exits_1(tmp_path, monkeypatch):
+    import holoproj.cli
+    monkeypatch.setattr("holoproj.cli.residual_report",
+                        _with_verdict(holoproj.cli.residual_report, "discrepancy documented"))
+    cfg = write_config(tmp_path, rmax=8, B=64, closed_forms=False)
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--config", str(cfg), "--out", str(out), "--no-timestamp") == 1
+    assert json.loads(out.read_text())["asserted_failures"] == ["one-dimensional closure failed"]
+
+
+def test_verify_closed_form_without_a_reading_exits_1(tmp_path, monkeypatch):
+    import holoproj.cli
+    real = holoproj.cli.verify_closed_forms
+
+    def one_unmatched(orientation):
+        closed = real(orientation)
+        closed["identities"][0]["match"] = False
+        return closed
+
+    monkeypatch.setattr("holoproj.cli.verify_closed_forms", one_unmatched)
+    cfg = write_config(tmp_path, l=4, rmax=8, modes=["ordered"], B=None)
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--config", str(cfg), "--out", str(out), "--no-timestamp") == 1
+    assert json.loads(out.read_text())["asserted_failures"] == [
+        "closed forms without a matching reading: ['kappa=6 (l=4)']"]
+
+
 def test_verify_csv_mirror(tmp_path):
     cfg = write_config(tmp_path, rmax=10, B=100)
     out = tmp_path / "r.json"
@@ -247,6 +282,16 @@ def test_numeric_xi(tmp_path):
     assert data["pass"] is True
 
 
+def test_numeric_f_minus(tmp_path):
+    out = tmp_path / "f.json"
+    assert run_cli("numeric", "f-minus", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert (data["check"], data["l"], data["point"]) == ("f-minus", 4, {"u": "0.1", "v": "0.8"})
+    assert (data["cutoff"], data["terms_used"]) == (400, 50)
+    assert set(data["value"]) == {"re", "im"}
+    assert float(data["tail_estimate"]) < 1e-100
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "holoproj.cli", "closed-forms", "--out", "-"],
@@ -354,18 +399,52 @@ BAD_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("field", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS))
-def test_bad_verify_config_fields_exit_2_before_any_run(field, tmp_path, capsys, monkeypatch):
+def _rejected_before_any_run(monkeypatch, tmp_path, capsys, cfg, *options):
+    """The config error line verify prints, asserting exit 2, no run and no
+    output."""
     def no_run(*args, **kwargs):
         raise AssertionError("the config should be rejected before the run")
 
     monkeypatch.setattr("holoproj.cli.residual_report", no_run)
-    cfg = write_config(tmp_path, **{"l": 4, **field})
-    assert run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "x.json")) == 2
+    out = tmp_path / "x.json"
+    assert run_cli("verify", "--config", str(cfg), "--out", str(out), *options) == 2
     err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and not out.exists(), err
+    return err[0]
+
+
+@pytest.mark.parametrize("field", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS))
+def test_bad_verify_config_fields_exit_2_before_any_run(field, tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, **{"l": 4, **field})
+    err = _rejected_before_any_run(monkeypatch, tmp_path, capsys, cfg)
     (name,) = field
-    assert len(err) == 1 and err[0].startswith(f"config error: {name} "), err
-    assert not (tmp_path / "x.json").exists()
+    assert err.startswith(f"config error: {name} "), err
+
+
+def test_verify_missing_config_field_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"psi": {"kronecker": -4}, "chi": {"kronecker": 8}, "l": 4}))
+    assert _rejected_before_any_run(monkeypatch, tmp_path, capsys, cfg) == (
+        "config error: missing config field 'rmax'")
+
+
+def test_verify_unknown_config_field_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, l=4, orientaton="prefactor_on_smaller")
+    assert _rejected_before_any_run(monkeypatch, tmp_path, capsys, cfg) == (
+        "config error: unknown config field 'orientaton'")
+
+
+def test_verify_B_other_than_the_last_bound_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, l=4, B=5000, b_schedule=[64, 128])
+    assert _rejected_before_any_run(monkeypatch, tmp_path, capsys, cfg) == (
+        "config error: B must equal the last b_schedule entry 128, got 5000")
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_verify_workers_below_one_exit_2(workers, tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, l=4)
+    assert _rejected_before_any_run(monkeypatch, tmp_path, capsys, cfg, "--workers", workers) == (
+        f"config error: --workers must be >= 1, got {workers}")
 
 
 @pytest.mark.parametrize("argv", [
