@@ -2,17 +2,20 @@
 
 Each family reads its cancellation as lhs(r) = sum_k scalar_k * basis_k(r),
 solves the unknown scalars exactly from the first probe rows and verifies
-them on every further row.  The projection sum of classical-d2 and
-kernel-1dim is this package's own l = 1 ordered side.
+them on every further row.  The projection sum of all three families is this
+package's own l = 1 ordered side: classical-d2 and kernel-1dim read it under
+the l = 1 kernel, classical-d under the power difference nu^(1 - 2 lam) -
+mu^(1 - 2 lam).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from math import isqrt
+from types import SimpleNamespace
 
 from .characters import DirichletCharacter, char_conjugate
+from .kernel import ProjectionKernel, _integer_form, kernel_bivariate, weights_for_dim
 from .projection import ProjectionConfig, ordered_coefficient, sigma_coefficient
 from .rings import cyc, value_to_json
 from .smalldiv import divisor_sum, require_twist_pair, sigma_sm_classical
@@ -57,15 +60,14 @@ class CalibrationResult:
     failures: list
 
     def to_json_obj(self):
-        return {
-            "family": self.family,
-            "scalars": {k: value_to_json(v) for k, v in self.scalars.items()},
-            "consistent": self.consistent,
-            "underdetermined": self.underdetermined,
-            "probe_rows": self.probe_rows,
-            "verified_rows": self.verified_rows,
-            "failures": self.failures,
-        }
+        return {**asdict(self), "scalars": {k: value_to_json(v) for k, v in self.scalars.items()}}
+
+
+def _power_difference_kernel(lam: int) -> ProjectionKernel:
+    """nu^(1 - 2 lam) - mu^(1 - 2 lam): the kappa = 2 kernel (Jacobi factor 1)
+    at the weight k_f = 3/2 - lam of the corrected quotient."""
+    w = replace(weights_for_dim(1), k_f=Fraction(3, 2) - lam, kappa=2, two_e=1 - 2 * lam)
+    return ProjectionKernel(w, "prefactor_on_larger", *_integer_form(kernel_bivariate(w)))
 
 
 def _calibration_equation(inst: CalibrationInstance, r: int):
@@ -76,27 +78,13 @@ def _calibration_equation(inst: CalibrationInstance, r: int):
     """
     psi, chi = inst.psi, inst.chi
     if inst.family == "classical-d":
-        # The kernel is the kappa = 2 power difference and the mu character
-        # conj(psi) is odd, which ProjectionConfig does not admit.
-        lam = psi.parity
-        k_f = Fraction(3, 2) - lam  # weight of the corrected quotient
-        shadow = char_conjugate(psi)
-        proj = cyc(0)
-        for mu in range(1, (r - 1) // 2 + 1):  # nu > mu forces r >= 2 mu + 1
-            N = mu * mu + r
-            nu = isqrt(N)
-            if nu * nu != N:
-                continue
-            am = shadow(mu)
-            bn = psi(nu)
-            if am.is_zero() or bn.is_zero():
-                continue
-            kern = Fraction(nu) ** int(2 * (k_f - 1)) - Fraction(mu) ** int(2 * (k_f - 1))
-            proj = proj + am * (mu ** lam) * bn * (nu ** lam) * cyc(kern)
-        e2 = cyc(-24 * divisor_sum(r, 1))
-        sigma = sigma_sm_classical(r, psi, chi, power=1)
-        # sigma(r) + alpha e2(r) - C proj(r) = 0
-        return [e2, -proj], -sigma
+        # sigma(r) + alpha e2(r) - C proj(r) = 0, proj the l = 1 ordered side
+        # of (psi, conj psi) under the power-difference kernel.  conj(psi) is
+        # odd, which ProjectionConfig rejects as chi, so the config is relaxed
+        # to the three fields ordered_coefficient reads.
+        cfg = SimpleNamespace(psi=psi, chi=char_conjugate(psi), l=1)
+        proj = ordered_coefficient(cfg, _power_difference_kernel(psi.parity), r)
+        return [cyc(-24 * divisor_sum(r, 1)), -proj], -sigma_sm_classical(r, psi, chi, power=1)
 
     # classical-d2 and kernel-1dim: every pair with nu^2 - mu^2 = r has
     # nu > mu, so the l = 1 ordered side is the whole projection sum

@@ -170,10 +170,11 @@ def _load_verify_config(path):
     l = _field(raw, "l", _is_int, "an integer")
     _check_dimension(l)
     rmax = _field(raw, "rmax", _is_int, "an integer")
-    modes = _field(raw, "modes", lambda v: isinstance(v, list) and all(type(m) is str for m in v),
-                   "a list of strings", ["ordered", "full"])
+    modes = _field(raw, "modes", lambda v: isinstance(v, list) and all(type(m) is str for m in v)
+                   and len(set(v)) == len(v), "a list of distinct strings", ["ordered", "full"])
     schedule = _field(raw, "b_schedule", lambda v: v is None or isinstance(v, list) and all(
-        _is_int(b) and b >= rmax for b in v), f"a list of integers >= rmax = {rmax}", None)
+        _is_int(b) and b >= rmax for b in v) and v == sorted(set(v)),
+        f"a strictly ascending list of integers >= rmax = {rmax}", None)
     B = _field(raw, "B", lambda v: v is None or _is_int(v), "an integer",
                schedule[-1] if schedule else None)
     if schedule and B != schedule[-1]:

@@ -18,8 +18,9 @@ from __future__ import annotations
 import datetime as _dt
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 
@@ -335,6 +336,11 @@ class ResidualRow:
     residual_ordered: CyclotomicNumber | None
     residual_full: CyclotomicNumber | None
 
+    def cells(self, fmt) -> list:
+        """(column, value) in field order: r as it is, every other value by fmt."""
+        return [(f.name, self.r if f.name == "r" else fmt(getattr(self, f.name)))
+                for f in fields(self)]
+
 
 @dataclass
 class ResidualReport:
@@ -346,23 +352,10 @@ class ResidualReport:
     timestamp: str | None
 
     def to_json_obj(self, include_timestamp: bool = True) -> dict:
-        def v(x):
-            return None if x is None else value_to_json(x)
-
         obj = {
             "config": self.config,
-            "rows": [
-                {
-                    "r": row.r,
-                    "sigma": v(row.sigma),
-                    "ordered": v(row.ordered),
-                    "full": v(row.full),
-                    "tail_delta": v(row.tail_delta),
-                    "residual_ordered": v(row.residual_ordered),
-                    "residual_full": v(row.residual_full),
-                }
-                for row in self.rows
-            ],
+            "rows": [dict(row.cells(lambda x: None if x is None else value_to_json(x)))
+                     for row in self.rows],
             "schedule": self.schedule,
             "lemma_gap_witnesses": self.witnesses,
             "verdicts": self.verdicts,
@@ -372,18 +365,9 @@ class ResidualReport:
         return obj
 
     def csv_rows(self):
-        yield ("r", "sigma", "ordered", "full", "tail_delta",
-               "residual_ordered", "residual_full")
+        yield tuple(f.name for f in fields(ResidualRow))
         for row in self.rows:
-            yield (
-                row.r,
-                _csv_value(row.sigma),
-                _csv_value(row.ordered),
-                _csv_value(row.full),
-                _csv_value(row.tail_delta),
-                _csv_value(row.residual_ordered),
-                _csv_value(row.residual_full),
-            )
+            yield tuple(value for _, value in row.cells(_csv_value))
 
 
 def _csv_value(x):
@@ -417,17 +401,8 @@ def _exceeds(res: CyclotomicNumber, delta: CyclotomicNumber) -> bool:
         iv.prec *= 2
 
 
-_ROW_CTX = None
-
-
-def _set_row_ctx(ctx):
-    """Publish the row context; as the pool initializer, in every worker too."""
-    global _ROW_CTX
-    _ROW_CTX = ctx
-
-
-def _row_task(r: int):
-    cfg, kernel, want_ordered, table = _ROW_CTX
+def _row_task(ctx, r: int):
+    cfg, kernel, want_ordered, table = ctx
     sig = sigma_coefficient(cfg, kernel, r, table)
     orde = ordered_coefficient(cfg, kernel, r) if want_ordered else None
     return r, sig, orde
@@ -437,27 +412,22 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     """Full ledger: per exponent, sigma side, ordered side, full side with
     tail diagnostics, and the two residuals.  residual_ordered is asserted
     nowhere here (it is data; the CLI's exit code asserts it).  Identical
-    configs produce identical reports for any worker count.
+    configs produce identical reports for any worker count.  No module state
+    is held: the row context reaches every row as an argument, so reports
+    may run concurrently on threads of one process.
     """
-    kernel = cfg.kernel()
     want_ordered = "ordered" in cfg.modes
     want_full = "full" in cfg.modes
 
     rs = list(range(1, cfg.rmax + 1))
-    ctx = (cfg, kernel, want_ordered, sigma_entry_table(cfg, cfg.rmax))
-    _set_row_ctx(ctx)
-    try:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
-            with ProcessPoolExecutor(max_workers=workers, initializer=_set_row_ctx,
-                                     initargs=(ctx,)) as pool:
-                computed = list(pool.map(_row_task, rs, chunksize=max(1, len(rs) // (4 * workers))))
-        else:
-            computed = [_row_task(r) for r in rs]
-    finally:
-        _set_row_ctx(None)
-    sigma = {r: s for r, s, _ in computed}
-    ordered = {r: o for r, _, o in computed} if want_ordered else {}
+    ctx = (cfg, cfg.kernel(), want_ordered, sigma_entry_table(cfg, cfg.rmax))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = list(pool.map(partial(_row_task, ctx), rs,
+                                     chunksize=max(1, len(rs) // (4 * workers))))
+    else:
+        computed = [_row_task(ctx, r) for r in rs]
 
     schedule_out = []
     full_final = None
@@ -479,40 +449,28 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
             full_final = res
 
     rows = []
-    ordered_all_zero = True
-    full_all_within = True
-    any_full_residual = False
-    for r in rs:
-        o = ordered.get(r)
+    for r, sig, o in computed:
         f = full_final.series.coeff(r) if full_final else None
         delta = full_final.tail_delta[r] if full_final else None
-        res_o = sigma[r] - o if o is not None else None
-        res_f = sigma[r] - f if f is not None else None
-        if res_o is not None and not res_o.is_zero():
-            ordered_all_zero = False
-        if res_f is not None and not res_f.is_zero():
-            any_full_residual = True
-            if _exceeds(res_f, delta):
-                full_all_within = False
-        rows.append(ResidualRow(r, sigma[r], o, f, delta, res_o, res_f))
+        rows.append(ResidualRow(r, sig, o, f, delta, None if o is None else sig - o,
+                                None if f is None else sig - f))
+    full_nonzero = [row for row in rows
+                    if row.residual_full is not None and not row.residual_full.is_zero()]
 
     witnesses = []
     if want_full and cfg.l > 1:
-        interesting = [row.r for row in rows if row.residual_full is not None
-                       and not row.residual_full.is_zero()]
-        for r in interesting[:8]:
-            w = lemma_gap_witnesses(cfg, r, cap=3)
+        for row in full_nonzero[:8]:
+            w = lemma_gap_witnesses(cfg, row.r, cap=3)
             if w:
-                witnesses.append({"r": r, "pairs": w})
+                witnesses.append({"r": row.r, "pairs": w})
 
     verdicts = {}
     if want_ordered:
-        verdicts["ordered_residual"] = "zero" if ordered_all_zero else "NONZERO"
+        zero = all(row.residual_ordered.is_zero() for row in rows)
+        verdicts["ordered_residual"] = "zero" if zero else "NONZERO"
     if want_full:
-        if not any_full_residual or full_all_within:
-            verdicts["full_residual"] = "confirmed"
-        else:
-            verdicts["full_residual"] = "discrepancy documented"
+        within = not any(_exceeds(row.residual_full, row.tail_delta) for row in full_nonzero)
+        verdicts["full_residual"] = "confirmed" if within else "discrepancy documented"
 
     config_obj = {
         "psi": {"modulus": cfg.psi.modulus, "values": [value_to_json(v) for v in cfg.psi.values]},

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -378,11 +380,25 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     assert {path: path.read_bytes() for path in kept} == kept
 
 
+def test_readme_verify_example_runs(tmp_path):
+    """The verify config the README shows, run as its command line runs it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"A verify config is .*?```json\n(.*?)```", readme, re.S)
+    cfg, out = tmp_path / "verify.json", tmp_path / "report.json"
+    cfg.write_text(block)
+    assert run_cli("verify", "--config", str(cfg), "--out", str(out), "--no-timestamp") == 0
+    assert json.loads(out.read_text())["verdicts"] == {
+        "ordered_residual": "zero", "full_residual": "discrepancy documented"}
+
+
 BAD_FIELDS = {
     "psi-int": {"psi": 5},
     "schedule-int": {"b_schedule": 5},
     "schedule-str": {"b_schedule": ["256"]},
     "schedule-below-rmax": {"b_schedule": [8, 4096]},
+    "schedule-descending": {"b_schedule": [4096, 1600]},
+    "schedule-repeated": {"b_schedule": [1600, 1600]},
+    "modes-repeated": {"modes": ["full", "full"]},
     "modes-int": {"modes": 5},
     "modes-int-list": {"modes": [5]},
     "l-list": {"l": [4]},

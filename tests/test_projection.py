@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 import holoproj
 
 from holoproj import projection
-from holoproj.characters import char_from_table, char_kronecker
+from holoproj.characters import char_conjugate, char_from_spec, char_from_table, char_kronecker
 from holoproj.kernel import WeightError
-from holoproj.calibrate import CalibrationInstance, calibrate_constants
+from holoproj.calibrate import CalibrationInstance, _calibration_equation, calibrate_constants
 from holoproj.projection import (
     OddDimensionError,
     ProjectionConfig,
@@ -30,12 +31,17 @@ from holoproj.projection import (
 )
 from holoproj.qseries import QSeries
 from holoproj.rings import CyclotomicNumber, cyc, value_to_json
-from holoproj.smalldiv import CharacterParityError, MultiIndex, sigma_sm
+from holoproj.smalldiv import CharacterParityError, MultiIndex, sigma_sm, sigma_sm_classical
 
 F = Fraction
 CHI_M4 = char_kronecker(-4)
 CHI_8 = char_kronecker(8)
 CHI_5 = char_kronecker(5)
+# the order-4 character mod 5, its value at 1 spelled as an int and at order 4
+PSI5_ONE_INT = {"modulus": 5, "values": [
+    "0", "1", {"order": 4, "coords": ["0", "1"]}, {"order": 4, "coords": ["0", "-1"]}, "-1"]}
+PSI5_ONE_ORDER4 = {**PSI5_ONE_INT, "values": [
+    "0", {"order": 4, "coords": ["1", "0"]}, *PSI5_ONE_INT["values"][2:]]}
 
 
 def cfg_for(l, rmax, modes=("ordered",), B=None, chi=CHI_8, **kw):
@@ -414,6 +420,32 @@ def test_residual_report_worker_independence():
     assert rep1.to_json_obj(include_timestamp=False) == rep2.to_json_obj(include_timestamp=False)
 
 
+def test_reports_on_two_threads_do_not_share_state():
+    """Two reports running at once on threads of one process, switching as
+    often as the interpreter allows, each give their serial bytes."""
+    psi5 = char_from_spec(PSI5_ONE_INT)
+    cfgs = [ProjectionConfig(CHI_M4, CHI_8, 4, 40, modes=("ordered",)),
+            ProjectionConfig(psi5, CHI_8, 6, 30, modes=("ordered",))]
+    serial = [json.dumps(residual_report(cfg).to_json_obj(False)) for cfg in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = [None, None]
+
+            def run(i):
+                got[i] = json.dumps(residual_report(cfgs[i]).to_json_obj(False))
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads) and got == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_eisenstein_expansion():
     e2 = eisenstein_e2(10)
     assert e2.coeff(0) == cyc(1)
@@ -434,6 +466,35 @@ def test_calibrate_classical_d_both_characters():
     assert res8.consistent
     assert res8.scalars["alpha"] == cyc(0)
     assert res8.scalars["C"] == cyc(1)
+
+
+def _classical_d_equation(psi, r):
+    """The weight-d equation by a direct walk over the (mu, nu) with
+    nu^2 - mu^2 = r: conj(psi)(mu) mu^lam psi(nu) nu^lam times the power
+    difference nu^(1 - 2 lam) - mu^(1 - 2 lam), summed."""
+    lam, shadow = psi.parity, char_conjugate(psi)
+    proj = cyc(0)
+    for mu in range(1, (r - 1) // 2 + 1):
+        nu = math.isqrt(mu * mu + r)
+        am, bn = shadow(mu), psi(nu)
+        if nu * nu != mu * mu + r or am.is_zero() or bn.is_zero():
+            continue
+        kern = F(nu) ** (1 - 2 * lam) - F(mu) ** (1 - 2 * lam)
+        proj = proj + am * (mu ** lam) * bn * (nu ** lam) * cyc(kern)
+    e2 = cyc(-24 * sum(d for d in range(1, r + 1) if r % d == 0))
+    return [e2, -proj], -sigma_sm_classical(r, psi, psi, power=1)
+
+
+@pytest.mark.parametrize("psi", [char_kronecker(d) for d in (-4, 8, 5, -3, -7, 12)]
+                         + [char_from_spec(PSI5_ONE_INT), char_from_spec(PSI5_ONE_ORDER4)],
+                         ids=["-4", "8", "5", "-3", "-7", "12", "psi5-int", "psi5-order4"])
+def test_classical_d_reads_the_ordered_side_as_the_direct_walk(psi):
+    inst = CalibrationInstance("classical-d", psi, psi)
+    for r in range(1, 151):
+        basis, rhs = _calibration_equation(inst, r)
+        want_basis, want_rhs = _classical_d_equation(psi, r)
+        assert ([value_to_json(b) for b in basis], value_to_json(rhs)) == (
+            [value_to_json(b) for b in want_basis], value_to_json(want_rhs)), r
 
 
 def test_calibrate_classical_d2():
