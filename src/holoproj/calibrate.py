@@ -70,20 +70,26 @@ def _power_difference_kernel(lam: int) -> ProjectionKernel:
     return ProjectionKernel(w, "prefactor_on_larger", *_integer_form(kernel_bivariate(w)))
 
 
-def _calibration_equation(inst: CalibrationInstance, r: int):
+def _classical_d_side(psi: DirichletCharacter):
+    """Config and kernel of classical-d's projection sum, the l = 1 ordered
+    side of (psi, conj psi) under the power-difference kernel, built once per
+    calibration.  conj(psi) is odd, which ProjectionConfig rejects as chi, so
+    the config is relaxed to the three fields ordered_coefficient reads."""
+    cfg = SimpleNamespace(psi=psi, chi=char_conjugate(psi), l=1)
+    return cfg, _power_difference_kernel(psi.parity)
+
+
+def _calibration_equation(inst: CalibrationInstance, r: int, side=None):
     """Row (coefficients-of-unknowns, rhs) of the linear system at exponent r.
 
     The cancellation reads lhs(r) = sum_k scalar_k * basis_k(r); rows are
-    returned as ([basis_k(r)...], lhs(r)).
+    returned as ([basis_k(r)...], lhs(r)).  classical-d reads side, its
+    _classical_d_side(psi), built here when not given.
     """
     psi, chi = inst.psi, inst.chi
     if inst.family == "classical-d":
-        # sigma(r) + alpha e2(r) - C proj(r) = 0, proj the l = 1 ordered side
-        # of (psi, conj psi) under the power-difference kernel.  conj(psi) is
-        # odd, which ProjectionConfig rejects as chi, so the config is relaxed
-        # to the three fields ordered_coefficient reads.
-        cfg = SimpleNamespace(psi=psi, chi=char_conjugate(psi), l=1)
-        proj = ordered_coefficient(cfg, _power_difference_kernel(psi.parity), r)
+        # sigma(r) + alpha e2(r) - C proj(r) = 0
+        proj = ordered_coefficient(*(side or _classical_d_side(psi)), r)
         return [cyc(-24 * divisor_sum(r, 1)), -proj], -sigma_sm_classical(r, psi, chi, power=1)
 
     # classical-d2 and kernel-1dim: every pair with nu^2 - mu^2 = r has
@@ -110,7 +116,8 @@ def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,
     if verify_rows < 0:
         raise ValueError(f"verify_rows must be >= 0, got {verify_rows}")
 
-    equations = [_calibration_equation(inst, r) for r in range(1, probe_count + 1)]
+    side = _classical_d_side(inst.psi) if inst.family == "classical-d" else None
+    equations = [_calibration_equation(inst, r, side) for r in range(1, probe_count + 1)]
     solution = _solve_from_pivots(equations, n_unknown)
     if solution is None:
         return CalibrationResult(inst.family, {}, False, True,
@@ -118,7 +125,8 @@ def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,
 
     failures = []
     for r in range(1, probe_count + verify_rows + 1):
-        basis, rhs = equations[r - 1] if r <= probe_count else _calibration_equation(inst, r)
+        basis, rhs = (equations[r - 1] if r <= probe_count
+                      else _calibration_equation(inst, r, side))
         acc = cyc(0)
         for coeff, scal in zip(basis, solution):
             acc = acc + coeff * scal

@@ -86,8 +86,8 @@ def weights_for_dim(l: int) -> WeightData:
 class BivariateLaurent:
     """Sparse exact Laurent polynomial sum c_ij x^i y^j, integer exponents of
     either sign; zero coefficients are never stored, so the representation is
-    canonical.  Coefficients are ints or Fractions, as they come: an int and
-    the equal Fraction compare, hash and print alike."""
+    canonical.  Coefficients are ints or Fractions, as they come; the two
+    compare, hash and print alike (the rings module docstring)."""
 
     __slots__ = ("terms",)
 

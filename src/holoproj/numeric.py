@@ -23,7 +23,7 @@ from .theta import theta_power_direct, theta_series
 
 
 def _to_mpf(x):
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):  # an int of any length, never through str()
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(str(x))
 

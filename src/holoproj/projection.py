@@ -223,7 +223,7 @@ def _group_sums(terms: list, cut: int, oa: int, ob: int, scale: int):
     K a_i b_j summed by _tree_sum, the prefix as its own subtree, then
     zeta_oa^i zeta_ob^j placed at the lcm order and reduced once."""
     order = lcm(oa, ob)
-    raw = [Fraction(0)] * (2 * order)
+    raw = [0] * (2 * order)
     raw_head = list(raw)
     for i in range(len(terms[0][3])):
         for j in range(len(terms[0][4])):

@@ -53,9 +53,12 @@ def _order_groups(series: "QSeries") -> dict:
 
 def _integer_rows(terms, order: int):
     """The terms' coordinates at the given order times their common
-    denominator: (integer rows, denominator)."""
+    denominator: (integer rows, denominator); at denominator 1 the rows are
+    the coordinates, which are then ints."""
     coords = [c.coords if c.order == order else c.lift(order).coords for _, c in terms]
     scale = lcm(*(x.denominator for row in coords for x in row))
+    if scale == 1:
+        return coords, 1
     return [[x.numerator * (scale // x.denominator) for x in row] for row in coords], scale
 
 
@@ -82,8 +85,9 @@ def _product_digits(terms_a, rows_a, terms_b, rows_b, stride: int, bound: int, c
     terms_a, rows equal) packs once.  One decimal product (libmpdec
     multiplies large operands by a number-theoretic transform) gets
     5 * 10^(w - 1) added to every digit at once, which leaves no borrow
-    between digits, so each digit is a slice of one str().  Ints convert
-    through Decimal, which has no digit limit."""
+    between digits, so each digit is a slice of one str().  int() reads a
+    slice directly up to 640 digits, the least int<->str limit Python allows;
+    wider ints convert through Decimal, which has no digit limit."""
     width = (2 * bound).bit_length() * 30103 // 100000 + 1
     zero = "5" + "0" * (width - 1)  # the slice of a zero digit
     total = (terms_a[-1][0] - terms_a[0][0] + terms_b[-1][0] - terms_b[0][0] + 1) * stride
@@ -92,8 +96,9 @@ def _product_digits(terms_a, rows_a, terms_b, rows_b, stride: int, bound: int, c
     end = total * width
     raw = str(_EXACT.fma(packed_a, packed_b, Decimal(zero * total))).zfill(end)
     half = 5 * 10 ** (width - 1)
-    return [0 if d == zero else int(Decimal(d)) - half
-            for d in (raw[i - width:i] for i in range(end, end - count * width, -width))]
+    read = int if width <= 640 else (lambda d: int(Decimal(d)))
+    return [0 if d == zero else read(d) - half
+            for d in [raw[i - width:i] for i in range(end, end - count * width, -width)]]
 
 
 def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: int) -> None:
@@ -128,7 +133,7 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
     if order == 1:
         for s, d in enumerate(digits):
             if d:
-                value = CyclotomicNumber(1, (Fraction(d, scale),))
+                value = CyclotomicNumber(1, (d if scale == 1 else Fraction(d, scale),))
                 i = base + s - v
                 data[i] = value if data[i] is _ZERO else data[i] + value  # as _ZERO + value
         return
@@ -141,7 +146,9 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
         if hits[s]:
             coords = _divmod(digits[s * stride:(s + 1) * stride], modulus)[1]
             i = base + s - v
-            data[i] = data[i] + CyclotomicNumber(order, [Fraction(c, scale) for c in coords])
+            value = CyclotomicNumber(order, coords if scale == 1
+                                     else [Fraction(c, scale) for c in coords])
+            data[i] = value if data[i] is _ZERO else data[i] + value  # as _ZERO + value
 
 
 class QSeries:

@@ -1,10 +1,12 @@
 """Exact coefficient arithmetic: rationals, polynomials and cyclotomic numbers.
 
 Every identity checked by this package is an equality of exact values, never a
-floating-point comparison.  Rationals are ``fractions.Fraction`` (always
-reduced, positive denominator).  ``UnivariatePoly`` is the package's one dense
-polynomial type over Q: it builds Phi_e here, the Jacobi polynomials in
-``jacobi`` and the kernel's u-form in ``kernel``.  Cyclotomic numbers are
+floating-point comparison.  A rational coordinate is an ``int`` when it is
+integral and a ``fractions.Fraction`` otherwise, never a float; an int and
+the equal Fraction compare, hash and print alike.  ``UnivariatePoly`` (with
+Fraction coefficients) is the package's one dense polynomial type over Q: it
+builds Phi_e here, the Jacobi polynomials in ``jacobi`` and the kernel's
+u-form in ``kernel``.  Cyclotomic numbers are
 elements of Q[z]/Phi_e(z) stored as dense coordinate vectors of length
 phi(e); reduction modulo the e-th cyclotomic polynomial is canonical, so two
 equal values at the same order have identical coordinates.  Their hot
@@ -21,7 +23,7 @@ from functools import lru_cache
 from math import gcd
 
 
-def rational_to_str(q: Fraction) -> str:
+def rational_to_str(q: int | Fraction) -> str:
     """Serialize a rational as "p/q" ("p" when the denominator is 1).
 
     Integers print through Decimal, which converts an int exactly and, unlike
@@ -115,7 +117,7 @@ def _divmod(a, b):
     long.  Entries must be Fractions unless b is monic."""
     a = list(a)
     n, lead = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - n, 0)
+    q = [0] * max(len(a) - n, 0)
     for i in range(len(q) - 1, -1, -1):
         c = a[i + n]
         if c:
@@ -147,19 +149,27 @@ def euler_phi(e: int) -> int:
 
 
 def _reduce_mod_cyclotomic(coeffs, e):
-    """Reduce a Fraction coefficient list modulo Phi_e; returns a tuple of
+    """Reduce a rational coefficient list modulo Phi_e; returns a tuple of
     length phi(e)."""
     phi = cyclotomic_polynomial(e)
     rem = _divmod(coeffs, phi)[1]
-    return tuple(rem) + (Fraction(0),) * (len(phi) - 1 - len(rem))
+    return tuple(rem) + (0,) * (len(phi) - 1 - len(rem))
+
+
+def _rational(c):
+    """c as an int when integral, else as a Fraction (exact from a float)."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class CyclotomicNumber:
     """Element of Q(zeta_e), zeta_e = exp(2*pi*i/e).
 
     ``coords[k]`` is the coefficient of zeta_e^k in the canonical basis
-    1, zeta, ..., zeta^(phi(e)-1).  Instances are immutable; all operations
-    return new values and are safe to share across workers.
+    1, zeta, ..., zeta^(phi(e)-1), an int or a non-integral Fraction.
+    Instances are immutable; all operations return new values and are safe
+    to share across workers.
     """
 
     __slots__ = ("order", "coords")
@@ -167,7 +177,7 @@ class CyclotomicNumber:
     def __init__(self, order: int, coords):
         if order < 1:
             raise ValueError(f"order must be positive, got {order}")
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple([c if type(c) is int else _rational(c) for c in coords])
         if len(coords) != euler_phi(order):
             raise ValueError(
                 f"need phi({order}) = {euler_phi(order)} coordinates, got {len(coords)}"
@@ -187,8 +197,8 @@ class CyclotomicNumber:
     def zeta(cls, e: int, k: int = 1) -> "CyclotomicNumber":
         """zeta_e^k."""
         k %= e
-        raw = [Fraction(0)] * (k + 1)
-        raw[k] = Fraction(1)
+        raw = [0] * (k + 1)
+        raw[k] = 1
         return cls(e, _reduce_mod_cyclotomic(raw, e))
 
     # -- order management --------------------------------------------------
@@ -200,7 +210,7 @@ class CyclotomicNumber:
         if e % self.order != 0:
             raise ValueError(f"cannot lift order {self.order} to non-multiple {e}")
         step = e // self.order
-        raw = [Fraction(0)] * ((len(self.coords) - 1) * step + 1)
+        raw = [0] * ((len(self.coords) - 1) * step + 1)
         for k, c in enumerate(self.coords):
             raw[k * step] = c
         return CyclotomicNumber(e, _reduce_mod_cyclotomic(raw, e))
@@ -219,7 +229,7 @@ class CyclotomicNumber:
     def is_rational(self) -> bool:
         return not any(self.coords[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return self.coords[0]
@@ -231,7 +241,7 @@ class CyclotomicNumber:
         if isinstance(x, CyclotomicNumber):
             return x
         if isinstance(x, (int, Fraction)):
-            return CyclotomicNumber(1, (Fraction(x),))
+            return CyclotomicNumber(1, (x,))
         return NotImplemented
 
     def __add__(self, other):
@@ -265,7 +275,7 @@ class CyclotomicNumber:
             return CyclotomicNumber(1, (self.coords[0] * other.coords[0],))
         a, b = self._common(other)
         n = len(a.coords)
-        raw = [Fraction(0)] * (2 * n - 1)
+        raw = [0] * (2 * n - 1)
         for i, x in enumerate(a.coords):
             if x:
                 for j, y in enumerate(b.coords):
@@ -290,7 +300,7 @@ class CyclotomicNumber:
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation: the Galois action zeta -> zeta^(-1)."""
         e = self.order
-        raw = [Fraction(0)] * e
+        raw = [0] * e
         for k, c in enumerate(self.coords):
             raw[(e - k) % e] += c
         return CyclotomicNumber(e, _reduce_mod_cyclotomic(raw, e))
@@ -300,7 +310,7 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic inverse of zero")
         if self.order == 1:
-            return CyclotomicNumber(1, (1 / self.coords[0],))
+            return CyclotomicNumber(1, (Fraction(1, self.coords[0]),))
         r0, r1 = UnivariatePoly(cyclotomic_polynomial(self.order)), UnivariatePoly(self.coords)
         s0, s1 = UnivariatePoly(()), UnivariatePoly((1,))
         while r1.degree() > 0:
@@ -308,7 +318,7 @@ class CyclotomicNumber:
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
         # Phi_e is irreducible, so the last remainder is a nonzero constant
-        inv = s1 * (1 / r1.coeffs[0])
+        inv = s1 * Fraction(1, r1.coeffs[0])
         return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(inv.coeffs, self.order))
 
     def multiplicative_order(self, bound: int = 10_000) -> int:
@@ -346,14 +356,14 @@ class CyclotomicNumber:
         return f"Cyc(order={self.order}, [{terms}])"
 
 
-_ONE = CyclotomicNumber(1, (Fraction(1),))
+_ONE = CyclotomicNumber(1, (1,))
 
 
 def cyc(x) -> CyclotomicNumber:
     """Coerce an int / Fraction / CyclotomicNumber to CyclotomicNumber."""
     if isinstance(x, CyclotomicNumber):
         return x
-    return CyclotomicNumber(1, (Fraction(x),))
+    return CyclotomicNumber(1, (x,))
 
 
 # -- serialization (report-file format) -------------------------------------
@@ -372,7 +382,7 @@ def value_from_json(obj) -> CyclotomicNumber:
         if isinstance(obj, dict):
             if type(obj["order"]) is not int:
                 raise TypeError("order must be an integer")
-            return CyclotomicNumber(obj["order"], [Fraction(c) for c in obj["coords"]])
-        return CyclotomicNumber(1, (Fraction(obj),))
+            return CyclotomicNumber(obj["order"], obj["coords"])
+        return CyclotomicNumber(1, (obj,))
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed value {obj!r}: {exc!r}") from None

@@ -37,7 +37,7 @@ def theta_series(psi: DirichletCharacter, N: int) -> QSeries:
     while n * n <= N:
         v = psi(n)
         if not v.is_zero():
-            coeffs[n * n] = v * (n ** lam)
+            coeffs[n * n] = CyclotomicNumber(v.order, [c * n ** lam for c in v.coords])
         n += 1
     return QSeries(1, N, coeffs)
 
@@ -105,11 +105,9 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
 
     @lru_cache(maxsize=None)
     def coordinates(res, e):
-        """psi(res) at order e as integer coordinates."""
+        """psi(res) at order e, its coordinates."""
         value = psi.values[res]
-        if value.order != e:
-            value = value.lift(e)
-        return tuple(c.numerator if c.denominator == 1 else c for c in value.coords)
+        return (value if value.order == e else value.lift(e)).coords
 
     coeffs = {}
     for norm, keys in groupby(sorted(sums), key=lambda key: key // mod):

@@ -98,6 +98,15 @@ def test_embed_cyclotomic():
         assert abs(i - mp.mpc(0, 1)) < mp.mpf("1e-35")
 
 
+def test_embed_cyclotomic_of_an_int_past_the_str_limit(default_int_str_limit):
+    big = 3 ** 10480 + 1
+    assert 10 ** 5000 < big < 10 ** 5001
+    with pytest.raises(ValueError):
+        str(big)
+    assert embed_cyclotomic(CyclotomicNumber(1, [big])) == mp.mpf(big)
+    assert embed_cyclotomic(CyclotomicNumber(1, [Fraction(big, 7)])) == mp.mpf(big) / 7
+
+
 def test_eval_f_minus_tail_below_1e15():
     res = eval_f_minus(proj_cfg(4), UpperHalfPoint("0.1", "0.8"), 400)
     assert res.tail_estimate < mp.mpf("1e-15")

@@ -296,6 +296,18 @@ def test_mul_matches_schoolbook_product_landmarks(default_int_str_limit):
     assert sys.get_int_max_str_digits() == default_int_str_limit
 
 
+def test_mul_reads_digits_on_both_sides_of_the_least_int_str_limit(default_int_str_limit):
+    """Product digits 600 to 700 decimal places wide, under the least
+    int<->str limit (640 digits) Python allows."""
+    sys.set_int_max_str_digits(640)
+    for k in (295, 300, 320, 325, 340):
+        big = 10 ** k - 1
+        a = QSeries(0, 2, {0: big, 1: -big, 2: CyclotomicNumber(4, [big, 3])})
+        b = QSeries(0, 2, {0: big - 2, 1: Fraction(1, 3)})
+        for x, y in ((a, b), (a, a)):
+            assert slots(x * y) == slots(schoolbook_product(x, y))
+
+
 @pytest.mark.parametrize("name", ["quartic_mod5", "sextic_mod7"])
 @pytest.mark.parametrize("l", [2, 4, 6])
 def test_theta_power_series_matches_lattice_and_schoolbook(name, l):

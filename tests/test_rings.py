@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holoproj.characters import char_kronecker
 from holoproj.rings import (
     CyclotomicNumber,
     UnivariatePoly,
@@ -16,6 +17,7 @@ from holoproj.rings import (
     value_from_json,
     value_to_json,
 )
+from holoproj.theta import theta_power_direct, theta_power_series
 
 
 def zeta(e, k=1):
@@ -115,6 +117,84 @@ def test_lift_round_trip_random():
         coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(euler_phi(e))]
         z = CyclotomicNumber(e, coords)
         assert z.lift(e * mult) == z
+
+
+def _exact_coords(z):
+    """Every coordinate is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in z.coords)
+
+
+def test_rational_inverse_is_a_fraction_not_a_float():
+    third = cyc(3).inverse()
+    assert third.coords == (Fraction(1, 3),) and type(third.coords[0]) is Fraction
+    assert cyc(Fraction(1, 3)).inverse().coords == (3,)
+    assert type(cyc(Fraction(1, 3)).inverse().coords[0]) is int
+    assert type(CyclotomicNumber(4, [3, 0]).inverse().coords[0]) is Fraction
+
+
+def test_coordinates_are_ints_when_integral():
+    assert type(CyclotomicNumber(1, [Fraction(6, 3)]).coords[0]) is int
+    assert type(CyclotomicNumber(1, [True]).coords[0]) is int
+    assert CyclotomicNumber(1, [0.5]).coords == (Fraction(1, 2),)
+    assert CyclotomicNumber(1, ["-4/2"]).coords == (-2,)
+    assert type(CyclotomicNumber(1, ["-4/2"]).coords[0]) is int
+
+
+_OPS = ("+", "-", "*", "**", "inverse", "conjugate", "lift", "==")
+
+
+def _apply(op, a, b, k):
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "**":
+        return a ** k if k >= 0 or not a.is_zero() else a ** -k
+    if op == "inverse":
+        return a.inverse() if not a.is_zero() else a
+    if op == "conjugate":
+        return a.conjugate()
+    return a.lift(a.order * (abs(k) + 1))
+
+
+@given(
+    st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)).flatmap(
+        lambda e: st.tuples(st.just(e), st.lists(st.integers(-6, 6), min_size=euler_phi(e),
+                                                 max_size=euler_phi(e)))),
+        min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 20), st.integers(0, 20),
+                       st.integers(-2, 3)), min_size=1, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_int_and_fraction_coordinates_give_the_same_values(starts, ops):
+    """The same operations on values built from int coordinates and from the
+    equal Fraction coordinates: equal results, hashes and report strings, and
+    never a float or an integral Fraction among the coordinates."""
+    ints = [CyclotomicNumber(e, coords) for e, coords in starts]
+    fracs = [CyclotomicNumber(e, [Fraction(c) for c in coords]) for e, coords in starts]
+    for op, i, j, k in ops:
+        a, b = ints[i % len(ints)], ints[j % len(ints)]
+        fa, fb = fracs[i % len(fracs)], fracs[j % len(fracs)]
+        if op == "==":
+            assert (a == b) == (fa == fb) == (a == fb) == (fa == b)
+            continue
+        ints.append(_apply(op, a, b, k))
+        fracs.append(_apply(op, fa, fb, k))
+    for x, y in zip(ints, fracs):
+        assert x == y and x.order == y.order and x.coords == y.coords
+        assert hash(x) == hash(y)
+        assert value_to_json(x) == value_to_json(y)
+        assert _exact_coords(x) and _exact_coords(y), (x.coords, y.coords)
+
+
+def test_theta_powers_of_a_real_character_hold_only_int_coordinates():
+    psi = char_kronecker(-4)
+    for power in (theta_power_direct(psi, 4, 512), theta_power_series(psi, 4, 512)):
+        coords = [c for _, value in power.nonzero_items() for c in value.coords]
+        assert coords and all(type(c) is int for c in coords)
 
 
 def test_zero_inverse_raises():
