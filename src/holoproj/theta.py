@@ -6,14 +6,16 @@ lattice N^l and never touches series multiplication, so the two paths
 cross-check each other (power via repeated squaring vs direct
 representation-number enumeration).  The enumeration walks one nondecreasing
 tuple per orbit of coordinate permutations, weighted by the orbit's size, with
-radius pruning; it sums integers per (norm, residue of the product) and
-applies the character once per exponent on integer coordinate vectors.
+radius pruning, into dense integer rows indexed by norm: psi's rational
+values (order tag 1, so +-1) fold their signs into the last coordinate's
+power and share one row, and each residue whose value has a higher tag keeps
+its own.  Per norm the character is applied once, at the lcm of the tags
+present, on integer coordinate vectors.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import groupby
+from bisect import bisect_right
 from math import factorial, isqrt, lcm
 
 from .characters import DirichletCharacter
@@ -48,14 +50,16 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
 
     The summand is symmetric, so the descent walks one nondecreasing tuple
     per orbit of coordinate permutations, weighted by the orbit's size
-    l!/prod(run length)!.  A coordinate n at position p is tried only if
-    psi(n) != 0 (exact, by complete multiplicativity) and n^2 (l - p) fits
-    the remaining norm, every later coordinate being at least n.  The
-    weighted products^lambda are summed as integers per (norm, residue of
-    the product); per exponent the character is then applied once, as the
-    sums times the integer coordinates of psi's values at e, the lcm of
-    their orders.  Reduction mod Phi_e is canonical, so values and order
-    tags equal those of adding psi(residue) * sum one residue at a time.
+    l!/prod(run length)!, the last two coordinates in one frame.  A
+    coordinate n is tried only if psi(n) != 0 (exact, by complete
+    multiplicativity) and n^2 times the coordinates left fits the remaining
+    norm.  The sums go into rows indexed by norm: one for the residues of
+    the product where psi is +-1 at tag 1, its sign folded into the last
+    power, and one per residue of a higher tag, whose positive entries say
+    where a point landed.  Per norm, e is the lcm of the tags present (tag 1
+    never changes it) and psi is applied once, at e, on integer coordinates,
+    the rational row on coordinate 0.  Reduction mod Phi_e is canonical, so
+    values and tags equal those of adding psi(residue) * sum one at a time.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
@@ -65,57 +69,72 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
         raise ValueError("trivial character mod 1 is not admitted")
     if N < l:
         return QSeries(1, N, {})
-    mod = psi.modulus
+    mod, values = psi.modulus, psi.values
     lam = psi.parity
-    ns = [n for n in range(1, isqrt(N - l + 1) + 1) if not psi.values[n % mod].is_zero()]
+    ns = [n for n in range(1, isqrt(N - l + 1) + 1) if not values[n % mod].is_zero()]
     squares = [n * n for n in ns]
     powers = [n ** lam for n in ns]
-    count = len(ns)
 
-    # norm * mod + residue of the product -> sum of weight * product^lambda
-    sums: dict[int, int] = {}
+    rational = [0] * (N + 1)
+    rows = {res: rational if v.order == 1 else [0] * (N + 1)
+            for res, v in enumerate(values) if not v.is_zero()}
+    # residue of a product -> (row, signed power) of each next coordinate
+    tables = [None] * mod
+    for res in rows:
+        targets = [res * n % mod for n in ns]
+        tables[res] = ([rows[t] for t in targets],
+                       [p * values[t].coords[0] if rows[t] is rational else p
+                        for p, t in zip(powers, targets)])
 
-    def last(start, budget, prod, res, weight, run):
-        """The final coordinate, from index start on; the first candidate
-        repeats the previous coordinate and extends its run."""
-        norm = N - budget
-        w = weight // (run + 1)
-        for j in range(start, count):
-            sq = squares[j]
-            if sq > budget:
-                return
-            key = (norm + sq) * mod + res * ns[j] % mod
-            sums[key] = sums.get(key, 0) + w * prod * powers[j]
-            w = weight
+    def pair(start, norm, prod, res, weight, run):
+        """The last two coordinates a <= b, from index start on; a first
+        candidate that repeats the previous coordinate extends its run."""
+        for a in range(start, bisect_right(squares, (N - norm) // 2, start)):
+            k = run + 1 if a == start else 1
+            part = prod * powers[a]
+            base = norm + squares[a]
+            row, pw = tables[res * ns[a] % mod]
+            row[a][base + squares[a]] += weight // k // (k + 1) * part * pw[a]
+            c = weight // k * part
+            for b in range(a + 1, bisect_right(squares, N - base, a + 1)):
+                row[b][base + squares[b]] += c * pw[b]
 
-    def descend(position, start, budget, prod, res, weight, run):
-        left = l - position
-        if left == 1:
-            last(start, budget, prod, res, weight, run)
+    def descend(left, start, norm, prod, res, weight, run):
+        if left == 2:
+            pair(start, norm, prod, res, weight, run)
             return
-        for j in range(start, count):
-            sq = squares[j]
-            if sq * left > budget:
-                return
+        for j in range(start, bisect_right(squares, (N - norm) // left, start)):
             k = run + 1 if j == start else 1
-            descend(position + 1, j, budget - sq, prod * powers[j],
+            descend(left - 1, j, norm + squares[j], prod * powers[j],
                     res * ns[j] % mod, weight // k, k)
 
-    descend(0, 0, N, 1, 1 % mod, factorial(l), 0)
+    if l == 1:
+        row, pw = tables[1 % mod]
+        for j, sq in enumerate(squares):
+            row[j][sq] += pw[j]
+    else:
+        descend(l, 0, 0, 1, 1 % mod, factorial(l), 0)
 
-    @lru_cache(maxsize=None)
-    def coordinates(res, e):
-        """psi(res) at order e, its coordinates."""
-        value = psi.values[res]
-        return (value if value.order == e else value.lift(e)).coords
-
+    own = [(values[res], row) for res, row in rows.items() if row is not rational]
+    if not own:
+        return QSeries(l, N, {norm: CyclotomicNumber(1, (s,))
+                              for norm, s in enumerate(rational) if s})
+    plans = {}
     coeffs = {}
-    for norm, keys in groupby(sorted(sums), key=lambda key: key // mod):
-        slot = [(key % mod, sums[key]) for key in keys]
-        e = lcm(*(psi.values[res].order for res, _ in slot))
-        total = [0] * euler_phi(e)
-        for res, amount in slot:
-            for k, c in enumerate(coordinates(res, e)):
+    for norm, sums in enumerate(zip(rational, *(row for _, row in own))):
+        if not any(sums):
+            continue
+        present = tuple(i for i in range(1, len(sums)) if sums[i])
+        plan = plans.get(present)
+        if plan is None:
+            e = lcm(1, *(own[i - 1][0].order for i in present))
+            plan = plans[present] = (e, euler_phi(e), [
+                (i, own[i - 1][0].lift(e).coords) for i in present])
+        e, phi, parts = plan
+        total = [sums[0]] + [0] * (phi - 1)
+        for i, coords in parts:
+            amount = sums[i]
+            for k, c in enumerate(coords):
                 total[k] += amount * c
         if any(total):
             coeffs[norm] = CyclotomicNumber(e, total)

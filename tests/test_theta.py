@@ -1,13 +1,14 @@
 from collections import Counter
 from functools import lru_cache
-from itertools import product
-from math import isqrt, prod
+from itertools import groupby, product
+from math import factorial, gcd, isqrt, lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoproj.characters import char_from_table, char_kronecker
 from holoproj.qseries import QSeries
-from holoproj.rings import CyclotomicNumber, cyc
+from holoproj.rings import CyclotomicNumber, cyc, euler_phi
 from holoproj.theta import theta_power_direct, theta_power_series, theta_series
 
 
@@ -176,3 +177,125 @@ def test_direct_power_matches_brute_force_oracle(name, l):
         want = _theta_power_oracle(psi, l, N)
         assert got.to_json_obj() == want.to_json_obj(), (l, N)
         assert (got.valuation, got.truncation) == (want.valuation, want.truncation), (l, N)
+
+
+def _keyed_walk_power(psi, l, N):
+    """The keyed-dict lattice power the dense rows replaced, kept verbatim as
+    the reference: sums per (norm, residue of the product) in one dict, then
+    per norm a groupby over the sorted keys, the lcm of the residues' tags
+    and a coordinate loop."""
+    if N < l:
+        return QSeries(1, N, {})
+    mod = psi.modulus
+    lam = psi.parity
+    ns = [n for n in range(1, isqrt(N - l + 1) + 1) if not psi.values[n % mod].is_zero()]
+    squares = [n * n for n in ns]
+    powers = [n ** lam for n in ns]
+    count = len(ns)
+
+    # norm * mod + residue of the product -> sum of weight * product^lambda
+    sums: dict[int, int] = {}
+
+    def last(start, budget, prod, res, weight, run):
+        """The final coordinate, from index start on; the first candidate
+        repeats the previous coordinate and extends its run."""
+        norm = N - budget
+        w = weight // (run + 1)
+        for j in range(start, count):
+            sq = squares[j]
+            if sq > budget:
+                return
+            key = (norm + sq) * mod + res * ns[j] % mod
+            sums[key] = sums.get(key, 0) + w * prod * powers[j]
+            w = weight
+
+    def descend(position, start, budget, prod, res, weight, run):
+        left = l - position
+        if left == 1:
+            last(start, budget, prod, res, weight, run)
+            return
+        for j in range(start, count):
+            sq = squares[j]
+            if sq * left > budget:
+                return
+            k = run + 1 if j == start else 1
+            descend(position + 1, j, budget - sq, prod * powers[j],
+                    res * ns[j] % mod, weight // k, k)
+
+    descend(0, 0, N, 1, 1 % mod, factorial(l), 0)
+
+    @lru_cache(maxsize=None)
+    def coordinates(res, e):
+        """psi(res) at order e, its coordinates."""
+        value = psi.values[res]
+        return (value if value.order == e else value.lift(e)).coords
+
+    coeffs = {}
+    for norm, keys in groupby(sorted(sums), key=lambda key: key // mod):
+        slot = [(key % mod, sums[key]) for key in keys]
+        e = lcm(*(psi.values[res].order for res, _ in slot))
+        total = [0] * euler_phi(e)
+        for res, amount in slot:
+            for k, c in enumerate(coordinates(res, e)):
+                total[k] += amount * c
+        if any(total):
+            coeffs[norm] = CyclotomicNumber(e, total)
+    return QSeries(l, N, coeffs)
+
+
+def _mod13_character(order, tag12):
+    """The character mod 13 of the given order, psi(2^k) = zeta_order^k (2
+    generates the units).  Values are spelled at their least tags (+-1 at
+    tag 1), or all at tag 12 when tag12 is set, so no residue is rational."""
+    table, g = [cyc(0)] * 13, 1
+    for k in range(12):
+        j = k * 12 // order % 12               # zeta_order^k = zeta_12^j
+        m = 12 // gcd(12, j)                   # the least tag of that value
+        if tag12:
+            table[g] = CyclotomicNumber.zeta(12, j)
+        else:
+            table[g] = cyc(1 if j == 0 else -1) if m <= 2 else CyclotomicNumber.zeta(m, j * m // 12)
+        g = g * 2 % 13
+    return char_from_table(13, table)
+
+
+_I = CyclotomicNumber.zeta(4)
+ROW_CHARS = {
+    **{f"kron_{d}": char_kronecker(d) for d in (-4, 8, -3, -7, 12, 13)},
+    "quartic_mod5": ORACLE_CHARS["quartic_mod5"],
+    # psi(1) at tag 4 and psi(4) = -1 at tag 2: rational values with their own rows
+    "quartic_mod5_tagged": char_from_table(5, [cyc(0), CyclotomicNumber(4, [1, 0]), _I, -_I,
+                                               CyclotomicNumber(2, [-1])]),
+    **{f"mod13_order{o}{'_tag12' if t else ''}": _mod13_character(o, t)
+       for o in (12, 6, 4, 3) for t in (False, True)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CHARS))
+def test_dense_rows_match_the_keyed_walk(name):
+    psi = ROW_CHARS[name]
+    for l in range(1, 9):
+        for N in sorted({max(l - 1, 1), l, l + 1, 300}):
+            got, want = theta_power_direct(psi, l, N), _keyed_walk_power(psi, l, N)
+            assert got.to_json_obj() == want.to_json_obj(), (l, N)
+            assert (got.valuation, got.truncation) == (want.valuation, want.truncation), (l, N)
+
+
+@given(st.sampled_from(sorted(ROW_CHARS)), st.integers(1, 6), st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+def test_dense_rows_match_the_keyed_walk_property(name, l, N):
+    psi = ROW_CHARS[name]
+    assert theta_power_direct(psi, l, N).to_json_obj() == _keyed_walk_power(psi, l, N).to_json_obj()
+
+
+def test_rational_value_at_a_higher_tag_keeps_its_tag():
+    """psi(4) = i^2 = -1 carries tag 4, so it keeps its own row, and the
+    coefficient at 8 = 2^2 + 2^2 (psi(4) * 2 * 2) stays at order 4."""
+    table, g = [cyc(0)] * 13, 1
+    for k in range(12):
+        table[g] = _I ** k
+        g = g * 2 % 13
+    psi = char_from_table(13, table)
+    assert psi.values[4].order == 4
+    rows = theta_power_direct(psi, 2, 20).to_json_obj()["rows"]
+    assert {"exponent": 8, "value": {"order": 4, "coords": ["-4", "0"]}} in rows
