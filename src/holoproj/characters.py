@@ -182,14 +182,13 @@ def char_conjugate(chi: DirichletCharacter) -> DirichletCharacter:
 def char_from_spec(spec) -> DirichletCharacter:
     """Config-file character spec: {"kronecker": D} or
     {"modulus": M, "values": [...]} (values as ints, "p/q" strings, or
-    {order, coords} objects)."""
-    if not isinstance(spec, dict):
-        raise CharacterTableError(f"character spec must be an object, got {spec!r}")
-    if "kronecker" in spec:
-        return char_kronecker(int(spec["kronecker"]))
-    if "modulus" in spec and "values" in spec:
-        values = [value_from_json(v) for v in spec["values"]]
-        return char_from_table(int(spec["modulus"]), values)
+    {order, coords} objects).  D and M must be JSON integers, the values a
+    list, and no other key may appear."""
+    if isinstance(spec, dict) and spec.keys() == {"kronecker"} and type(spec["kronecker"]) is int:
+        return char_kronecker(spec["kronecker"])
+    if (isinstance(spec, dict) and spec.keys() == {"modulus", "values"}
+            and type(spec["modulus"]) is int and isinstance(spec["values"], list)):
+        return char_from_table(spec["modulus"], [value_from_json(v) for v in spec["values"]])
     raise CharacterTableError(
-        "character spec needs either 'kronecker' or 'modulus'+'values'"
-    )
+        "character spec must be {\"kronecker\": integer} or "
+        f"{{\"modulus\": integer, \"values\": list}}, got {spec!r}")

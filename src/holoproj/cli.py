@@ -149,6 +149,12 @@ def _field(raw: dict, name: str, ok, what: str, *default):
     return raw[name]
 
 
+def _char_field(raw: dict, name: str):
+    spec = _field(raw, name, lambda v: isinstance(v, dict), "an object")
+    with _inputs(f"{name} is not a valid character: "):
+        return char_from_spec(spec)
+
+
 def _is_int(value) -> bool:  # a JSON integer: not a bool, float or string
     return type(value) is int
 
@@ -165,8 +171,7 @@ def _load_verify_config(path):
     unknown = [name for name in raw if name not in _CONFIG_FIELDS]
     if unknown:
         raise ConfigError(f"unknown config field {', '.join(map(repr, unknown))}")
-    psi = char_from_spec(_field(raw, "psi", lambda v: isinstance(v, dict), "an object"))
-    chi = char_from_spec(_field(raw, "chi", lambda v: isinstance(v, dict), "an object"))
+    psi, chi = _char_field(raw, "psi"), _char_field(raw, "chi")
     l = _field(raw, "l", _is_int, "an integer")
     _check_dimension(l)
     rmax = _field(raw, "rmax", _is_int, "an integer")

@@ -6,10 +6,12 @@ ordered_pairs_side enumerates componentwise-dominated lattice pairs directly
 (never via divisors), one coordinate pair per position, on the characters'
 support only.  full_pairs_side collapses the unrestricted pair sum
 through the theta-power coefficients, truncated at a norm bound B with
-doubling-based tail diagnostics, in integers: the kernel's integer ratios
-times the coefficients' integer coordinates, added by binary splitting.  The
-ordered sum equals the sigma sum by an exact bijection; whether the full sum
-does too is precisely the claim under test, so residual_report asserts
+doubling-based tail diagnostics.  Each side's coefficient of q^r is a weight
+per norm M paired with the kernel, sum_M K(M + r, M) c_r(M), and
+_kernel_sum forms that pairing for all three in integers: the kernel's
+integer ratios times the weights' coordinates, added by binary splitting.
+The ordered sum equals the sigma sum by an exact bijection; whether the full
+sum does too is precisely the claim under test, so residual_report asserts
 nothing about it and just ledgers the numbers.
 """
 
@@ -26,8 +28,8 @@ from math import gcd, isqrt, lcm, prod
 
 from .characters import DirichletCharacter
 from .kernel import ProjectionKernel, projection_kernel, weights_for_dim
-from .qseries import QSeries, _integer_rows, _order_groups
-from .rings import CyclotomicNumber, _reduce_mod_cyclotomic, cyc, value_to_json
+from .qseries import QSeries
+from .rings import _ONE, CyclotomicNumber, _reduce_mod_cyclotomic, cyc, value_to_json
 from .smalldiv import (
     CharacterPlacement,
     divisor_sum,
@@ -99,23 +101,19 @@ def sigma_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int,
     the product of the row weights.  A term depends on the entries only as a
     multiset, so each multiset is expanded once and its weights scaled by the
     number of its orderings.  Every row has a^2 - b^2 = n, so |a|^2 = |b|^2 + r
-    and the kernel depends on |b|^2 alone: the weights are summed per |b|^2
-    and the kernel is evaluated once per group, at (|b|^2 + r, |b|^2).  Equal,
-    term for term, to summing sigma_sm over compositions, a consistency the
-    tests pin down."""
+    and the kernel depends on M = |b|^2 alone: the weights are summed per M
+    and paired with K(M + r, M) by _kernel_sum.  Equal, term for term, to
+    summing sigma_sm over compositions, a consistency the tests pin down."""
     if table is None:
         table = sigma_entry_table(cfg, r)
     orderings = Counter(tuple(sorted(parts)) for parts in compositions(r, cfg.l, table))
-    groups: dict[int, CyclotomicNumber] = {}
+    weights: dict[int, CyclotomicNumber] = {}
     for parts, count in orderings.items():
         for rows in product(*(table[v] for v in parts)):
-            b_sq = sum(b * b for _, b, _ in rows)
+            M = sum(b * b for _, b, _ in rows)
             weight = prod((w for _, _, w in rows), start=count)
-            groups[b_sq] = groups[b_sq] + weight if b_sq in groups else weight
-    total = cyc(0)
-    for b_sq, weight in groups.items():
-        total = total + weight * cyc(kernel.eval(b_sq + r, b_sq))
-    return total
+            weights[M] = weights[M] + weight if M in weights else weight
+    return _kernel_sum(kernel, r, [(M, w, _ONE) for M, w in sorted(weights.items())])[0]
 
 
 def sigma_side(cfg: ProjectionConfig) -> QSeries:
@@ -136,8 +134,10 @@ def ordered_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int)
     shares contributes every choice of one pair per share.  The characters
     are completely multiplicative, so these are exactly the tuples with
     nonzero character values.  As for sigma, each multiset of shares is
-    expanded once and scaled by its number of orderings.  This path never
-    looks at divisors.
+    expanded once and scaled by its number of orderings, and the weights
+    chi(prod m) psi(prod n) (prod m)^lambda_chi (prod n)^lambda_psi are
+    summed per M = |m|^2 and paired with K(M + r, M) by _kernel_sum.  This
+    path never looks at divisors.
     """
     l, psi, chi = cfg.l, cfg.psi, cfg.chi
     lam_psi, lam_chi = psi.parity, chi.parity
@@ -148,17 +148,15 @@ def ordered_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int)
             for n in range(m + 1, isqrt(cap + m * m) + 1):
                 if not psi(n).is_zero():
                     pairs.setdefault(n * n - m * m, []).append((m, n))
-    total = cyc(0)
-    bases = {}  # (prod m, |m|^2) -> the m side of a term, shared by all n
+    weights: dict[int, CyclotomicNumber] = {}
     orderings = Counter(tuple(sorted(shares)) for shares in compositions(r, l, pairs))
     for shares, count in orderings.items():
         for choice in product(*(pairs[k] for k in shares)):
             pm, pn = prod(m for m, _ in choice), prod(n for _, n in choice)
             M = sum(m * m for m, _ in choice)
-            if (pm, M) not in bases:
-                bases[pm, M] = chi(pm) * cyc(kernel.eval(M + r, M) * pm ** lam_chi)
-            total = total + psi(pn) * bases[pm, M] * (count * pn ** lam_psi)
-    return total
+            weight = chi(pm) * psi(pn) * (count * pm ** lam_chi * pn ** lam_psi)
+            weights[M] = weights[M] + weight if M in weights else weight
+    return _kernel_sum(kernel, r, [(M, w, _ONE) for M, w in sorted(weights.items())])[0]
 
 
 def ordered_pairs_side(cfg: ProjectionConfig) -> QSeries:
@@ -205,23 +203,13 @@ def _tree_sum(ratios: list, lo: int, hi: int) -> tuple:
     return _add_ratios(_tree_sum(ratios, lo, mid), _tree_sum(ratios, mid, hi))
 
 
-def _integer_coords(series: QSeries):
-    """exponent -> (order tag, integer coordinates) for the nonzero terms, and
-    order tag -> the denominator the coordinates were scaled by."""
-    rows, scales = {}, {}
-    for order, terms in _order_groups(series).items():
-        ints, scales[order] = _integer_rows(terms, order)
-        for (e, _), row in zip(terms, ints):
-            rows[e] = (order, row)
-    return rows, scales
-
-
-def _group_sums(terms: list, cut: int, oa: int, ob: int, scale: int):
-    """The sum of one (alpha order, beta order) group's terms
-    (M, K numerator, K denominator, alpha row, beta row), and of its first
-    `cut` terms: per coordinate pair (i, j), the integer ratios
-    K a_i b_j summed by _tree_sum, the prefix as its own subtree, then
-    zeta_oa^i zeta_ob^j placed at the lcm order and reduced once."""
+def _group_sums(terms: list, cut: int, oa: int, ob: int):
+    """The sum of one (a order, b order) group's terms
+    (M, K numerator, K denominator, a row, b row), and of its first `cut`
+    terms: per coordinate pair (i, j), the integer ratios K a_i b_j (a
+    Fraction coordinate's denominator in the ratio's) summed by _tree_sum,
+    the prefix as its own subtree, then zeta_oa^i zeta_ob^j placed at the
+    lcm order and reduced once."""
     order = lcm(oa, ob)
     raw = [0] * (2 * order)
     raw_head = list(raw)
@@ -231,16 +219,38 @@ def _group_sums(terms: list, cut: int, oa: int, ob: int, scale: int):
             for t, (_, num, den, row_a, row_b) in enumerate(terms):
                 c = num * row_a[i] * row_b[j]
                 if c:
-                    g = gcd(c, den)
-                    ratios.append((c // g, den // g))
+                    c, d = c.numerator, den * c.denominator
+                    g = gcd(c, d)
+                    ratios.append((c // g, d // g))
                     k += t < cut
             head = _tree_sum(ratios, 0, k)
             whole = _add_ratios(head, _tree_sum(ratios, k, len(ratios)))
             at = i * (order // oa) + j * (order // ob)
-            raw[at] += Fraction(whole[0], whole[1] * scale)
-            raw_head[at] += Fraction(head[0], head[1] * scale)
+            raw[at] += Fraction(*whole)
+            raw_head[at] += Fraction(*head)
     return (CyclotomicNumber(order, _reduce_mod_cyclotomic(raw, order)),
             CyclotomicNumber(order, _reduce_mod_cyclotomic(raw_head, order)))
+
+
+def _kernel_sum(kernel: ProjectionKernel, r: int, terms: list, half: int = 0):
+    """The kernel pairing of every side: over the terms (M, a, b),
+    CyclotomicNumbers in ascending M, the sum of K(M + r, M) a b and the
+    same sum over M <= half.  K is the kernel's integer ratio; the terms are
+    grouped by (a order, b order) and each group is summed by _group_sums,
+    the terms with M <= half as its prefix.  A group becomes one
+    CyclotomicNumber at the lcm of its orders, kept even when its terms
+    cancel, so a sum's order tag is that of adding the terms one at a time
+    to an order-1 zero."""
+    groups: dict[tuple, list] = {}
+    for M, a, b in terms:
+        num, den = kernel.ratio(M + r, M)
+        groups.setdefault((a.order, b.order), []).append((M, num, den, a.coords, b.coords))
+    whole = head = cyc(0)
+    for (oa, ob), group in groups.items():
+        cut = bisect_right(group, half, key=lambda t: t[0])
+        w, h = _group_sums(group, cut, oa, ob)
+        whole, head = whole + w, head + h
+    return whole, head
 
 
 def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResult:
@@ -251,15 +261,8 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResu
     with alpha, beta the theta-power coefficients of the chi and psi sides.
     tail_delta records, per r, the change between bounds B/2 and B.
 
-    No term is a Fraction or a CyclotomicNumber.  The coefficients are read
-    as integer coordinates over one denominator per order tag, as the series
-    product reads them, and K as the kernel's integer ratio.  Per r, the
-    terms are grouped by (alpha order, beta order) and summed per coordinate
-    pair by binary splitting; the terms with M <= B/2 are a prefix of the
-    ascending support, so the B/2 sum is the prefix's subtree.  Each group
-    becomes one CyclotomicNumber at the lcm of its two orders, kept even
-    when its terms cancel, so the order tag of a coefficient is that of
-    adding the terms one at a time to an order-1 zero.  At l = 4, R = 40,
+    Per r, _kernel_sum pairs the theta coefficients, as they are, with the
+    kernel and returns the B/2 sum with the B sum.  At l = 4, R = 40,
     B = 65536 (kronecker -4 and 8) this takes 2.3-2.9 s on a 2-vCPU host,
     1.2-1.7 s of it building the theta powers.
     """
@@ -273,28 +276,14 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResu
     if B < cfg.rmax:
         raise ValueError(f"need B >= rmax, got B={B} < {cfg.rmax}")
     kernel = cfg.kernel()
-    alpha, scales_a = _integer_coords(theta_power_direct(cfg.chi, cfg.l, B))
-    beta, scales_b = _integer_coords(theta_power_direct(cfg.psi, cfg.l, B + cfg.rmax))
-    support = sorted(alpha.items())
-    half = B // 2
+    alpha = list(theta_power_direct(cfg.chi, cfg.l, B).nonzero_items())
+    beta = dict(theta_power_direct(cfg.psi, cfg.l, B + cfg.rmax).nonzero_items())
 
-    full_at_b: dict[int, CyclotomicNumber] = {}
-    deltas: dict[int, CyclotomicNumber] = {}
+    full_at_b, deltas = {}, {}
     for r in range(1, cfg.rmax + 1):
-        groups: dict[tuple, list] = {}
-        for M, (oa, row_a) in support:
-            hit = beta.get(M + r)
-            if hit is not None:
-                ob, row_b = hit
-                num, den = kernel.ratio(M + r, M)
-                groups.setdefault((oa, ob), []).append((M, num, den, row_a, row_b))
-        acc = acc_half = cyc(0)
-        for (oa, ob), terms in groups.items():
-            cut = bisect_right(terms, half, key=lambda t: t[0])
-            whole, head = _group_sums(terms, cut, oa, ob, scales_a[oa] * scales_b[ob])
-            acc, acc_half = acc + whole, acc_half + head
-        full_at_b[r] = acc
-        deltas[r] = acc - acc_half
+        terms = [(M, a, beta[M + r]) for M, a in alpha if M + r in beta]
+        full_at_b[r], head = _kernel_sum(kernel, r, terms, B // 2)
+        deltas[r] = full_at_b[r] - head
 
     return FullSideResult(series=QSeries(1, cfg.rmax, full_at_b), tail_delta=deltas)
 

@@ -380,8 +380,10 @@ def value_from_json(obj) -> CyclotomicNumber:
     """The inverse of value_to_json; a malformed value raises ValueError."""
     try:
         if isinstance(obj, dict):
-            if type(obj["order"]) is not int:
-                raise TypeError("order must be an integer")
+            if obj.keys() != {"order", "coords"}:
+                raise KeyError("need the keys order and coords, and no other")
+            if type(obj["order"]) is not int or not isinstance(obj["coords"], list):
+                raise TypeError("order must be an integer and coords a list")
             return CyclotomicNumber(obj["order"], obj["coords"])
         return CyclotomicNumber(1, (obj,))
     except (KeyError, TypeError, ZeroDivisionError) as exc:

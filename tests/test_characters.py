@@ -147,5 +147,11 @@ def test_char_from_spec_formats():
     assert char_from_spec({"kronecker": -4}) == char_kronecker(-4)
     chi = char_from_spec({"modulus": 4, "values": ["0", "1", "0", "-1"]})
     assert chi == char_kronecker(-4)
-    with pytest.raises(CharacterTableError):
-        char_from_spec({"nonsense": 1})
+    # a key or a JSON type the spec does not read is rejected, not ignored
+    # or converted
+    for spec in [{"nonsense": 1}, {"kronecker": -4.9}, {"kronecker": "-4"}, {"kronecker": True},
+                 {"kronecker": -4, "modulus": 5}, {"modulus": 2, "values": "01"},
+                 {"modulus": "4", "values": ["0", "1", "0", "-1"]},
+                 {"modulus": 4, "values": ["0", "1", "0", "-1"], "order": 2}]:
+        with pytest.raises(CharacterTableError, match="character spec must be"):
+            char_from_spec(spec)

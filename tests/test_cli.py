@@ -68,6 +68,13 @@ def test_theta_invalid_char_config_error(tmp_path, capsys):
     assert "char" in capsys.readouterr().err
 
 
+def test_theta_char_with_a_string_discriminant_exits_2(tmp_path, capsys):
+    assert run_cli("theta", "--char", '{"kronecker": "-4"}', "--terms", "10",
+                   "--out", str(tmp_path / "x.json")) == 2
+    assert capsys.readouterr().err.startswith("config error: --char: ")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_verify_one_dimensional_closure(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "report.json"
@@ -393,6 +400,18 @@ def test_readme_verify_example_runs(tmp_path):
 
 BAD_FIELDS = {
     "psi-int": {"psi": 5},
+    "psi-kronecker-float": {"psi": {"kronecker": -4.9}},
+    "psi-kronecker-str": {"psi": {"kronecker": "-4"}},
+    "chi-kronecker-float": {"chi": {"kronecker": 8.0}},
+    "chi-kronecker-and-values": {"chi": {"kronecker": 8, "values": []}},
+    "psi-unknown-key": {"psi": {"kronecker": -4, "modulus": 5}},
+    "chi-modulus-str": {"chi": {"modulus": "8",
+                                "values": ["0", "1", "0", "-1", "0", "-1", "0", "1"]}},
+    "psi-coords-str": {"psi": {"modulus": 5, "values": [
+        "0", "1", {"order": 4, "coords": "01"}, {"order": 4, "coords": ["0", "-1"]}, "-1"]}},
+    "psi-value-unknown-key": {"psi": {"modulus": 5, "values": [
+        "0", "1", {"order": 4, "coords": ["0", "1"], "name": "i"},
+        {"order": 4, "coords": ["0", "-1"]}, "-1"]}},
     "schedule-int": {"b_schedule": 5},
     "schedule-str": {"b_schedule": ["256"]},
     "schedule-below-rmax": {"b_schedule": [8, 4096]},

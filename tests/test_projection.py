@@ -27,11 +27,18 @@ from holoproj.projection import (
     ordered_coefficient,
     ordered_pairs_side,
     residual_report,
+    sigma_coefficient,
     sigma_side,
 )
 from holoproj.qseries import QSeries
-from holoproj.rings import CyclotomicNumber, cyc, value_to_json
-from holoproj.smalldiv import CharacterParityError, MultiIndex, sigma_sm, sigma_sm_classical
+from holoproj.rings import CyclotomicNumber, cyc, rational_to_str, value_to_json
+from holoproj.smalldiv import (
+    CharacterParityError,
+    MultiIndex,
+    sigma_entry_table,
+    sigma_sm,
+    sigma_sm_classical,
+)
 
 F = Fraction
 CHI_M4 = char_kronecker(-4)
@@ -102,8 +109,6 @@ def test_sigma_side_first_nonzero_rows_l4():
 def test_sigma_coefficient_matches_composition_sum():
     # the table-walking fast path must equal, exactly, the straightforward
     # sum of sigma_sm over compositions
-    from holoproj.projection import sigma_coefficient
-
     for chi in (CHI_8, CHI_5):
         cfg = cfg_for(4, 24, chi=chi)
         kernel = cfg.kernel()
@@ -211,12 +216,77 @@ def test_ordered_coefficient_matches_brute_force(l, rmax, pair):
         assert got == expected[r], (r, got, expected[r])
 
 
+def _sigma_oracle(cfg, kernel, r, table):
+    """The sigma sum at r one term at a time, as JSON: for every composition
+    of r into l table entries (orderings not merged) and every choice of one
+    row per entry, the row weights' product times K(M + r, M), M = |b|^2,
+    added to an order-1 zero, which fixes both the value and the order tag."""
+    total = cyc(0)
+    for parts in compositions(r, cfg.l, table):
+        for rows in itertools.product(*(table[v] for v in parts)):
+            M = sum(b * b for _, b, _ in rows)
+            weight = math.prod((w for _, _, w in rows), start=cyc(1))
+            total = total + weight * cyc(kernel.eval(M + r, M))
+    return value_to_json(total)
+
+
+@pytest.mark.parametrize("pair", list(ORACLE_PAIRS))
+@pytest.mark.parametrize("l,rmax", [(1, 40), (4, 24), (6, 30)])
+def test_sigma_coefficient_matches_the_term_by_term_sum(l, rmax, pair):
+    """Values and order tags."""
+    psi, chi = ORACLE_PAIRS[pair]
+    cfg = ProjectionConfig(psi, chi, l, rmax, modes=("ordered",))
+    kernel, table = cfg.kernel(), sigma_entry_table(cfg, rmax)
+    for r in range(1, rmax + 1):
+        got = value_to_json(sigma_coefficient(cfg, kernel, r, table))
+        assert got == _sigma_oracle(cfg, kernel, r, table), r
+
+
+def _cancelling_sigma_table():
+    """An l = 1 table with which, at r = 15, the terms of the group M = 1
+    cancel at tag 4 (rows (4, 1, i) and (4, 1, -i)) beside a rational term
+    at M = 49.  Returns (config, table)."""
+    i = CyclotomicNumber.zeta(4)
+    cfg = ProjectionConfig(QUARTIC_MOD5, CHI_8, 1, 15, modes=("ordered",))
+    return cfg, {15: [(8, 7, cyc(1)), (4, 1, i), (4, 1, -i)]}
+
+
+def test_a_cancelled_sigma_group_keeps_its_order_tag():
+    cfg, table = _cancelling_sigma_table()
+    kernel = cfg.kernel()
+    got = value_to_json(sigma_coefficient(cfg, kernel, 15, table))
+    assert got == _sigma_oracle(cfg, kernel, 15, table)
+    assert got == {"order": 4, "coords": [rational_to_str(kernel.eval(64, 49)), "0"]}
+
+
+def test_dropping_a_cancelled_sigma_groups_tag_is_caught(monkeypatch):
+    """Mutant: a per-M group whose weights cancel reaches the kernel pairing
+    as an order-1 zero."""
+    cfg, table = _cancelling_sigma_table()
+    kernel_sum = projection._kernel_sum
+
+    def untagged(kernel, r, terms, half=0):
+        return kernel_sum(kernel, r, [(M, cyc(0) if a.is_zero() else a, b)
+                                      for M, a, b in terms], half)
+
+    monkeypatch.setattr(projection, "_kernel_sum", untagged)
+    kernel = cfg.kernel()
+    got = value_to_json(sigma_coefficient(cfg, kernel, 15, table))
+    assert got != _sigma_oracle(cfg, kernel, 15, table)
+
+
 @pytest.mark.parametrize("l,rmax,chi", [
     (4, 30, CHI_8), (4, 24, CHI_5), (6, 20, CHI_5), (8, 40, CHI_8), (8, 40, CHI_5),
+    (6, 56, CHI_8), (8, 72, CHI_8), (10, 88, CHI_8),
 ])
 def test_bijection_sigma_equals_ordered(l, rmax, chi):
     cfg = cfg_for(l, rmax, chi=chi)
-    assert sigma_side(cfg).agrees_with(ordered_pairs_side(cfg), 1, rmax)
+    sigma = sigma_side(cfg)
+    assert sigma.agrees_with(ordered_pairs_side(cfg), 1, rmax)
+    if chi is CHI_8 and rmax >= 8 * l:
+        # n > m >= 1 both odd, so every share n^2 - m^2 is at least 3^2 - 1^2:
+        # sigma is zero below 8l and the comparison above covers a nonzero row
+        assert sigma.min_nonzero_exponent() == 8 * l
 
 
 def test_bijection_over_complex_character_values():

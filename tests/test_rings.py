@@ -224,7 +224,9 @@ def test_value_serialization_round_trip():
 
 
 @pytest.mark.parametrize("obj", [{"order": "2", "coords": ["-1"]}, {"order": 2.0, "coords": ["-1"]},
-                                 {"order": True, "coords": ["1"]}, {"order": 2, "coords": 5}])
+                                 {"order": True, "coords": ["1"]}, {"order": 2, "coords": 5},
+                                 {"order": 4, "coords": "01"}, {"order": 2, "coords": ("-1",)},
+                                 {"order": 2, "coords": ["-1"], "name": "-1"}, {"coords": ["-1"]}])
 def test_value_with_a_non_integer_order_or_bad_coords_is_malformed(obj):
     with pytest.raises(ValueError, match=re.escape(f"malformed value {obj!r}")):
         value_from_json(obj)
