@@ -16,7 +16,13 @@ from types import SimpleNamespace
 
 from .characters import DirichletCharacter, char_conjugate
 from .kernel import ProjectionKernel, _integer_form, kernel_bivariate, weights_for_dim
-from .projection import ProjectionConfig, ordered_coefficient, sigma_coefficient
+from .projection import (
+    ProjectionConfig,
+    ordered_coefficient,
+    ordered_power,
+    sigma_coefficient,
+    sigma_power,
+)
 from .rings import cyc, value_to_json
 from .smalldiv import divisor_sum, require_twist_pair, sigma_sm_classical
 
@@ -70,35 +76,40 @@ def _power_difference_kernel(lam: int) -> ProjectionKernel:
     return ProjectionKernel(w, "prefactor_on_larger", *_integer_form(kernel_bivariate(w)))
 
 
-def _classical_d_side(psi: DirichletCharacter):
-    """Config and kernel of classical-d's projection sum, the l = 1 ordered
-    side of (psi, conj psi) under the power-difference kernel, built once per
-    calibration.  conj(psi) is odd, which ProjectionConfig rejects as chi, so
-    the config is relaxed to the three fields ordered_coefficient reads."""
-    cfg = SimpleNamespace(psi=psi, chi=char_conjugate(psi), l=1)
-    return cfg, _power_difference_kernel(psi.parity)
+def _sides(inst: CalibrationInstance, rmax: int):
+    """(config, kernel, ordered power, sigma power or None) that the rows
+    r <= rmax of a calibration read, built once per calibration.
+
+    classical-d's projection sum is the l = 1 ordered side of (psi, conj psi)
+    under the power-difference kernel; conj(psi) is odd, which
+    ProjectionConfig rejects as chi, so the config is relaxed to the three
+    fields ordered_power reads.  For classical-d2 and kernel-1dim every pair
+    with nu^2 - mu^2 = r has nu > mu, so the l = 1 ordered side is the whole
+    projection sum; kernel-1dim also reads the l = 1 sigma side."""
+    if inst.family == "classical-d":
+        cfg = SimpleNamespace(psi=inst.psi, chi=char_conjugate(inst.psi), l=1)
+        return cfg, _power_difference_kernel(inst.psi.parity), ordered_power(cfg, rmax), None
+    cfg = ProjectionConfig(inst.psi, inst.chi, 1, rmax, modes=("ordered",))
+    sigma = sigma_power(cfg, rmax) if inst.family == "kernel-1dim" else None
+    return cfg, cfg.kernel(), ordered_power(cfg, rmax), sigma
 
 
-def _calibration_equation(inst: CalibrationInstance, r: int, side=None):
+def _calibration_equation(inst: CalibrationInstance, r: int, sides=None):
     """Row (coefficients-of-unknowns, rhs) of the linear system at exponent r.
 
     The cancellation reads lhs(r) = sum_k scalar_k * basis_k(r); rows are
-    returned as ([basis_k(r)...], lhs(r)).  classical-d reads side, its
-    _classical_d_side(psi), built here when not given.
+    returned as ([basis_k(r)...], lhs(r)).  sides is _sides(inst, R) for
+    some R >= r, built here when not given.
     """
     psi, chi = inst.psi, inst.chi
+    cfg, kernel, ordered, sigma = sides or _sides(inst, r)
+    proj = ordered_coefficient(cfg, kernel, r, ordered)
     if inst.family == "classical-d":
         # sigma(r) + alpha e2(r) - C proj(r) = 0
-        proj = ordered_coefficient(*(side or _classical_d_side(psi)), r)
         return [cyc(-24 * divisor_sum(r, 1)), -proj], -sigma_sm_classical(r, psi, chi, power=1)
-
-    # classical-d2 and kernel-1dim: every pair with nu^2 - mu^2 = r has
-    # nu > mu, so the l = 1 ordered side is the whole projection sum
-    cfg = ProjectionConfig(psi, chi, 1, r, modes=("ordered",))
-    proj = ordered_coefficient(cfg, cfg.kernel(), r)
     if inst.family == "classical-d2":
         return [proj], sigma_sm_classical(r, psi, chi, power=2)
-    return [proj], sigma_coefficient(cfg, cfg.kernel(), r)
+    return [proj], sigma_coefficient(cfg, kernel, r, power=sigma)
 
 
 def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,
@@ -116,8 +127,8 @@ def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,
     if verify_rows < 0:
         raise ValueError(f"verify_rows must be >= 0, got {verify_rows}")
 
-    side = _classical_d_side(inst.psi) if inst.family == "classical-d" else None
-    equations = [_calibration_equation(inst, r, side) for r in range(1, probe_count + 1)]
+    sides = _sides(inst, probe_count + verify_rows)
+    equations = [_calibration_equation(inst, r, sides) for r in range(1, probe_count + 1)]
     solution = _solve_from_pivots(equations, n_unknown)
     if solution is None:
         return CalibrationResult(inst.family, {}, False, True,
@@ -126,7 +137,7 @@ def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,
     failures = []
     for r in range(1, probe_count + verify_rows + 1):
         basis, rhs = (equations[r - 1] if r <= probe_count
-                      else _calibration_equation(inst, r, side))
+                      else _calibration_equation(inst, r, sides))
         acc = cyc(0)
         for coeff, scal in zip(basis, solution):
             acc = acc + coeff * scal

@@ -47,12 +47,15 @@ def _c_str(z):
     return {"re": mp.nstr(mp.re(z), 20), "im": mp.nstr(mp.im(z), 20)}
 
 
-def _parse_char(text: str):
-    if text.startswith("kronecker:"):
-        return char_kronecker(int(text.split(":", 1)[1]))
-    if text.startswith("{"):
-        return char_from_spec(json.loads(text))
-    raise ConfigError(f"character spec {text!r}: use kronecker:D or inline JSON")
+def _parse_char(text: str, flag: str):
+    """The character that option `flag` spells as kronecker:D or inline JSON;
+    a bad spec is a ConfigError that names the flag."""
+    with _inputs(f"{flag}: "):
+        if text.startswith("kronecker:"):
+            return char_kronecker(int(text.split(":", 1)[1]))
+        if text.startswith("{"):
+            return char_from_spec(json.loads(text))
+        raise ValueError(f"character spec {text!r}: use kronecker:D or inline JSON")
 
 
 def _write_outputs(out, obj, csv_path=None, csv_rows=()):
@@ -92,7 +95,7 @@ def _cmd_theta(args) -> int:
     if args.terms < 1 or args.pow < 1:
         raise ConfigError(f"--terms and --pow must be >= 1, got {args.terms} and {args.pow}")
     with _inputs("--char: "):  # the mod-1 character is rejected before any summation
-        psi = _parse_char(args.char)
+        psi = _parse_char(args.char, "--char")
         series = theta_power_direct(psi, args.pow, args.terms)
     obj = {
         "character": {"modulus": psi.modulus, "parity": psi.parity, "order": psi.order},
@@ -107,7 +110,7 @@ def _cmd_sigma_table(args) -> int:
     _check_dimension(args.l)
     with _inputs():
         cfg = ProjectionConfig(
-            _parse_char(args.psi), _parse_char(args.chi), args.l, args.rmax,
+            _parse_char(args.psi, "--psi"), _parse_char(args.chi, "--chi"), args.l, args.rmax,
             modes=("ordered",),
             placement=CharacterPlacement(args.placement),
             orientation=args.orientation,
@@ -232,7 +235,8 @@ def _cmd_closed_forms(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     with _inputs():
-        inst = CalibrationInstance(args.family, _parse_char(args.psi), _parse_char(args.chi))
+        inst = CalibrationInstance(args.family, _parse_char(args.psi, "--psi"),
+                                   _parse_char(args.chi, "--chi"))
     need = len(CAL_UNKNOWNS[args.family]) + 1
     if args.probes < need or args.verify_rows < 0:
         raise ConfigError(f"--probes must be >= {need} for {args.family} and --verify-rows >= 0, "
@@ -277,8 +281,8 @@ def _cmd_numeric(args) -> int:
 
     if args.check in ("xi", "f-minus"):
         with _inputs():
-            psi = _parse_char(args.psi) if args.psi else char_kronecker(-4)
-            chi = _parse_char(args.chi) if args.chi else char_kronecker(8)
+            psi = _parse_char(args.psi, "--psi") if args.psi else char_kronecker(-4)
+            chi = _parse_char(args.chi, "--chi") if args.chi else char_kronecker(8)
             cfg = ProjectionConfig(psi, chi, args.l, 1, modes=())
             point = UpperHalfPoint(args.tau_u, args.tau_v)
             if args.check == "xi":
@@ -317,8 +321,8 @@ def _cmd_numeric(args) -> int:
         })
         return 0
 
-    with _inputs("--char: "):  # eichler, the last of the parser's choices
-        char = _parse_char(args.char) if args.char else char_kronecker(8)
+    # eichler, the last of the parser's choices
+    char = _parse_char(args.char, "--char") if args.char else char_kronecker(8)
     fit = UpperHalfPoint("0.1", "1.0")
     verify = [UpperHalfPoint("0.3", "0.9"), UpperHalfPoint("-0.2", "1.3"),
               UpperHalfPoint("0.05", "0.7"), UpperHalfPoint("0", "2.0"),
@@ -337,10 +341,7 @@ def _cmd_numeric(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="holoproj")
-    sub = p.add_subparsers(dest="command", required=True)
-
+def _add_theta(sub) -> None:
     t = sub.add_parser("theta", help="theta series / power expansion")
     t.add_argument("--char", required=True, help="kronecker:D or inline JSON spec")
     t.add_argument("--pow", type=int, default=1)
@@ -349,6 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--csv", default=None, help="also write the coefficient table as CSV")
     t.set_defaults(func=_cmd_theta)
 
+
+def _add_sigma_table(sub) -> None:
     st = sub.add_parser("sigma-table", help="small divisor function table")
     st.add_argument("--psi", required=True)
     st.add_argument("--chi", required=True)
@@ -360,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--out", default="-")
     st.set_defaults(func=_cmd_sigma_table)
 
+
+def _add_verify(sub) -> None:
     v = sub.add_parser("verify", help="run the residual ledger from a JSON config")
     v.add_argument("--config", required=True)
     v.add_argument("--out", default="-")
@@ -368,11 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--no-timestamp", action="store_true")
     v.set_defaults(func=_cmd_verify)
 
+
+def _add_closed_forms(sub) -> None:
     cf = sub.add_parser("closed-forms", help="kernel closed-form cross-check")
     cf.add_argument("--orientation", default="prefactor_on_larger", choices=ORIENTATIONS)
     cf.add_argument("--out", default="-")
     cf.set_defaults(func=_cmd_closed_forms)
 
+
+def _add_calibrate(sub) -> None:
     c = sub.add_parser("calibrate", help="calibrate-then-verify a 1-dim instance")
     c.add_argument("--family", required=True, choices=CAL_FAMILIES)
     c.add_argument("--psi", required=True)
@@ -382,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default="-")
     c.set_defaults(func=_cmd_calibrate)
 
+
+def _add_numeric(sub) -> None:
     n = sub.add_parser("numeric", help="floating-point companion checks")
     n.add_argument("check", choices=["gamma-grid", "xi", "f-minus", "eichler"])
     n.add_argument("--l", type=int, default=4)
@@ -397,11 +408,32 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--out", default="-")
     n.set_defaults(func=_cmd_numeric)
 
+
+# each command's subparser builder, in the order --help lists them
+_COMMANDS = {
+    "theta": _add_theta,
+    "sigma-table": _add_sigma_table,
+    "verify": _add_verify,
+    "closed-forms": _add_closed_forms,
+    "calibrate": _add_calibrate,
+    "numeric": _add_numeric,
+}
+
+
+def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
+    """The parser with the subparsers of `commands` (all by default)."""
+    p = argparse.ArgumentParser(prog="holoproj")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in commands:
+        _COMMANDS[name](sub)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run builds only its own command's subparser; --help, a missing or an
+    # unknown command needs them all, to list them
+    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

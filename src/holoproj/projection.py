@@ -1,10 +1,16 @@
 """Both sides of the cancellation identity, computed independently, and the
 residual ledger comparing them.
 
-sigma_side sums the multi-index small divisor function over compositions.
-ordered_pairs_side enumerates componentwise-dominated lattice pairs directly
-(never via divisors), one coordinate pair per position, on the characters'
-support only.  full_pairs_side collapses the unrestricted pair sum
+The sigma and ordered sides are l-th powers of bivariate series in X (the
+norm M) and Y (the exponent r), each summand of which factors over the l
+coordinates except for the kernel, which depends on M and r alone.
+sigma_side raises H, one term per divisor substitution (a, b) of an entry
+value, to the l-th power; ordered_pairs_side raises G, one term per
+coordinate pair n > m on the characters' support (never via divisors).  The
+two base series are built independently and share only _graded_power, which
+sums every tuple's term per (r, M, grade) in integers; the grades carry the
+character values with the order tags a term-by-term sum would print.
+full_pairs_side collapses the unrestricted pair sum
 through the theta-power coefficients, truncated at a norm bound B with
 doubling-based tail diagnostics.  Each side's coefficient of q^r is a weight
 per norm M paired with the kernel, sum_M K(M + r, M) c_r(M), and
@@ -19,12 +25,11 @@ from __future__ import annotations
 
 import datetime as _dt
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 from .characters import DirichletCharacter
 from .kernel import ProjectionKernel, projection_kernel, weights_for_dim
@@ -72,8 +77,8 @@ def compositions(total: int, parts: int, keys=None):
     """Every tuple of `parts` members of `keys` (distinct positive integers,
     all of them by default) that sums to `total`, in lexicographic order.  A
     prefix stops as soon as the parts still to come cannot fit at the least
-    key.  The one multi-index enumerator: the sigma and ordered sides, the
-    sigma table and the lemma-gap witnesses all walk it."""
+    key.  The one multi-index enumerator: the sigma table and the lemma-gap
+    witnesses walk it."""
     keys = sorted(range(1, total + 1) if keys is None else keys)
     if not keys or parts < 1:
         return
@@ -92,79 +97,174 @@ def compositions(total: int, parts: int, keys=None):
     yield from walk((), total, parts)
 
 
-def sigma_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int,
-                      table: dict | None = None) -> CyclotomicNumber:
-    """Sum of sigma_sm over the multi-indices with entry sum r.
+class GradedPower(NamedTuple):
+    """One side's base series raised to the l-th power, truncated at Y-degree
+    rmax: rows[r][grade][M] is the integer coefficient of X^M Y^r at that
+    grade, and values[grade] is the grade's spelled value."""
+    rows: dict
+    values: dict
 
-    Walks the compositions of r into l keys of the per-entry table; each
-    contributes every choice of one row (a, b, weight) per entry, weighted by
-    the product of the row weights.  A term depends on the entries only as a
-    multiset, so each multiset is expanded once and its weights scaled by the
-    number of its orderings.  Every row has a^2 - b^2 = n, so |a|^2 = |b|^2 + r
-    and the kernel depends on M = |b|^2 alone: the weights are summed per M
-    and paired with K(M + r, M) by _kernel_sum.  Equal, term for term, to
-    summing sigma_sm over compositions, a consistency the tests pin down."""
+
+def _graded_power(base: dict, l: int, rmax: int, times) -> dict:
+    """base^l truncated at Y-degree rmax, both as {r: {grade: {M: int}}}.
+
+    Two terms multiply by adding their r and their M and by combining their
+    grades with times(g, h), memoised here.  The power is l - 1 products by
+    the base, which holds one M per coordinate pair or table row: at l = 10
+    this measured faster than binary powering, whose squarings pair two
+    dense powers.  A partial power keeps only the Y-degrees that the
+    factors still to come, each of degree at least the base's least, leave
+    room for."""
+    least = min(base, default=rmax + 1)
+    power = base = {r: grades for r, grades in base.items() if r <= rmax - (l - 1) * least}
+    products = {}
+    for e in range(2, l + 1):
+        cap, out = rmax - (l - e) * least, {}
+        for ra, grades_a in power.items():
+            for rb, grades_b in base.items():
+                if ra + rb > cap:
+                    continue
+                row = out.setdefault(ra + rb, {})
+                for ga, col_a in grades_a.items():
+                    for gb, col_b in grades_b.items():
+                        g = products.get((ga, gb))
+                        if g is None:
+                            g = products[ga, gb] = times(ga, gb)
+                        col = row.setdefault(g, {})
+                        get = col.get
+                        for Ma, ca in col_a.items():
+                            for Mb, cb in col_b.items():
+                                col[Ma + Mb] = get(Ma + Mb, 0) + ca * cb
+        power = out
+    return power
+
+
+def _add_term(base: dict, r: int, grade, M: int, c: int) -> None:
+    col = base.setdefault(r, {}).setdefault(grade, {})
+    col[M] = col.get(M, 0) + c
+
+
+def sigma_power(cfg, rmax: int, table: dict | None = None) -> GradedPower:
+    """H^l with H = sum over the table rows (a, b, w) of w X^(b^2) Y^(a^2 - b^2).
+
+    A row's grade is the unit of w, w divided by its positive integer content
+    (the content is a^lambda b^lambda, the unit a character value), and grades
+    multiply as CyclotomicNumbers.  So a grade's order tag is the lcm of its
+    rows' tags, which is the tag the product of the row weights gets."""
     if table is None:
-        table = sigma_entry_table(cfg, r)
-    orderings = Counter(tuple(sorted(parts)) for parts in compositions(r, cfg.l, table))
+        table = sigma_entry_table(cfg, rmax)
+    base, values = {}, {}
+    for n, rows in table.items():
+        for _, b, w in rows:
+            content = gcd(*w.coords)
+            unit = CyclotomicNumber(w.order, [c // content for c in w.coords])
+            grade = (unit.order, unit.coords)
+            values[grade] = unit
+            _add_term(base, n, grade, b * b, content)
+
+    def times(g, h):
+        product = values[g] * values[h]
+        grade = (product.order, product.coords)
+        values.setdefault(grade, product)
+        return grade
+
+    return GradedPower(_graded_power(base, cfg.l, rmax, times), values)
+
+
+def ordered_power(cfg, rmax: int) -> GradedPower:
+    """G^l with G = sum over the coordinate pairs n > m >= 1 with chi(m) psi(n)
+    nonzero of m^lambda_chi n^lambda_psi X^(m^2) Y^(n^2 - m^2).
+
+    A pair's grade is the class of (m mod q_chi, n mod q_psi) among the unit
+    residue pairs, two pairs (u, v) and (u', v') sharing a class when
+    chi(uw) psi(vz) and chi(u'w) psi(v'z) are spelled alike (value and order
+    tag) for every unit pair (w, z), that is, when (u'/u, v'/v) fixes every
+    spelled product.  Classes multiply as residues do, and a class's value
+    is chi(u) psi(v) at any of its pairs: the value, and the tag, that
+    chi(prod m) psi(prod n) has.  Never looks at divisors."""
+    l, psi, chi = cfg.l, cfg.psi, cfg.chi
+    qc, qp = chi.modulus, psi.modulus
+    value = {(u, v): chi(u) * psi(v) for u in range(qc) if chi(u) for v in range(qp) if psi(v)}
+    spelled = {pair: (z.order, z.coords) for pair, z in value.items()}
+    # the classes are the cosets of the unit pairs that fix every spelled product
+    fixing = [(a, b) for a, b in value
+              if all(spelled[a * u % qc, b * v % qp] == s for (u, v), s in spelled.items())]
+    grade, rep = {}, {}
+    for u, v in value:
+        if (u, v) not in grade:
+            g = len(rep)
+            rep[g] = u, v
+            for a, b in fixing:
+                grade[u * a % qc, v * b % qp] = g
+
+    def times(g, h):
+        (u, v), (w, z) = rep[g], rep[h]
+        return grade[u * w % qc, v * z % qp]
+
+    lam_psi, lam_chi = psi.parity, chi.parity
+    cap = rmax - 3 * (l - 1)  # each other share is at least 2^2 - 1^2 = 3
+    base = {}
+    for m in range(1, (cap - 1) // 2 + 1):
+        if chi(m):
+            for n in range(m + 1, isqrt(cap + m * m) + 1):
+                if psi(n):
+                    _add_term(base, n * n - m * m, grade[m % qc, n % qp], m * m,
+                              m ** lam_chi * n ** lam_psi)
+    values = {g: value[pair] for g, pair in rep.items()}
+    return GradedPower(_graded_power(base, l, rmax, times), values)
+
+
+def _pair_power(kernel: ProjectionKernel, r: int, power: GradedPower) -> CyclotomicNumber:
+    """The coefficient of q^r: per M, the weight sum over grades of value
+    times integer, paired with K(M + r, M) by _kernel_sum."""
     weights: dict[int, CyclotomicNumber] = {}
-    for parts, count in orderings.items():
-        for rows in product(*(table[v] for v in parts)):
-            M = sum(b * b for _, b, _ in rows)
-            weight = prod((w for _, _, w in rows), start=count)
-            weights[M] = weights[M] + weight if M in weights else weight
+    for g, col in power.rows.get(r, {}).items():
+        value = power.values[g]
+        for M, c in col.items():
+            term = value * c
+            weights[M] = weights[M] + term if M in weights else term
     return _kernel_sum(kernel, r, [(M, w, _ONE) for M, w in sorted(weights.items())])[0]
+
+
+def sigma_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int,
+                      table: dict | None = None, power: GradedPower | None = None
+                      ) -> CyclotomicNumber:
+    """Sum of sigma_sm over the multi-indices with entry sum r: the
+    coefficient of Y^r in sigma_power, paired with the kernel.  Every row
+    has a^2 - b^2 = n, so |a|^2 = |b|^2 + r and the kernel depends on
+    M = |b|^2 alone.  Equal, term for term, to summing sigma_sm over
+    compositions, a consistency the tests pin down.  power, when given, is
+    sigma_power(cfg, R) for some R >= r, and table is then not read."""
+    if power is None:
+        power = sigma_power(cfg, r, table)
+    return _pair_power(kernel, r, power)
+
+
+def _side(cfg: ProjectionConfig, power: GradedPower) -> QSeries:
+    kernel = cfg.kernel()
+    return QSeries(1, cfg.rmax, {r: _pair_power(kernel, r, power)
+                                 for r in range(1, cfg.rmax + 1)})
 
 
 def sigma_side(cfg: ProjectionConfig) -> QSeries:
     """Coefficient of q^r: sum of sigma_sm over multi-indices with entry sum r."""
-    kernel = cfg.kernel()
-    table = sigma_entry_table(cfg, cfg.rmax)
-    return QSeries(
-        1, cfg.rmax,
-        {r: sigma_coefficient(cfg, kernel, r, table) for r in range(1, cfg.rmax + 1)},
-    )
+    return _side(cfg, sigma_power(cfg, cfg.rmax))
 
 
-def ordered_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int) -> CyclotomicNumber:
-    """Sum over pairs (m, n) with n_j > m_j for all j and |n|^2 - |m|^2 = r.
-
-    The coordinate pairs (m_j, n_j) with chi(m_j) and psi(n_j) nonzero are
-    keyed by their share n_j^2 - m_j^2 of r; each composition of r into l
-    shares contributes every choice of one pair per share.  The characters
-    are completely multiplicative, so these are exactly the tuples with
-    nonzero character values.  As for sigma, each multiset of shares is
-    expanded once and scaled by its number of orderings, and the weights
-    chi(prod m) psi(prod n) (prod m)^lambda_chi (prod n)^lambda_psi are
-    summed per M = |m|^2 and paired with K(M + r, M) by _kernel_sum.  This
-    path never looks at divisors.
-    """
-    l, psi, chi = cfg.l, cfg.psi, cfg.chi
-    lam_psi, lam_chi = psi.parity, chi.parity
-    cap = r - 3 * (l - 1)  # each other share is at least 2^2 - 1^2 = 3
-    pairs: dict[int, list] = {}
-    for m in range(1, (cap - 1) // 2 + 1):
-        if not chi(m).is_zero():
-            for n in range(m + 1, isqrt(cap + m * m) + 1):
-                if not psi(n).is_zero():
-                    pairs.setdefault(n * n - m * m, []).append((m, n))
-    weights: dict[int, CyclotomicNumber] = {}
-    orderings = Counter(tuple(sorted(shares)) for shares in compositions(r, l, pairs))
-    for shares, count in orderings.items():
-        for choice in product(*(pairs[k] for k in shares)):
-            pm, pn = prod(m for m, _ in choice), prod(n for _, n in choice)
-            M = sum(m * m for m, _ in choice)
-            weight = chi(pm) * psi(pn) * (count * pm ** lam_chi * pn ** lam_psi)
-            weights[M] = weights[M] + weight if M in weights else weight
-    return _kernel_sum(kernel, r, [(M, w, _ONE) for M, w in sorted(weights.items())])[0]
+def ordered_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int,
+                        power: GradedPower | None = None) -> CyclotomicNumber:
+    """Sum over pairs (m, n) with n_j > m_j for all j and |n|^2 - |m|^2 = r:
+    the coefficient of Y^r in ordered_power, paired with the kernel at
+    M = |m|^2.  The characters are completely multiplicative, so the tuples
+    of pairs with nonzero character values are exactly those of the power.
+    power, when given, is ordered_power(cfg, R) for some R >= r."""
+    if power is None:
+        power = ordered_power(cfg, r)
+    return _pair_power(kernel, r, power)
 
 
 def ordered_pairs_side(cfg: ProjectionConfig) -> QSeries:
-    kernel = cfg.kernel()
-    return QSeries(
-        1, cfg.rmax,
-        {r: ordered_coefficient(cfg, kernel, r) for r in range(1, cfg.rmax + 1)},
-    )
+    return _side(cfg, ordered_power(cfg, cfg.rmax))
 
 
 class OddDimensionError(ValueError):
@@ -391,9 +491,9 @@ def _exceeds(res: CyclotomicNumber, delta: CyclotomicNumber) -> bool:
 
 
 def _row_task(ctx, r: int):
-    cfg, kernel, want_ordered, table = ctx
-    sig = sigma_coefficient(cfg, kernel, r, table)
-    orde = ordered_coefficient(cfg, kernel, r) if want_ordered else None
+    cfg, kernel, sigma, ordered = ctx
+    sig = sigma_coefficient(cfg, kernel, r, power=sigma)
+    orde = None if ordered is None else ordered_coefficient(cfg, kernel, r, ordered)
     return r, sig, orde
 
 
@@ -401,15 +501,18 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     """Full ledger: per exponent, sigma side, ordered side, full side with
     tail diagnostics, and the two residuals.  residual_ordered is asserted
     nowhere here (it is data; the CLI's exit code asserts it).  Identical
-    configs produce identical reports for any worker count.  No module state
-    is held: the row context reaches every row as an argument, so reports
-    may run concurrently on threads of one process.
+    configs produce identical reports for any worker count.  The sigma and
+    ordered powers are built once, here; a row, in this process or a pool
+    worker, only pairs its coefficient with the kernel.  No module state is
+    held: the row context reaches every row as an argument, so reports may
+    run concurrently on threads of one process.
     """
     want_ordered = "ordered" in cfg.modes
     want_full = "full" in cfg.modes
 
     rs = list(range(1, cfg.rmax + 1))
-    ctx = (cfg, cfg.kernel(), want_ordered, sigma_entry_table(cfg, cfg.rmax))
+    ctx = (cfg, cfg.kernel(), sigma_power(cfg, cfg.rmax),
+           ordered_power(cfg, cfg.rmax) if want_ordered else None)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
         with ProcessPoolExecutor(max_workers=workers) as pool:

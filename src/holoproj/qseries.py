@@ -20,11 +20,12 @@ the term products one pair at a time.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
 from .rings import (
+    _EXACT,
     CyclotomicNumber,
     _divmod,
     cyc,
@@ -39,7 +40,6 @@ class SeriesRangeError(ValueError):
 
 
 _ZERO = cyc(0)
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # integer arithmetic, never rounded
 
 
 def _order_groups(series: "QSeries") -> dict:

@@ -17,20 +17,61 @@ lcm order, so callers never manage orders themselves.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # integer arithmetic, never rounded
+_SPLIT_BITS = 1 << 14  # an int up to this width (about 4,900 digits) converts in one step
+
+
+@lru_cache(maxsize=None)
+def _decimal_power_of_two(k: int) -> Decimal:
+    """2^k as a Decimal, for k a power of two."""
+    if k <= _SPLIT_BITS:
+        return Decimal(1 << k)
+    half = _decimal_power_of_two(k // 2)
+    return _EXACT.multiply(half, half)
+
+
+def _to_decimal(n: int) -> Decimal:
+    """n >= 0 as an exact Decimal.  Decimal(n) takes time quadratic in the
+    digits, so a wider n is split at the largest power of two k below its
+    width, n = hi 2^k + lo, and the two halves' Decimals are joined by one
+    exact fused multiply-add with the cached 2^k, which libmpdec multiplies
+    in subquadratic time (Karatsuba, then number-theoretic transform)."""
+    width = n.bit_length()
+    if width <= _SPLIT_BITS:
+        return Decimal(n)
+    k = 1 << ((width - 1).bit_length() - 1)
+    hi = n >> k
+    return _EXACT.fma(_to_decimal(hi), _decimal_power_of_two(k), _to_decimal(n - (hi << k)))
+
+
+@lru_cache(maxsize=64)
+def _wide_to_str(n: int) -> str:
+    """str(_to_decimal(n)) for n >= 0 wider than _SPLIT_BITS, kept for the
+    last 64 such n: a report prints its full sums twice, once in the last
+    bound's schedule row and once in its rows, and their negatives once more
+    where sigma is zero."""
+    return str(_to_decimal(n))
+
+
+def _int_to_str(n: int) -> str:
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(Decimal(n))
+    return "-" + _wide_to_str(-n) if n < 0 else _wide_to_str(n)
 
 
 def rational_to_str(q: int | Fraction) -> str:
     """Serialize a rational as "p/q" ("p" when the denominator is 1).
 
     Integers print through Decimal, which converts an int exactly and, unlike
-    str(), has no digit limit."""
+    str(), has no digit limit; a wide one is converted in halves."""
     if q.denominator == 1:
-        return str(Decimal(q.numerator))
-    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+        return _int_to_str(q.numerator)
+    return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"
 
 
 class UnivariatePoly:
@@ -376,6 +417,14 @@ def value_to_json(z: CyclotomicNumber):
     return {"order": z.order, "coords": [rational_to_str(c) for c in z.coords]}
 
 
+def _json_rational(c):
+    """A JSON rational: an integer (not a bool) or a "p/q" string; a float
+    or a bool is rejected rather than read as a rational."""
+    if type(c) is not int and not isinstance(c, str):
+        raise TypeError(f"a rational must be an integer or a \"p/q\" string, got {c!r}")
+    return c
+
+
 def value_from_json(obj) -> CyclotomicNumber:
     """The inverse of value_to_json; a malformed value raises ValueError."""
     try:
@@ -384,7 +433,7 @@ def value_from_json(obj) -> CyclotomicNumber:
                 raise KeyError("need the keys order and coords, and no other")
             if type(obj["order"]) is not int or not isinstance(obj["coords"], list):
                 raise TypeError("order must be an integer and coords a list")
-            return CyclotomicNumber(obj["order"], obj["coords"])
-        return CyclotomicNumber(1, (obj,))
+            return CyclotomicNumber(obj["order"], [_json_rational(c) for c in obj["coords"]])
+        return CyclotomicNumber(1, (_json_rational(obj),))
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed value {obj!r}: {exc!r}") from None

@@ -75,6 +75,50 @@ def test_theta_char_with_a_string_discriminant_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["verify", "--help"], 0),
+                                       (["nosuch"], 2), (["verify"], 2)])
+def test_main_prints_what_the_whole_parser_tree_prints(argv, code, capsys, monkeypatch):
+    """main builds only the named command's subparser, and every command's
+    for --help or an unknown command; what it prints and its exit code are
+    those of the tree with every subparser."""
+    from holoproj import cli
+
+    def exit_and_output(parse):
+        with pytest.raises(SystemExit) as stop:
+            parse(list(argv))
+        return (stop.value.code, *capsys.readouterr())
+
+    whole = exit_and_output(lambda a: cli.build_parser().parse_args(a))
+    built = []
+    for name, add in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda sub, name=name, add=add: (built.append(name), add(sub)))
+    assert exit_and_output(main) == whole
+    assert whole[0] == code
+    assert built == (["verify"] if argv[0] == "verify" else list(cli._COMMANDS))
+
+
+BAD_SPEC = '{"kronecker": "-4"}'
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("sigma-table", "--psi", BAD_SPEC, "--chi", "kronecker:8", "--l", "4", "--rmax", "8"),
+     "--psi"),
+    (("sigma-table", "--psi", "kronecker:-4", "--chi", "kronecker:x", "--l", "4", "--rmax", "8"),
+     "--chi"),
+    (("calibrate", "--family", "classical-d", "--psi", BAD_SPEC, "--chi", "kronecker:-4"),
+     "--psi"),
+    (("numeric", "xi", "--chi", "{not json"), "--chi"),
+    (("numeric", "f-minus", "--psi", "kronecker:-4x"), "--psi"),
+    (("theta", "--char", "nonsense", "--terms", "10"), "--char"),
+], ids=["sigma-table-psi", "sigma-table-chi", "calibrate", "xi", "f-minus", "theta-prefix"])
+def test_a_bad_character_spec_names_its_flag(argv, flag, tmp_path, capsys):
+    assert run_cli(*argv, "--out", str(tmp_path / "x.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_verify_one_dimensional_closure(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "report.json"
@@ -211,6 +255,19 @@ def test_verify_writes_values_past_the_int_str_limit(tmp_path, default_int_str_l
     assert max(len(word) for word in text.split('"')) > default_int_str_limit
 
 
+def test_ordered_verify_at_l10_rmax300(tmp_path):
+    """The frontier of the ordered side: kronecker -4 and 8 at l = 10 and
+    rmax = 300, where sigma is first nonzero at r = 8l = 80.  No time is
+    asserted; the composition walks the graded powers replaced did not finish
+    this run in 600 s, so the CI job's timeout catches a return to them."""
+    cfg = write_config(tmp_path, l=10, rmax=300, modes=["ordered"], B=None, closed_forms=False)
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--config", str(cfg), "--out", str(out), "--no-timestamp") == 0
+    report = json.loads(out.read_text())
+    assert report["verdicts"] == {"ordered_residual": "zero"}
+    assert next(row["r"] for row in report["rows"] if row["sigma"] != "0") == 80
+
+
 def _rows_or_error(fn):
     try:
         return fn()
@@ -235,8 +292,9 @@ def test_sigma_table_matches_every_composition(tmp_path, psi, placement, l, rmax
             "--rmax", str(rmax), "--placement", placement, "--out", str(out))
 
     def brute_force():
-        cfg = ProjectionConfig(_parse_char(psi), _parse_char("kronecker:8"), l, rmax,
-                               modes=("ordered",), placement=CharacterPlacement(placement))
+        cfg = ProjectionConfig(_parse_char(psi, "--psi"), _parse_char("kronecker:8", "--chi"),
+                               l, rmax, modes=("ordered",),
+                               placement=CharacterPlacement(placement))
         kernel, rows = cfg.kernel(), []
         for r in range(1, rmax + 1):
             for parts in compositions(r, l):
@@ -412,6 +470,11 @@ BAD_FIELDS = {
     "psi-value-unknown-key": {"psi": {"modulus": 5, "values": [
         "0", "1", {"order": 4, "coords": ["0", "1"], "name": "i"},
         {"order": 4, "coords": ["0", "-1"]}, "-1"]}},
+    "psi-value-bool": {"psi": {"modulus": 4, "values": [0, True, 0, -1]}},
+    "chi-value-float": {"chi": {"modulus": 8, "values": [0, 1, 0, -1.0, 0, -1, 0, 1]}},
+    "psi-coords-bool": {"psi": {"modulus": 5, "values": [
+        "0", "1", {"order": 4, "coords": [False, True]}, {"order": 4, "coords": ["0", "-1"]},
+        "-1"]}},
     "schedule-int": {"b_schedule": 5},
     "schedule-str": {"b_schedule": ["256"]},
     "schedule-below-rmax": {"b_schedule": [8, 4096]},

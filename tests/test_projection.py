@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from holoproj.projection import (
     sigma_side,
 )
 from holoproj.qseries import QSeries
-from holoproj.rings import CyclotomicNumber, cyc, rational_to_str, value_to_json
+from holoproj.rings import _ONE, CyclotomicNumber, cyc, rational_to_str, value_to_json
 from holoproj.smalldiv import (
     CharacterParityError,
     MultiIndex,
@@ -242,6 +243,136 @@ def test_sigma_coefficient_matches_the_term_by_term_sum(l, rmax, pair):
         assert got == _sigma_oracle(cfg, kernel, r, table), r
 
 
+# The composition walks that the graded powers replaced, kept verbatim as
+# oracles.  Each multiset of parts is expanded once and scaled by its number
+# of orderings; the weights are summed per M and paired by _kernel_sum.
+def _sigma_walk(cfg, kernel, r, table=None):
+    if table is None:
+        table = sigma_entry_table(cfg, r)
+    orderings = Counter(tuple(sorted(parts)) for parts in compositions(r, cfg.l, table))
+    weights = {}
+    for parts, count in orderings.items():
+        for rows in itertools.product(*(table[v] for v in parts)):
+            M = sum(b * b for _, b, _ in rows)
+            weight = math.prod((w for _, _, w in rows), start=count)
+            weights[M] = weights[M] + weight if M in weights else weight
+    return projection._kernel_sum(kernel, r, [(M, w, _ONE) for M, w in sorted(weights.items())])[0]
+
+
+def _ordered_walk(cfg, kernel, r):
+    l, psi, chi = cfg.l, cfg.psi, cfg.chi
+    lam_psi, lam_chi = psi.parity, chi.parity
+    cap = r - 3 * (l - 1)  # each other share is at least 2^2 - 1^2 = 3
+    pairs = {}
+    for m in range(1, (cap - 1) // 2 + 1):
+        if not chi(m).is_zero():
+            for n in range(m + 1, math.isqrt(cap + m * m) + 1):
+                if not psi(n).is_zero():
+                    pairs.setdefault(n * n - m * m, []).append((m, n))
+    weights = {}
+    orderings = Counter(tuple(sorted(shares)) for shares in compositions(r, l, pairs))
+    for shares, count in orderings.items():
+        for choice in itertools.product(*(pairs[k] for k in shares)):
+            pm, pn = math.prod(m for m, _ in choice), math.prod(n for _, n in choice)
+            M = sum(m * m for m, _ in choice)
+            weight = chi(pm) * psi(pn) * (count * pm ** lam_chi * pn ** lam_psi)
+            weights[M] = weights[M] + weight if M in weights else weight
+    return projection._kernel_sum(kernel, r, [(M, w, _ONE) for M, w in sorted(weights.items())])[0]
+
+
+def _json_or_error(fn):
+    try:
+        return value_to_json(fn())
+    except ValueError as exc:
+        return type(exc)
+
+
+def _powers_match_the_walks(cfg, table=None):
+    """Asserts that every coefficient r <= rmax of both graded powers equals
+    its walk's, value and order tag, or raises the same exception type.
+    Returns the sigma coefficients as JSON."""
+    kernel = cfg.kernel()
+    if table is None:
+        table = sigma_entry_table(cfg, cfg.rmax)
+    sigma = projection.sigma_power(cfg, cfg.rmax, table)
+    ordered = projection.ordered_power(cfg, cfg.rmax)
+    out = []
+    for r in range(1, cfg.rmax + 1):
+        got = _json_or_error(lambda: sigma_coefficient(cfg, kernel, r, power=sigma))
+        assert got == _json_or_error(lambda: _sigma_walk(cfg, kernel, r, table)), ("sigma", r)
+        assert (_json_or_error(lambda: ordered_coefficient(cfg, kernel, r, ordered))
+                == _json_or_error(lambda: _ordered_walk(cfg, kernel, r))), ("ordered", r)
+        out.append(got)
+    return out
+
+
+@pytest.mark.parametrize("pair", list(ORACLE_PAIRS))
+@pytest.mark.parametrize("l,rmax", [(1, 40), (3, 20), (4, 20), (4, 24), (5, 20), (6, 24), (6, 30)])
+def test_graded_powers_match_the_composition_walks(l, rmax, pair):
+    """Odd l >= 3 raises the kernel's NonSquareArgumentError on both paths."""
+    psi, chi = ORACLE_PAIRS[pair]
+    _powers_match_the_walks(ProjectionConfig(psi, chi, l, rmax, modes=("ordered",)))
+
+
+@pytest.mark.parametrize("l", [6, 8, 10])
+def test_graded_powers_match_the_walks_past_the_first_nonzero_row(l):
+    """kronecker -4 and 8 at rmax = 8l + 40: r = 8l is the first nonzero row."""
+    sigma = _powers_match_the_walks(cfg_for(l, 8 * l + 40))
+    assert next(r for r, value in enumerate(sigma, 1) if value != "0") == 8 * l
+
+
+# psi(2^k) = zeta_order^k mod 13, every value spelled at tag 12
+MOD13_TAG12 = {order: _unit_table(13, 2, lambda k, o=order: CyclotomicNumber.zeta(12, k * 12 // o))
+               for order in (4, 6)}
+# kronecker -7 with psi(4) = 1 at tag 2 but psi(1) = psi(2) = 1 at tag 1
+M7_ONE_AT_TWO_TAGS = char_from_table(7, [cyc(0), cyc(1), cyc(1), cyc(-1),
+                                         CyclotomicNumber(2, [1]), cyc(-1), cyc(-1)])
+SPELLED_PAIRS = {  # (psi, chi, the highest tag spelled)
+    "psi5-one-at-tag4-8": (char_from_spec(PSI5_ONE_ORDER4), CHI_8, 4),
+    "psi5-one-at-tag4-5": (char_from_spec(PSI5_ONE_ORDER4), CHI_5, 4),
+    "mod13-tag12": (MOD13_TAG12[4], MOD13_TAG12[6], 12),
+    "m7-one-at-two-tags-8": (M7_ONE_AT_TWO_TAGS, CHI_8, 2),
+}
+
+
+@pytest.mark.parametrize("pair", list(SPELLED_PAIRS))
+@pytest.mark.parametrize("l,rmax", [(1, 60), (4, 32), (6, 30)])
+def test_graded_powers_keep_the_spelled_tags(l, rmax, pair):
+    """A value spelled above its least tag (psi(1) = 1 at tag 4; every value
+    mod 13 at tag 12; 1 at tags 1 and 2 on two residues mod 7) keeps that
+    tag on both sides."""
+    psi, chi, tag = SPELLED_PAIRS[pair]
+    sigma = _powers_match_the_walks(ProjectionConfig(psi, chi, l, rmax, modes=("ordered",)))
+    assert max(value["order"] for value in sigma if isinstance(value, dict)) == tag
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=st.sampled_from(sorted(ORACLE_PAIRS)), l=st.sampled_from([1, 3, 4, 5, 6]),
+       rmax=st.integers(1, 40))
+def test_graded_powers_match_the_walks_property(pair, l, rmax):
+    psi, chi = ORACLE_PAIRS[pair]
+    _powers_match_the_walks(ProjectionConfig(psi, chi, l, rmax, modes=("ordered",)))
+
+
+@pytest.mark.parametrize("pair,count", [("m4-8", 2), ("quartic5-8", 4), ("sextic7-cubic7", 18)])
+def test_ordered_grades_are_the_classes_of_spelled_products(pair, count):
+    """Unit residue pairs share a grade when every multiple of them spells
+    chi psi alike, so there are no more grades than that needs."""
+    psi, chi = ORACLE_PAIRS[pair]
+    cfg = ProjectionConfig(psi, chi, 4, 24, modes=("ordered",))
+    assert len(projection.ordered_power(cfg, 24).values) == count
+
+
+def test_residual_report_builds_each_power_once(monkeypatch):
+    calls = Counter()
+    for name in ("sigma_power", "ordered_power"):
+        build = getattr(projection, name)
+        monkeypatch.setattr(projection, name,
+                            lambda *a, name=name, build=build: (calls.update([name]), build(*a))[1])
+    residual_report(cfg_for(4, 40))
+    assert calls == {"sigma_power": 1, "ordered_power": 1}
+
+
 def _cancelling_sigma_table():
     """An l = 1 table with which, at r = 15, the terms of the group M = 1
     cancel at tag 4 (rows (4, 1, i) and (4, 1, -i)) beside a rational term
@@ -256,6 +387,7 @@ def test_a_cancelled_sigma_group_keeps_its_order_tag():
     kernel = cfg.kernel()
     got = value_to_json(sigma_coefficient(cfg, kernel, 15, table))
     assert got == _sigma_oracle(cfg, kernel, 15, table)
+    assert got == value_to_json(_sigma_walk(cfg, kernel, 15, table))
     assert got == {"order": 4, "coords": [rational_to_str(kernel.eval(64, 49)), "0"]}
 
 

@@ -1,13 +1,15 @@
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holoproj.characters import char_kronecker
 from holoproj.rings import (
+    _SPLIT_BITS,
     CyclotomicNumber,
     UnivariatePoly,
     cyc,
@@ -226,8 +228,12 @@ def test_value_serialization_round_trip():
 @pytest.mark.parametrize("obj", [{"order": "2", "coords": ["-1"]}, {"order": 2.0, "coords": ["-1"]},
                                  {"order": True, "coords": ["1"]}, {"order": 2, "coords": 5},
                                  {"order": 4, "coords": "01"}, {"order": 2, "coords": ("-1",)},
-                                 {"order": 2, "coords": ["-1"], "name": "-1"}, {"coords": ["-1"]}])
+                                 {"order": 2, "coords": ["-1"], "name": "-1"}, {"coords": ["-1"]},
+                                 {"order": 4, "coords": [False, True]}, {"order": 2, "coords": [-1.0]},
+                                 True, -1.0, 0.5])
 def test_value_with_a_non_integer_order_or_bad_coords_is_malformed(obj):
+    """Also a bool or a float as a value or a coordinate: a JSON rational is
+    an integer or a "p/q" string."""
     with pytest.raises(ValueError, match=re.escape(f"malformed value {obj!r}")):
         value_from_json(obj)
 
@@ -277,3 +283,23 @@ def test_rational_to_str_past_the_int_str_limit(default_int_str_limit):
     assert rational_to_str(Fraction(p)) == _chunked_decimal(p)
     assert value_to_json(cyc(q)) == rational_to_str(q)
     assert sys.get_int_max_str_digits() == default_int_str_limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(0, 5 * _SPLIT_BITS), rng=st.randoms(use_true_random=False),
+       negative=st.booleans())
+@example(width=0, rng=random.Random(0), negative=False)
+@example(width=_SPLIT_BITS, rng=random.Random(0), negative=True)
+@example(width=_SPLIT_BITS + 1, rng=random.Random(0), negative=True)
+@example(width=4 * _SPLIT_BITS + 1, rng=random.Random(0), negative=False)
+def test_rational_to_str_agrees_with_one_decimal_conversion(width, rng, negative):
+    """Split conversion above _SPLIT_BITS, one Decimal conversion below: the
+    same digits as str(Decimal(n)) on both sides of the split size, for
+    negative n and for 0.  The top bit is set, so n has exactly `width` bits."""
+    n = rng.getrandbits(width) | (1 << width >> 1)
+    n = -n if negative else n
+    assert n.bit_length() == width
+    assert rational_to_str(n) == str(Decimal(n))
+    q = Fraction(n, 3 ** 5000)
+    assert rational_to_str(q) == (f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+                                  if n else "0")
