@@ -18,13 +18,14 @@ from .characters import DirichletCharacter, char_conjugate
 from .kernel import ProjectionKernel, _integer_form, kernel_bivariate, weights_for_dim
 from .projection import (
     ProjectionConfig,
+    _side,
     ordered_coefficient,
     ordered_power,
     sigma_coefficient,
     sigma_power,
 )
 from .rings import cyc, value_to_json
-from .smalldiv import divisor_sum, require_twist_pair, sigma_sm_classical
+from .smalldiv import eisenstein_e2, require_twist_pair, sigma_sm_classical
 
 CAL_UNKNOWNS = {"classical-d": ("alpha", "C"), "classical-d2": ("C",), "kernel-1dim": ("C",)}
 CAL_FAMILIES = tuple(CAL_UNKNOWNS)
@@ -77,21 +78,25 @@ def _power_difference_kernel(lam: int) -> ProjectionKernel:
 
 
 def _sides(inst: CalibrationInstance, rmax: int):
-    """(config, kernel, ordered power, sigma power or None) that the rows
-    r <= rmax of a calibration read, built once per calibration.
+    """(ordered side, sigma side or None, E2 or None) through q^rmax, which
+    the rows r <= rmax of a calibration read, built once per calibration.
 
-    classical-d's projection sum is the l = 1 ordered side of (psi, conj psi)
-    under the power-difference kernel; conj(psi) is odd, which
-    ProjectionConfig rejects as chi, so the config is relaxed to the three
-    fields ordered_power reads.  For classical-d2 and kernel-1dim every pair
-    with nu^2 - mu^2 = r has nu > mu, so the l = 1 ordered side is the whole
-    projection sum; kernel-1dim also reads the l = 1 sigma side."""
+    classical-d reads E2 and the l = 1 ordered side of (psi, conj psi) under
+    the power-difference kernel; conj(psi) is odd, which ProjectionConfig
+    rejects as chi, so the config is relaxed to the fields the side reads.
+    For classical-d2 and kernel-1dim every pair with nu^2 - mu^2 = r has
+    nu > mu, so the l = 1 ordered side is the whole projection sum;
+    kernel-1dim also reads the l = 1 sigma side."""
+    sigma = e2 = None
     if inst.family == "classical-d":
-        cfg = SimpleNamespace(psi=inst.psi, chi=char_conjugate(inst.psi), l=1)
-        return cfg, _power_difference_kernel(inst.psi.parity), ordered_power(cfg, rmax), None
-    cfg = ProjectionConfig(inst.psi, inst.chi, 1, rmax, modes=("ordered",))
-    sigma = sigma_power(cfg, rmax) if inst.family == "kernel-1dim" else None
-    return cfg, cfg.kernel(), ordered_power(cfg, rmax), sigma
+        cfg = SimpleNamespace(psi=inst.psi, chi=char_conjugate(inst.psi), l=1, rmax=rmax)
+        kernel, e2 = _power_difference_kernel(inst.psi.parity), eisenstein_e2(rmax)
+    else:
+        cfg = ProjectionConfig(inst.psi, inst.chi, 1, rmax, modes=("ordered",))
+        kernel = cfg.kernel()
+        if inst.family == "kernel-1dim":
+            sigma = _side(cfg, kernel, sigma_coefficient, sigma_power(cfg, rmax))
+    return _side(cfg, kernel, ordered_coefficient, ordered_power(cfg, rmax)), sigma, e2
 
 
 def _calibration_equation(inst: CalibrationInstance, r: int, sides=None):
@@ -102,14 +107,14 @@ def _calibration_equation(inst: CalibrationInstance, r: int, sides=None):
     some R >= r, built here when not given.
     """
     psi, chi = inst.psi, inst.chi
-    cfg, kernel, ordered, sigma = sides or _sides(inst, r)
-    proj = ordered_coefficient(cfg, kernel, r, ordered)
+    ordered, sigma, e2 = sides or _sides(inst, r)
+    proj = ordered.coeff(r)
     if inst.family == "classical-d":
         # sigma(r) + alpha e2(r) - C proj(r) = 0
-        return [cyc(-24 * divisor_sum(r, 1)), -proj], -sigma_sm_classical(r, psi, chi, power=1)
+        return [e2.coeff(r), -proj], -sigma_sm_classical(r, psi, chi, power=1)
     if inst.family == "classical-d2":
         return [proj], sigma_sm_classical(r, psi, chi, power=2)
-    return [proj], sigma_coefficient(cfg, kernel, r, power=sigma)
+    return [proj], sigma.coeff(r)
 
 
 def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,

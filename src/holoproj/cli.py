@@ -369,7 +369,8 @@ def _add_verify(sub) -> None:
     v.add_argument("--config", required=True)
     v.add_argument("--out", default="-")
     v.add_argument("--csv", default=None)
-    v.add_argument("--workers", type=int, default=1)
+    v.add_argument("--workers", type=int, default=1, help="processes that run the report's "
+                   "sides (sigma, ordered, full per bound) in parallel; 1 runs them in order")
     v.add_argument("--no-timestamp", action="store_true")
     v.set_defaults(func=_cmd_verify)
 

@@ -9,7 +9,8 @@ value, to the l-th power; ordered_pairs_side raises G, one term per
 coordinate pair n > m on the characters' support (never via divisors).  The
 two base series are built independently and share only _graded_power, which
 sums every tuple's term per (r, M, grade) in integers; the grades carry the
-character values with the order tags a term-by-term sum would print.
+character values with the order tags a term-by-term sum would print.  _side
+is the one path from such a power to the coefficients 1..rmax.
 full_pairs_side collapses the unrestricted pair sum
 through the theta-power coefficients, truncated at a norm bound B with
 doubling-based tail diagnostics.  Each side's coefficient of q^r is a weight
@@ -17,8 +18,9 @@ per norm M paired with the kernel, sum_M K(M + r, M) c_r(M), and
 _kernel_sum forms that pairing for all three in integers: the kernel's
 integer ratios times the weights' coordinates, added by binary splitting.
 The ordered sum equals the sigma sum by an exact bijection; whether the full
-sum does too is precisely the claim under test, so residual_report asserts
-nothing about it and just ledgers the numbers.
+sum does too is precisely the claim under test, so residual_report, whose
+jobs are the three sides, asserts nothing about it and just ledgers the
+numbers.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .qseries import QSeries
 from .rings import _ONE, CyclotomicNumber, _reduce_mod_cyclotomic, cyc, value_to_json
 from .smalldiv import (
     CharacterPlacement,
-    divisor_sum,
+    eisenstein_e2,  # noqa: F401  (re-exported as holoproj.projection.eisenstein_e2)
     require_twist_pair,
     sigma_entry_table,
 )
@@ -226,45 +228,39 @@ def _pair_power(kernel: ProjectionKernel, r: int, power: GradedPower) -> Cycloto
     return _kernel_sum(kernel, r, [(M, w, _ONE) for M, w in sorted(weights.items())])[0]
 
 
-def sigma_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int,
-                      table: dict | None = None, power: GradedPower | None = None
-                      ) -> CyclotomicNumber:
+def sigma_coefficient(kernel: ProjectionKernel, r: int, power: GradedPower) -> CyclotomicNumber:
     """Sum of sigma_sm over the multi-indices with entry sum r: the
-    coefficient of Y^r in sigma_power, paired with the kernel.  Every row
-    has a^2 - b^2 = n, so |a|^2 = |b|^2 + r and the kernel depends on
-    M = |b|^2 alone.  Equal, term for term, to summing sigma_sm over
-    compositions, a consistency the tests pin down.  power, when given, is
-    sigma_power(cfg, R) for some R >= r, and table is then not read."""
-    if power is None:
-        power = sigma_power(cfg, r, table)
+    coefficient of Y^r in power, sigma_power(cfg, R) for some R >= r, paired
+    with the kernel.  Every row has a^2 - b^2 = n, so |a|^2 = |b|^2 + r and
+    the kernel depends on M = |b|^2 alone.  Equal, term for term, to summing
+    sigma_sm over compositions, a consistency the tests pin down."""
     return _pair_power(kernel, r, power)
 
 
-def _side(cfg: ProjectionConfig, power: GradedPower) -> QSeries:
-    kernel = cfg.kernel()
-    return QSeries(1, cfg.rmax, {r: _pair_power(kernel, r, power)
+def ordered_coefficient(kernel: ProjectionKernel, r: int, power: GradedPower) -> CyclotomicNumber:
+    """Sum over pairs (m, n) with n_j > m_j for all j and |n|^2 - |m|^2 = r:
+    the coefficient of Y^r in power, ordered_power(cfg, R) for some R >= r,
+    paired with the kernel at M = |m|^2.  The characters are completely
+    multiplicative, so the tuples of pairs with nonzero character values are
+    exactly those of the power."""
+    return _pair_power(kernel, r, power)
+
+
+def _side(cfg, kernel: ProjectionKernel, coefficient, power: GradedPower) -> QSeries:
+    """coefficient(kernel, r, power) for r = 1..cfg.rmax, power built to
+    Y-degree at least cfg.rmax: the one path from a graded power to a side."""
+    return QSeries(1, cfg.rmax, {r: coefficient(kernel, r, power)
                                  for r in range(1, cfg.rmax + 1)})
 
 
 def sigma_side(cfg: ProjectionConfig) -> QSeries:
     """Coefficient of q^r: sum of sigma_sm over multi-indices with entry sum r."""
-    return _side(cfg, sigma_power(cfg, cfg.rmax))
-
-
-def ordered_coefficient(cfg: ProjectionConfig, kernel: ProjectionKernel, r: int,
-                        power: GradedPower | None = None) -> CyclotomicNumber:
-    """Sum over pairs (m, n) with n_j > m_j for all j and |n|^2 - |m|^2 = r:
-    the coefficient of Y^r in ordered_power, paired with the kernel at
-    M = |m|^2.  The characters are completely multiplicative, so the tuples
-    of pairs with nonzero character values are exactly those of the power.
-    power, when given, is ordered_power(cfg, R) for some R >= r."""
-    if power is None:
-        power = ordered_power(cfg, r)
-    return _pair_power(kernel, r, power)
+    return _side(cfg, cfg.kernel(), sigma_coefficient, sigma_power(cfg, cfg.rmax))
 
 
 def ordered_pairs_side(cfg: ProjectionConfig) -> QSeries:
-    return _side(cfg, ordered_power(cfg, cfg.rmax))
+    """Coefficient of q^r: the kernel-weighted sum over ordered pairs at r."""
+    return _side(cfg, cfg.kernel(), ordered_coefficient, ordered_power(cfg, cfg.rmax))
 
 
 class OddDimensionError(ValueError):
@@ -490,60 +486,48 @@ def _exceeds(res: CyclotomicNumber, delta: CyclotomicNumber) -> bool:
         iv.prec *= 2
 
 
-def _row_task(ctx, r: int):
-    cfg, kernel, sigma, ordered = ctx
-    sig = sigma_coefficient(cfg, kernel, r, power=sigma)
-    orde = None if ordered is None else ordered_coefficient(cfg, kernel, r, ordered)
-    return r, sig, orde
-
-
 def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) -> ResidualReport:
     """Full ledger: per exponent, sigma side, ordered side, full side with
     tail diagnostics, and the two residuals.  residual_ordered is asserted
-    nowhere here (it is data; the CLI's exit code asserts it).  Identical
-    configs produce identical reports for any worker count.  The sigma and
-    ordered powers are built once, here; a row, in this process or a pool
-    worker, only pairs its coefficient with the kernel.  No module state is
-    held: the row context reaches every row as an argument, so reports may
-    run concurrently on threads of one process.
+    nowhere here (it is data; the CLI's exit code asserts it).  The jobs are
+    the sides: sigma_side, ordered_pairs_side in ordered mode, and
+    full_pairs_side at each bound of b_schedule, strictly ascending to cfg.B.
+    They run in order, or in a pool of min(workers, jobs) processes, and the
+    report is read from the series they return, so it is the same for any
+    worker count.  No module state is held: reports may run concurrently on
+    threads of one process.
     """
     want_ordered = "ordered" in cfg.modes
     want_full = "full" in cfg.modes
+    bounds = list(b_schedule) if b_schedule else [cfg.B]
+    if bounds != sorted(set(bounds)):
+        raise ValueError(f"b_schedule must be strictly ascending, got {bounds}")
+    if bounds[-1] != cfg.B:
+        raise ValueError(f"B must equal the last b_schedule entry {bounds[-1]}, got {cfg.B}")
 
-    rs = list(range(1, cfg.rmax + 1))
-    ctx = (cfg, cfg.kernel(), sigma_power(cfg, cfg.rmax),
-           ordered_power(cfg, cfg.rmax) if want_ordered else None)
+    jobs = [partial(sigma_side, cfg)]
+    if want_ordered:
+        jobs.append(partial(ordered_pairs_side, cfg))
+    if want_full:
+        jobs += [partial(full_pairs_side, cfg, B) for B in bounds]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(partial(_row_task, ctx), rs,
-                                     chunksize=max(1, len(rs) // (4 * workers))))
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            sides = [future.result() for future in [pool.submit(job) for job in jobs]]
     else:
-        computed = [_row_task(ctx, r) for r in rs]
+        sides = [job() for job in jobs]
+    sigma, ordered = sides[0], (sides[1] if want_ordered else None)
+    fulls = sides[1 + want_ordered:]
 
-    schedule_out = []
-    full_final = None
-    if want_full:
-        bounds = list(b_schedule) if b_schedule else [cfg.B]
-        for B in bounds:
-            res = full_pairs_side(cfg, B=B)
-            schedule_out.append({
-                "B": B,
-                "rows": [
-                    {
-                        "r": r,
-                        "full": value_to_json(res.series.coeff(r)),
-                        "tail_delta": value_to_json(res.tail_delta[r]),
-                    }
-                    for r in rs
-                ],
-            })
-            full_final = res
+    rs = range(1, cfg.rmax + 1)
+    schedule_out = [{"B": B, "rows": [{"r": r, "full": value_to_json(res.series.coeff(r)),
+                                       "tail_delta": value_to_json(res.tail_delta[r])} for r in rs]}
+                    for B, res in zip(bounds, fulls)]
 
     rows = []
-    for r, sig, o in computed:
-        f = full_final.series.coeff(r) if full_final else None
-        delta = full_final.tail_delta[r] if full_final else None
+    for r in rs:
+        sig, o = sigma.coeff(r), None if ordered is None else ordered.coeff(r)
+        f, delta = (fulls[-1].series.coeff(r), fulls[-1].tail_delta[r]) if fulls else (None, None)
         rows.append(ResidualRow(r, sig, o, f, delta, None if o is None else sig - o,
                                 None if f is None else sig - f))
     full_nonzero = [row for row in rows
@@ -583,13 +567,3 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
         verdicts=verdicts,
         timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
-
-
-def eisenstein_e2(N: int) -> QSeries:
-    """1 - 24 sum_{n>=1} sigma_1(n) q^n, exact to exponent N."""
-    if N < 0:
-        raise ValueError("need N >= 0")
-    coeffs = {0: cyc(1)}
-    for n in range(1, N + 1):
-        coeffs[n] = cyc(-24 * divisor_sum(n, 1))
-    return QSeries(0, N, coeffs)

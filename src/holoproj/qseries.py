@@ -173,6 +173,13 @@ class QSeries:
     def __setattr__(self, *a):
         raise AttributeError("QSeries is immutable")
 
+    def __reduce__(self):
+        """The window and every stored coefficient, a zero with an order tag
+        included; the unset slots come back unset."""
+        v = self.valuation
+        return QSeries, (v, self.truncation, {v + i: c for i, c in enumerate(self._coeffs)
+                                              if c is not _ZERO})
+
     # -- access --------------------------------------------------------------
 
     def coeff(self, e: int) -> CyclotomicNumber:

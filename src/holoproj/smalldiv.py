@@ -1,6 +1,7 @@
 """The small-divisor layer: the sets D_n, the divisor substitution over them,
 the placement of the two characters, the per-entry table built from both, and
-the small divisor functions (one-dimensional and multi-index) that read it.
+the small divisor functions (one-dimensional and multi-index) that read it,
+and the divisor sums with the weight-2 Eisenstein series built from them.
 
 D_n is the set of divisors d | n with d <= n/d and d = n/d (mod 2); the
 parity condition makes a = (n/d + d)/2 and b = (n/d - d)/2 integers, with
@@ -17,6 +18,7 @@ from math import prod
 
 from .characters import DirichletCharacter
 from .kernel import ProjectionKernel
+from .qseries import QSeries
 from .rings import CyclotomicNumber, cyc
 
 
@@ -56,6 +58,13 @@ def divisor_sum(n: int, k: int = 1) -> int:
                 total += (n // d) ** k
         d += 1
     return total
+
+
+def eisenstein_e2(N: int) -> QSeries:
+    """1 - 24 sum_{n>=1} sigma_1(n) q^n, exact to exponent N."""
+    if N < 0:
+        raise ValueError("need N >= 0")
+    return QSeries(0, N, {0: 1, **{n: -24 * divisor_sum(n, 1) for n in range(1, N + 1)}})
 
 
 @dataclass(frozen=True)

@@ -219,14 +219,17 @@ def test_verify_csv_mirror(tmp_path):
     assert len(lines) == 11
 
 
-def test_verify_reports_are_deterministic(tmp_path):
-    cfg = write_config(tmp_path, l=4, rmax=12, modes=["ordered", "full"], B=128,
-                       closed_forms=True)
+@pytest.mark.parametrize("fields,workers", [
+    ({"rmax": 12, "modes": ["ordered", "full"], "B": 128}, "2"),
+    ({"rmax": 40, "modes": ["ordered"], "B": None}, "8"),  # two sides, fewer than the workers
+])
+def test_verify_reports_are_deterministic(fields, workers, tmp_path):
+    cfg = write_config(tmp_path, l=4, closed_forms=True, **fields)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli("verify", "--config", str(cfg), "--out", str(out1),
                    "--no-timestamp", "--workers", "1") == 0
     assert run_cli("verify", "--config", str(cfg), "--out", str(out2),
-                   "--no-timestamp", "--workers", "2") == 0
+                   "--no-timestamp", "--workers", workers) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 

@@ -117,7 +117,8 @@ def test_sigma_coefficient_matches_composition_sum():
             direct = cyc(0)
             for parts in compositions(r, 4):
                 direct = direct + sigma_sm(MultiIndex(parts), CHI_M4, chi, kernel)
-            assert sigma_coefficient(cfg, kernel, r) == direct, (chi.modulus, r)
+            assert sigma_coefficient(kernel, r, projection.sigma_power(cfg, r)) == direct, (
+                chi.modulus, r)
 
 
 def test_sigma_side_l1_matches_pointwise_sigma_sm():
@@ -211,7 +212,7 @@ def test_ordered_coefficient_matches_brute_force(l, rmax, pair):
     expected = _ordered_oracle(cfg, kernel, rmax)
     for r in range(1, rmax + 1):
         try:
-            got = value_to_json(ordered_coefficient(cfg, kernel, r))
+            got = value_to_json(ordered_coefficient(kernel, r, projection.ordered_power(cfg, r)))
         except ValueError as exc:
             got = type(exc)
         assert got == expected[r], (r, got, expected[r])
@@ -239,7 +240,7 @@ def test_sigma_coefficient_matches_the_term_by_term_sum(l, rmax, pair):
     cfg = ProjectionConfig(psi, chi, l, rmax, modes=("ordered",))
     kernel, table = cfg.kernel(), sigma_entry_table(cfg, rmax)
     for r in range(1, rmax + 1):
-        got = value_to_json(sigma_coefficient(cfg, kernel, r, table))
+        got = value_to_json(sigma_coefficient(kernel, r, projection.sigma_power(cfg, r, table)))
         assert got == _sigma_oracle(cfg, kernel, r, table), r
 
 
@@ -298,9 +299,9 @@ def _powers_match_the_walks(cfg, table=None):
     ordered = projection.ordered_power(cfg, cfg.rmax)
     out = []
     for r in range(1, cfg.rmax + 1):
-        got = _json_or_error(lambda: sigma_coefficient(cfg, kernel, r, power=sigma))
+        got = _json_or_error(lambda: sigma_coefficient(kernel, r, sigma))
         assert got == _json_or_error(lambda: _sigma_walk(cfg, kernel, r, table)), ("sigma", r)
-        assert (_json_or_error(lambda: ordered_coefficient(cfg, kernel, r, ordered))
+        assert (_json_or_error(lambda: ordered_coefficient(kernel, r, ordered))
                 == _json_or_error(lambda: _ordered_walk(cfg, kernel, r))), ("ordered", r)
         out.append(got)
     return out
@@ -373,6 +374,27 @@ def test_residual_report_builds_each_power_once(monkeypatch):
     assert calls == {"sigma_power": 1, "ordered_power": 1}
 
 
+def test_residual_report_runs_the_sides(monkeypatch):
+    calls = Counter()
+    for name in ("sigma_side", "ordered_pairs_side", "full_pairs_side"):
+        side = getattr(projection, name)
+        monkeypatch.setattr(projection, name, lambda *a, name=name, side=side, **kw: (
+            calls.update([name]), side(*a, **kw))[1])
+    residual_report(cfg_for(4, 12, modes=("ordered", "full"), B=64), b_schedule=[16, 32, 64])
+    assert calls == {"sigma_side": 1, "ordered_pairs_side": 1, "full_pairs_side": 3}
+
+
+@pytest.mark.parametrize("schedule,message", [
+    ([64, 32], "b_schedule must be strictly ascending, got [64, 32]"),
+    ([16, 32], "B must equal the last b_schedule entry 32, got 64"),
+])
+def test_residual_report_rejects_an_inconsistent_b_schedule(schedule, message):
+    cfg = cfg_for(4, 8, modes=("ordered", "full"), B=64)
+    with pytest.raises(ValueError) as err:
+        residual_report(cfg, b_schedule=schedule)
+    assert str(err.value) == message
+
+
 def _cancelling_sigma_table():
     """An l = 1 table with which, at r = 15, the terms of the group M = 1
     cancel at tag 4 (rows (4, 1, i) and (4, 1, -i)) beside a rational term
@@ -385,7 +407,7 @@ def _cancelling_sigma_table():
 def test_a_cancelled_sigma_group_keeps_its_order_tag():
     cfg, table = _cancelling_sigma_table()
     kernel = cfg.kernel()
-    got = value_to_json(sigma_coefficient(cfg, kernel, 15, table))
+    got = value_to_json(sigma_coefficient(kernel, 15, projection.sigma_power(cfg, 15, table)))
     assert got == _sigma_oracle(cfg, kernel, 15, table)
     assert got == value_to_json(_sigma_walk(cfg, kernel, 15, table))
     assert got == {"order": 4, "coords": [rational_to_str(kernel.eval(64, 49)), "0"]}
@@ -403,7 +425,7 @@ def test_dropping_a_cancelled_sigma_groups_tag_is_caught(monkeypatch):
 
     monkeypatch.setattr(projection, "_kernel_sum", untagged)
     kernel = cfg.kernel()
-    got = value_to_json(sigma_coefficient(cfg, kernel, 15, table))
+    got = value_to_json(sigma_coefficient(kernel, 15, projection.sigma_power(cfg, 15, table)))
     assert got != _sigma_oracle(cfg, kernel, 15, table)
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from holoproj.characters import char_kronecker
 from holoproj.qseries import QSeries, SeriesRangeError
 from holoproj.rings import CyclotomicNumber, cyc, euler_phi, value_to_json
 from holoproj.theta import theta_power_direct, theta_power_series, theta_series
@@ -168,6 +170,18 @@ def test_json_rows():
 def test_csv_rows():
     a = series(0, 4, {0: Fraction(1, 3), 4: -2})
     assert list(a.to_csv_rows()) == [(0, "1/3"), (4, "-2")]
+
+
+def test_pickle_keeps_values_and_order_tags():
+    """A side crosses a process pool pickled: every stored coefficient comes
+    back, a sum that cancelled at tag 4 with its tag."""
+    i = CyclotomicNumber.zeta(4)
+    tagged = QSeries(1, 6, {2: i + (-i), 3: i, 5: Fraction(7, 2)})
+    assert value_to_json(tagged.coeff(2)) == {"order": 4, "coords": ["0", "0"]}
+    for s in (theta_power_direct(char_kronecker(-4), 2, 20),
+              theta_power_direct(ORACLE_CHARS["quartic_mod5"], 2, 20), tagged):
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and slots(back) == slots(s)
 
 
 # -- QSeries.__mul__ against the schoolbook product -------------------------
