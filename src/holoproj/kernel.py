@@ -23,10 +23,7 @@ its common denominator D leaves an integer homogeneous form G(x, y) with
 K = G(x, y) / (D y^p x^q), x and y the larger and smaller squared norms (their
 square roots when 2(k_f-1) is odd).  The orientation is decided once, in
 ``kernel_bivariate``.  For the default orientation and even l, p = l/2 - 1 and
-q = deg P + p.  An evaluation is then one homogeneous Horner pass over small
-integers (about 4.5 us at l = 4 and 8 us at l = 10 on a 2-vCPU host, with the
-Fraction), and the full side adds the integer ratios without forming a
-Fraction per term.  The u-form P(1 - 2u) is read off the 2F1 sum in u
+q = deg P + p.  The u-form P(1 - 2u) is read off the 2F1 sum in u
 (``jacobi.jacobi_hypergeom_u``: even l never uses the recurrence, whose c1
 vanishes at j = l/2 + 1; acceptance criterion 2 still asserts the
 recurrence/2F1 cross-check).
@@ -189,8 +186,9 @@ def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") ->
 @dataclass(frozen=True)
 class ProjectionKernel:
     """Evaluation handle: weight data, orientation and the integer form of
-    the printed kernel (see ``_integer_form``).  Cached per (l, orientation);
-    immutable once published."""
+    the printed kernel (``_integer_form``), split as G = (y - x)^a H with
+    a = l + 1 for even l (deg H <= 3 up to l = 10): in the norms, K(N, M) is
+    (-r)^a / D times H(N, M) / (M^p N^q), r = N - M.  Cached; immutable."""
 
     weights: WeightData
     orientation: str
@@ -198,24 +196,39 @@ class ProjectionKernel:
     scale: int         # D
     powers: tuple      # (p, q): K = G(x, y) / (D y^p x^q)
     roots: bool        # x and y are the square roots of the norms
+    diagonal: int      # a: G = (y - x)^a H with H(x, x) != 0
+    cofactor: tuple    # integer coefficients h_0..h_(deg-a) of H, ascending in y
 
     @property
     def l(self) -> int:
         return self.weights.l
 
+    def cofactor_at(self, x: int, y: int) -> int:
+        """H(x, y) = sum h_k y^k x^(deg H - k), by homogeneous Horner."""
+        acc, y_k = self.cofactor[0], 1
+        for h in self.cofactor[1:]:
+            y_k *= y
+            acc = acc * x + h * y_k
+        return acc
+
     def ratio(self, N: int, M: int) -> tuple:
-        """K at (larger squared norm N, smaller squared norm M) as an integer
-        numerator and a positive integer denominator, not reduced."""
+        """K at (larger squared norm N, smaller squared norm M) as the ints
+        (y - x)^a H(x, y) and D y^p x^q > 0, not reduced."""
         if M < 1 or N <= M:
             raise ValueError(f"need N > M >= 1, got ({N}, {M})")
         x, y = (_exact_root(N), _exact_root(M)) if self.roots else (N, M)
-        # G(x, y) = sum g_k y^k x^(deg - k) by homogeneous Horner
-        acc, y_k = self.form[0], 1
-        for g in self.form[1:]:
-            y_k *= y
-            acc = acc * x + g * y_k
         p, q = self.powers
-        return acc, self.scale * y ** p * x ** q
+        return (y - x) ** self.diagonal * self.cofactor_at(x, y), self.scale * y ** p * x ** q
+
+    def along_gap(self, r: int, norms: list) -> tuple:
+        """(c, ratios): K(M + r, M) = c n/d for (n, d) in ratios, one per M of
+        norms.  In the norms y - x = -r, so c = (-r)^a / D and n/d = H(M + r, M)
+        / (M^p (M + r)^q); in square roots c = 1 and (n, d) = ratio(M + r, M)."""
+        if self.roots or r < 1 or min(norms, default=1) < 1:  # ratio rejects M < 1
+            return Fraction(1), [self.ratio(M + r, M) for M in norms]
+        (p, q), h = self.powers, self.cofactor_at
+        return (Fraction((-r) ** self.diagonal, self.scale),
+                [(h(M + r, M), M ** p * (M + r) ** q) for M in norms])
 
     def eval(self, N: int, M: int) -> Fraction:
         """K at (larger squared norm N, smaller squared norm M), exact:
@@ -225,7 +238,7 @@ class ProjectionKernel:
 
 
 def _integer_form(K: BivariateLaurent):
-    """(form, scale, powers, roots) of the homogeneous Laurent form K(x, y).
+    """ProjectionKernel's fields form to cofactor for the homogeneous K(x, y).
 
     With all exponents even, K is a Laurent form in the norms x^2 and y^2 and
     is read in them; otherwise x and y stay the norms' square roots.  With
@@ -241,7 +254,13 @@ def _integer_form(K: BivariateLaurent):
     form = [0] * (max(j for _, j in terms) + p + 1)
     for (_, j), c in terms.items():
         form[j + p] = int(c * scale)
-    return tuple(form), scale, (p, q), roots
+    # G = (y - x)^a H, y - x = x (t - 1) at t = y/x: divide by t - 1 while the g_k sum to 0
+    a, h = 0, list(form)
+    while len(h) > 1 and sum(h) == 0:
+        for k in range(len(h) - 2, 0, -1):
+            h[k] += h[k + 1]
+        h, a = h[1:], a + 1
+    return tuple(form), scale, (p, q), roots, a, tuple(h)
 
 
 @lru_cache(maxsize=None)

@@ -2,25 +2,24 @@
 residual ledger comparing them.
 
 The sigma and ordered sides are l-th powers of bivariate series in X (the
-norm M) and Y (the exponent r), each summand of which factors over the l
-coordinates except for the kernel, which depends on M and r alone.
-sigma_side raises H, one term per divisor substitution (a, b) of an entry
-value, to the l-th power; ordered_pairs_side raises G, one term per
-coordinate pair n > m on the characters' support (never via divisors).  The
-two base series are built independently and share only _graded_power, which
-sums every tuple's term per (r, M, grade) in integers; the grades carry the
-character values with the order tags a term-by-term sum would print.  _side
-is the one path from such a power to the coefficients 1..rmax.
-full_pairs_side collapses the unrestricted pair sum
+norm M) and Y (the exponent r): every factor of a summand splits over the l
+coordinates but the kernel, which depends on M and r alone.  sigma_side
+raises H, one term per divisor substitution (a, b) of an entry value;
+ordered_pairs_side raises G, one term per coordinate pair n > m on the
+characters' support (never via divisors).  The two base series share only
+_graded_power, which sums every tuple's term per (r, M, grade) in integers,
+the grades carrying the character values with the order tags a term-by-term
+sum would print; _side is the one path from such a power to the
+coefficients 1..rmax.  full_pairs_side collapses the unrestricted pair sum
 through the theta-power coefficients, truncated at a norm bound B with
-doubling-based tail diagnostics.  Each side's coefficient of q^r is a weight
-per norm M paired with the kernel, sum_M K(M + r, M) c_r(M), and
-_kernel_sum forms that pairing for all three in integers: the kernel's
-integer ratios times the weights' coordinates, added by binary splitting.
-The ordered sum equals the sigma sum by an exact bijection; whether the full
-sum does too is precisely the claim under test, so residual_report, whose
-jobs are the three sides, asserts nothing about it and just ledgers the
-numbers.
+doubling-based tail diagnostics.  Each side's coefficient of q^r pairs a
+weight per norm M with the kernel, sum_M K(M + r, M) c_r(M), and
+_kernel_sum forms that pairing for all three: one binary-splitting tree of
+integer ratios per coordinate, the kernel's diagonal factor (-r)^a taken
+out of the gap.  The ordered sum equals the sigma sum by an exact
+bijection; whether the full sum does too is precisely the claim under test,
+so residual_report, whose jobs are the three sides, asserts nothing about
+it and just ledgers the numbers.
 """
 
 from __future__ import annotations
@@ -218,14 +217,21 @@ def ordered_power(cfg, rmax: int) -> GradedPower:
 
 def _pair_power(kernel: ProjectionKernel, r: int, power: GradedPower) -> CyclotomicNumber:
     """The coefficient of q^r: per M, the weight sum over grades of value
-    times integer, paired with K(M + r, M) by _kernel_sum."""
-    weights: dict[int, CyclotomicNumber] = {}
-    for g, col in power.rows.get(r, {}).items():
-        value = power.values[g]
+    times integer, added in integers at top, the lcm of the row's tags, read
+    as one CyclotomicNumber at e, the lcm of its grades' tags (every
+    (top/e)-th coordinate, mod Phi_e), and paired by _kernel_sum."""
+    row = [(power.values[g], col) for g, col in power.rows.get(r, {}).items()]
+    top = lcm(*(v.order for v, _ in row))
+    raw, tags = {}, {}
+    for v, col in row:
         for M, c in col.items():
-            term = value * c
-            weights[M] = weights[M] + term if M in weights else term
-    return _kernel_sum(kernel, r, [(M, w, _ONE) for M, w in sorted(weights.items())])[0]
+            w = raw.setdefault(M, [0] * top)
+            tags[M] = lcm(tags.get(M, 1), v.order)
+            for k, x in enumerate(v.coords):
+                w[k * top // v.order] += c * x
+    return _kernel_sum(kernel, r, [
+        (M, CyclotomicNumber(e, _reduce_mod_cyclotomic(raw[M][::top // e], e)), _ONE)
+        for M, e in sorted(tags.items())])[0] if tags else cyc(0)
 
 
 def sigma_coefficient(kernel: ProjectionKernel, r: int, power: GradedPower) -> CyclotomicNumber:
@@ -274,79 +280,53 @@ class FullSideResult:
     tail_delta: dict  # r -> CyclotomicNumber, change from B/2 to B
 
 
-def _add_ratios(x: tuple, y: tuple) -> tuple:
-    """x + y for (numerator, denominator) int pairs in lowest terms, in lowest
-    terms: the gcd rule of ``Fraction.__add__`` (Knuth, TAOCP 4.5.1), which
-    divides out only what the two denominators share."""
-    (na, da), (nb, db) = x, y
-    g = gcd(da, db)
-    if g == 1:
-        return na * db + da * nb, da * db
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return t, s * db
-    return t // g2, s * (db // g2)
-
-
-def _tree_sum(ratios: list, lo: int, hi: int) -> tuple:
-    """Sum of ratios[lo:hi] added in pairs up a balanced tree (binary
-    splitting), so the big operands meet only near the root."""
-    if hi - lo <= 1:
-        return ratios[lo] if hi > lo else (0, 1)
-    mid = (lo + hi) // 2
-    return _add_ratios(_tree_sum(ratios, lo, mid), _tree_sum(ratios, mid, hi))
-
-
-def _group_sums(terms: list, cut: int, oa: int, ob: int):
-    """The sum of one (a order, b order) group's terms
-    (M, K numerator, K denominator, a row, b row), and of its first `cut`
-    terms: per coordinate pair (i, j), the integer ratios K a_i b_j (a
-    Fraction coordinate's denominator in the ratio's) summed by _tree_sum,
-    the prefix as its own subtree, then zeta_oa^i zeta_ob^j placed at the
-    lcm order and reduced once."""
-    order = lcm(oa, ob)
-    raw = [0] * (2 * order)
-    raw_head = list(raw)
-    for i in range(len(terms[0][3])):
-        for j in range(len(terms[0][4])):
-            ratios, k = [], 0
-            for t, (_, num, den, row_a, row_b) in enumerate(terms):
-                c = num * row_a[i] * row_b[j]
-                if c:
-                    c, d = c.numerator, den * c.denominator
-                    g = gcd(c, d)
-                    ratios.append((c // g, d // g))
-                    k += t < cut
-            head = _tree_sum(ratios, 0, k)
-            whole = _add_ratios(head, _tree_sum(ratios, k, len(ratios)))
-            at = i * (order // oa) + j * (order // ob)
-            raw[at] += Fraction(*whole)
-            raw_head[at] += Fraction(*head)
-    return (CyclotomicNumber(order, _reduce_mod_cyclotomic(raw, order)),
-            CyclotomicNumber(order, _reduce_mod_cyclotomic(raw_head, order)))
+def _tree_sum(ratios: list) -> tuple:
+    """Sum of (numerator, denominator) int pairs, added in pairs level by
+    level up a balanced tree (binary splitting), so the big operands meet
+    only near the root.  A node keeps the lcm of its children's denominators
+    and reduces nothing further; the caller reduces the root once."""
+    while len(ratios) > 1:
+        pairs, level = iter(ratios), []
+        for (na, da), (nb, db) in zip(pairs, pairs):
+            g = gcd(da, db)
+            level.append((na * (db // g) + nb * (da // g), da // g * db))
+        ratios = level + ratios[2 * len(level):]
+    return ratios[0] if ratios else (0, 1)
 
 
 def _kernel_sum(kernel: ProjectionKernel, r: int, terms: list, half: int = 0):
     """The kernel pairing of every side: over the terms (M, a, b),
     CyclotomicNumbers in ascending M, the sum of K(M + r, M) a b and the
-    same sum over M <= half.  K is the kernel's integer ratio; the terms are
-    grouped by (a order, b order) and each group is summed by _group_sums,
-    the terms with M <= half as its prefix.  A group becomes one
-    CyclotomicNumber at the lcm of its orders, kept even when its terms
-    cancel, so a sum's order tag is that of adding the terms one at a time
-    to an order-1 zero."""
-    groups: dict[tuple, list] = {}
-    for M, a, b in terms:
-        num, den = kernel.ratio(M + r, M)
-        groups.setdefault((a.order, b.order), []).append((M, num, den, a.coords, b.coords))
-    whole = head = cyc(0)
-    for (oa, ob), group in groups.items():
-        cut = bisect_right(group, half, key=lambda t: t[0])
-        w, h = _group_sums(group, cut, oa, ob)
-        whole, head = whole + w, head + h
-    return whole, head
+    same sum over M > half (the tail).
+
+    Both are taken at e, the lcm of every term's order tags (the tag of
+    adding the terms one at a time to an order-1 zero, also where they
+    cancel).  With K(M + r, M) = c n/d (``ProjectionKernel.along_gap``),
+    n a_i b_j / d goes to raw position i e/ord(a) + j e/ord(b) at e, where
+    one tree sums the head (M <= half) and one the tail; c multiplies each
+    root, and each sum is reduced mod Phi_e, once."""
+    e = lcm(*{a.order for _, a, _ in terms}, *{b.order for _, _, b in terms})
+    c, ratios = kernel.along_gap(r, [M for M, _, _ in terms])
+    head, tail = {}, {}
+    for (M, a, b), (num, den) in zip(terms, ratios):
+        leaves, sa, sb = head if M <= half else tail, e // a.order, e // b.order
+        for i, x in enumerate(a.coords):
+            if x:
+                for j, y in enumerate(b.coords):
+                    k = num * x * y
+                    if k:
+                        leaves.setdefault(i * sa + j * sb, []).append(
+                            (k, den) if type(k) is int else (k.numerator, den * k.denominator))
+    tail = {at: _tree_sum(leaves) for at, leaves in tail.items()}
+    whole = {**tail, **{at: _tree_sum([_tree_sum(leaves), tail.get(at, (0, 1))])
+                        for at, leaves in head.items()}}
+
+    def reduced(sums):
+        raw = [c * Fraction(*sums[at]) if at in sums else 0 for at in range(2 * e)]
+        return CyclotomicNumber(e, _reduce_mod_cyclotomic(raw, e))
+
+    tail = reduced(tail)
+    return (reduced(whole) if head else tail), tail
 
 
 def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResult:
@@ -357,10 +337,11 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResu
     with alpha, beta the theta-power coefficients of the chi and psi sides.
     tail_delta records, per r, the change between bounds B/2 and B.
 
-    Per r, _kernel_sum pairs the theta coefficients, as they are, with the
-    kernel and returns the B/2 sum with the B sum.  At l = 4, R = 40,
-    B = 65536 (kronecker -4 and 8) this takes 2.3-2.9 s on a 2-vCPU host,
-    1.2-1.7 s of it building the theta powers.
+    One pass over alpha collects every gap's terms, each M against the beta
+    exponents in (M, M + rmax]; per r, _kernel_sum returns the B sum and its
+    tail over M > B/2, which is tail_delta.  At l = 4, R = 40, B = 65536
+    (kronecker -4 and 8) this takes 1.6-2.0 s on a 2-vCPU host, 0.9-1.2 s
+    of it building the theta powers.
     """
     if cfg.l != 1 and cfg.l % 2 != 0:
         raise OddDimensionError(
@@ -372,16 +353,16 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResu
     if B < cfg.rmax:
         raise ValueError(f"need B >= rmax, got B={B} < {cfg.rmax}")
     kernel = cfg.kernel()
-    alpha = list(theta_power_direct(cfg.chi, cfg.l, B).nonzero_items())
-    beta = dict(theta_power_direct(cfg.psi, cfg.l, B + cfg.rmax).nonzero_items())
-
-    full_at_b, deltas = {}, {}
-    for r in range(1, cfg.rmax + 1):
-        terms = [(M, a, beta[M + r]) for M, a in alpha if M + r in beta]
-        full_at_b[r], head = _kernel_sum(kernel, r, terms, B // 2)
-        deltas[r] = full_at_b[r] - head
-
-    return FullSideResult(series=QSeries(1, cfg.rmax, full_at_b), tail_delta=deltas)
+    alpha = theta_power_direct(cfg.chi, cfg.l, B).nonzero_items()
+    beta = list(theta_power_direct(cfg.psi, cfg.l, B + cfg.rmax).nonzero_items())
+    norms = [N for N, _ in beta]
+    gaps = {r: [] for r in range(1, cfg.rmax + 1)}
+    for M, a in alpha:
+        for N, b in beta[bisect_right(norms, M):bisect_right(norms, M + cfg.rmax)]:
+            gaps[N - M].append((M, a, b))
+    sums = {r: _kernel_sum(kernel, r, terms, B // 2) for r, terms in gaps.items()}
+    return FullSideResult(series=QSeries(1, cfg.rmax, {r: s[0] for r, s in sums.items()}),
+                          tail_delta={r: s[1] for r, s in sums.items()})
 
 
 def lemma_gap_witnesses(cfg: ProjectionConfig, r: int, cap: int = 3, max_entry_sum: int = 16):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from holoproj.calibrate import _power_difference_kernel
 from holoproj.jacobi import jacobi_poly
 from holoproj.rings import UnivariatePoly
 from holoproj.kernel import (
@@ -154,6 +155,48 @@ def test_integer_form_equals_the_fraction_evaluation(l, orientation):
         num, den = k.ratio(N, M)
         assert den > 0
         assert k.eval(N, M) == F(num, den) == fraction_eval(k, N, M), (N, M)
+
+
+def _times_diagonal(a, h):
+    """Coefficients of (t - 1)^a h(t), ascending in t = y/x."""
+    out = list(h)
+    for _ in range(a):
+        out = [x - y for x, y in zip([0, *out], [*out, 0])]
+    return tuple(out)
+
+
+def _form_ratio(k, N, M):
+    """K's ratio from the unsplit form: G(x, y) = sum g_k y^k x^(deg - k) by
+    homogeneous Horner, over D y^p x^q."""
+    x, y = (math.isqrt(N), math.isqrt(M)) if k.roots else (N, M)
+    acc, y_k = k.form[0], 1
+    for g in k.form[1:]:
+        y_k *= y
+        acc = acc * x + g * y_k
+    p, q = k.powers
+    return acc, k.scale * y ** p * x ** q
+
+
+SPLIT_KERNELS = {
+    **{f"l={l} {o}": (l, projection_kernel(l, o))
+       for l in (1, 3, 4, 5, 6, 8, 10) for o in ("prefactor_on_larger", "prefactor_on_smaller")},
+    **{f"power difference lam={lam}": (None, _power_difference_kernel(lam)) for lam in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_KERNELS))
+def test_diagonal_split_multiplies_back_to_the_form(name):
+    """G = (y - x)^a H exactly, H(1, 1) != 0, a = l + 1 with deg H <= 3 for
+    even l, and ratio and along_gap give the unsplit form's values."""
+    l, k = SPLIT_KERNELS[name]
+    assert _times_diagonal(k.diagonal, k.cofactor) == k.form
+    assert sum(k.cofactor) != 0
+    if l is not None and l % 2 == 0:
+        assert k.diagonal == l + 1 and len(k.cofactor) <= 4
+    for N, M in SQUARE_GRID if k.roots else GRID:
+        assert k.ratio(N, M) == _form_ratio(k, N, M), (N, M)
+        c, [ratio] = k.along_gap(N - M, [M])
+        assert c * F(*ratio) == F(*_form_ratio(k, N, M)), (N, M)
 
 
 @pytest.mark.parametrize("l", [4, 6, 8, 10])

@@ -32,7 +32,7 @@ from holoproj.projection import (
     sigma_side,
 )
 from holoproj.qseries import QSeries
-from holoproj.rings import _ONE, CyclotomicNumber, cyc, rational_to_str, value_to_json
+from holoproj.rings import _ONE, CyclotomicNumber, cyc, euler_phi, rational_to_str, value_to_json
 from holoproj.smalldiv import (
     CharacterParityError,
     MultiIndex,
@@ -576,13 +576,105 @@ def test_a_cancelled_group_keeps_its_order_tag(monkeypatch):
 def test_dropping_a_cancelled_groups_tag_is_caught(monkeypatch):
     """Mutant: a group whose terms cancel contributes an order-1 zero."""
     cfg = _cancelling_thetas(monkeypatch)
-    group_sums = projection._group_sums
+    kernel_sum = projection._kernel_sum
 
     def untagged(*args):
-        return tuple(cyc(0) if v.is_zero() else v for v in group_sums(*args))
+        return tuple(cyc(0) if v.is_zero() else v for v in kernel_sum(*args))
 
-    monkeypatch.setattr(projection, "_group_sums", untagged)
+    monkeypatch.setattr(projection, "_kernel_sum", untagged)
     assert full_pairs_json(cfg, 4) != full_pairs_oracle(cfg, 4)
+
+
+# -- the kernel pairing against one term at a time ---------------------------
+
+ZETA3, ZETA4 = CyclotomicNumber.zeta(3), CyclotomicNumber.zeta(4)
+
+
+def _pairing_oracle(kernel, r, terms, half):
+    """(whole, head) of the terms (M, a, b) added one at a time to an order-1
+    zero, K as a Fraction: the values and order tags of the pairing."""
+    whole = head = cyc(0)
+    for M, a, b in terms:
+        term = a * b * cyc(kernel.eval(M + r, M))
+        whole = whole + term
+        if M <= half:
+            head = head + term
+    return whole, head
+
+
+def _pairing_matches_the_oracle(kernel, r, terms, half):
+    whole, tail = projection._kernel_sum(kernel, r, terms, half)
+    want_whole, want_head = _pairing_oracle(kernel, r, terms, half)
+    assert value_to_json(whole) == value_to_json(want_whole)
+    assert value_to_json(tail) == value_to_json(want_whole - want_head)
+    return whole, tail
+
+
+def _cancelling_terms(kernel, r, M1, M2, tag_unit):
+    """Two terms whose products cancel at the unit's tag."""
+    return [(M1, tag_unit * cyc(kernel.eval(M2 + r, M2)), cyc(1)),
+            (M2, -tag_unit * cyc(kernel.eval(M1 + r, M1)), cyc(1))]
+
+
+PAIRING_CASES = {
+    "tag 1": [(1, cyc(3), cyc(-2)), (2, cyc(F(1, 3)), cyc(5)), (5, cyc(7), cyc(1))],
+    "tag 4": [(1, ZETA4, cyc(2)), (3, cyc(1), ZETA4 + 1), (4, -ZETA4, ZETA4), (7, cyc(2), cyc(-1))],
+    "tags 3 and 4": [(2, ZETA3, cyc(1)), (3, cyc(5), ZETA4), (5, ZETA3 + 2, 1 - ZETA4)],
+    "a Fraction coordinate": [(1, CyclotomicNumber(4, (F(1, 2), F(-3, 7))), cyc(3)),
+                              (6, cyc(F(5, 9)), ZETA3)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("half", [0, 1, 2, 3, 4, 6, 100])
+@pytest.mark.parametrize("case", list(PAIRING_CASES))
+@pytest.mark.parametrize("l", [4, 6, 10])
+def test_kernel_sum_matches_one_term_at_a_time(l, case, half):
+    """Values and order tags of the sum and of its tail over M > half, for
+    half below, at and between the M values and past them all."""
+    kernel = projection.projection_kernel(l)
+    whole, tail = _pairing_matches_the_oracle(kernel, 3, PAIRING_CASES[case], half)
+    if case == "empty":
+        assert value_to_json(whole) == value_to_json(tail) == "0"
+
+
+@pytest.mark.parametrize("half", [0, 1, 49, 60])
+@pytest.mark.parametrize("l", [1, 3])
+def test_kernel_sum_matches_one_term_at_a_time_in_square_roots(l, half):
+    """A kernel in the norms' square roots: (1, 16) and (49, 64) at r = 15."""
+    kernel = projection.projection_kernel(l)
+    terms = [(1, ZETA4, cyc(2)), (49, cyc(F(3, 5)), ZETA3)]
+    _pairing_matches_the_oracle(kernel, 15, terms, half)
+
+
+@pytest.mark.parametrize("half", [0, 2, 3, 9])
+def test_kernel_sum_keeps_the_tag_of_a_cancelled_sum(half):
+    kernel = projection.projection_kernel(4)
+    terms = _cancelling_terms(kernel, 5, 2, 3, ZETA4) + [(9, cyc(0), ZETA3)]
+    whole, tail = _pairing_matches_the_oracle(kernel, 5, terms[:2], half)
+    assert value_to_json(whole) == {"order": 4, "coords": ["0", "0"]}
+    whole, tail = _pairing_matches_the_oracle(kernel, 5, terms, half)
+    assert whole.is_zero() and whole.order == tail.order == 12
+
+
+_RATIONALS = st.one_of(st.integers(-20, 20),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=12))
+_CYCLOTOMICS = st.sampled_from([1, 3, 4, 12]).flatmap(
+    lambda e: st.lists(_RATIONALS, min_size=euler_phi(e), max_size=euler_phi(e)).map(
+        lambda coords: CyclotomicNumber(e, coords)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(l=st.sampled_from([4, 6, 8]), r=st.integers(1, 12),
+       norms=st.sets(st.integers(1, 60), max_size=8), data=st.data(),
+       half=st.integers(0, 64), cancel=st.booleans())
+def test_kernel_sum_property(l, r, norms, data, half, cancel):
+    kernel = projection.projection_kernel(l)
+    terms = [(M, data.draw(_CYCLOTOMICS), data.draw(_CYCLOTOMICS)) for M in sorted(norms)]
+    if cancel and len(terms) >= 2:
+        (M1, *_), (M2, *_) = terms[:2]
+        terms[:2] = _cancelling_terms(kernel, r, M1, M2, data.draw(st.sampled_from([ZETA3, ZETA4])))
+    _pairing_matches_the_oracle(kernel, r, terms, half)
 
 
 def test_lemma_gap_witness_row5():
