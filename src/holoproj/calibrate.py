@@ -16,14 +16,7 @@ from types import SimpleNamespace
 
 from .characters import DirichletCharacter, char_conjugate
 from .kernel import ProjectionKernel, _integer_form, kernel_bivariate, weights_for_dim
-from .projection import (
-    ProjectionConfig,
-    _side,
-    ordered_coefficient,
-    ordered_power,
-    sigma_coefficient,
-    sigma_power,
-)
+from .projection import ProjectionConfig, ordered_pairs_side, sigma_side
 from .rings import cyc, value_to_json
 from .smalldiv import eisenstein_e2, require_twist_pair, sigma_sm_classical
 
@@ -83,20 +76,20 @@ def _sides(inst: CalibrationInstance, rmax: int):
 
     classical-d reads E2 and the l = 1 ordered side of (psi, conj psi) under
     the power-difference kernel; conj(psi) is odd, which ProjectionConfig
-    rejects as chi, so the config is relaxed to the fields the side reads.
+    rejects as chi, so a namespace carries the side's fields and that kernel.
     For classical-d2 and kernel-1dim every pair with nu^2 - mu^2 = r has
     nu > mu, so the l = 1 ordered side is the whole projection sum;
     kernel-1dim also reads the l = 1 sigma side."""
     sigma = e2 = None
     if inst.family == "classical-d":
-        cfg = SimpleNamespace(psi=inst.psi, chi=char_conjugate(inst.psi), l=1, rmax=rmax)
-        kernel, e2 = _power_difference_kernel(inst.psi.parity), eisenstein_e2(rmax)
+        cfg = SimpleNamespace(psi=inst.psi, chi=char_conjugate(inst.psi), l=1, rmax=rmax,
+                              kernel=lambda: _power_difference_kernel(inst.psi.parity))
+        e2 = eisenstein_e2(rmax)
     else:
         cfg = ProjectionConfig(inst.psi, inst.chi, 1, rmax, modes=("ordered",))
-        kernel = cfg.kernel()
         if inst.family == "kernel-1dim":
-            sigma = _side(cfg, kernel, sigma_coefficient, sigma_power(cfg, rmax))
-    return _side(cfg, kernel, ordered_coefficient, ordered_power(cfg, rmax)), sigma, e2
+            sigma = sigma_side(cfg)
+    return ordered_pairs_side(cfg), sigma, e2
 
 
 def _calibration_equation(inst: CalibrationInstance, r: int, sides=None):

@@ -4,7 +4,7 @@ Two independent exact constructions: the three-term recurrence, and the
 terminating hypergeometric sum with all Gamma quotients evaluated as rising
 factorials (no Gamma function over the rationals, so poles at negative
 parameters never arise).  Both build on ``rings.UnivariatePoly``, the
-package's one polynomial type, re-exported here.
+package's one dense polynomial type, re-exported here.
 
 For every even l the kernel parameters (l/2 - 1, -l - 1) make the recurrence's
 c1(j) vanish at j = l/2 + 1, so the kernels never use the recurrence: the 2F1

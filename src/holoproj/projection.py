@@ -7,19 +7,19 @@ coordinates but the kernel, which depends on M and r alone.  sigma_side
 raises H, one term per divisor substitution (a, b) of an entry value;
 ordered_pairs_side raises G, one term per coordinate pair n > m on the
 characters' support (never via divisors).  The two base series share only
-_graded_power, which sums every tuple's term per (r, M, grade) in integers,
-the grades carrying the character values with the order tags a term-by-term
-sum would print; _side is the one path from such a power to the
-coefficients 1..rmax.  full_pairs_side collapses the unrestricted pair sum
-through the theta-power coefficients, truncated at a norm bound B with
-doubling-based tail diagnostics.  Each side's coefficient of q^r pairs a
-weight per norm M with the kernel, sum_M K(M + r, M) c_r(M), and
-_kernel_sum forms that pairing for all three: one binary-splitting tree of
-integer ratios per coordinate, the kernel's diagonal factor (-r)^a taken
-out of the gap.  The ordered sum equals the sigma sum by an exact
-bijection; whether the full sum does too is precisely the claim under test,
-so residual_report, whose jobs are the three sides, asserts nothing about
-it and just ledgers the numbers.
+_graded_power, which sums every tuple's term per (r, M, grade) in integers;
+rings.graded_readout, which also reads the lattice theta rows, turns them
+into weights per M with the tags a term-by-term sum would print, and _side
+is the one path from a power to the coefficients 1..rmax.  full_pairs_side
+collapses the unrestricted pair sum through the theta-power coefficients,
+truncated at a norm bound B with doubling-based tail diagnostics.  Each
+side's coefficient of q^r pairs a weight per norm M with the kernel,
+sum_M K(M + r, M) c_r(M), and _kernel_sum forms that pairing for all three:
+one binary-splitting tree of integer ratios per coordinate, the kernel's
+diagonal factor (-r)^a taken out of the gap.  The ordered sum equals the
+sigma sum by an exact bijection; whether the full sum does too is precisely
+the claim under test, so residual_report, whose jobs are the three sides,
+asserts nothing about it and just ledgers the numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from typing import NamedTuple
 from .characters import DirichletCharacter
 from .kernel import ProjectionKernel, projection_kernel, weights_for_dim
 from .qseries import QSeries
-from .rings import _ONE, CyclotomicNumber, _reduce_mod_cyclotomic, cyc, value_to_json
+from .rings import (_ONE, CyclotomicNumber, _reduce_mod_cyclotomic, cyc, graded_readout,
+                    value_to_json)
 from .smalldiv import (
     CharacterPlacement,
     eisenstein_e2,  # noqa: F401  (re-exported as holoproj.projection.eisenstein_e2)
@@ -216,22 +217,13 @@ def ordered_power(cfg, rmax: int) -> GradedPower:
 
 
 def _pair_power(kernel: ProjectionKernel, r: int, power: GradedPower) -> CyclotomicNumber:
-    """The coefficient of q^r: per M, the weight sum over grades of value
-    times integer, added in integers at top, the lcm of the row's tags, read
-    as one CyclotomicNumber at e, the lcm of its grades' tags (every
-    (top/e)-th coordinate, mod Phi_e), and paired by _kernel_sum."""
-    row = [(power.values[g], col) for g, col in power.rows.get(r, {}).items()]
-    top = lcm(*(v.order for v, _ in row))
-    raw, tags = {}, {}
-    for v, col in row:
-        for M, c in col.items():
-            w = raw.setdefault(M, [0] * top)
-            tags[M] = lcm(tags.get(M, 1), v.order)
-            for k, x in enumerate(v.coords):
-                w[k * top // v.order] += c * x
-    return _kernel_sum(kernel, r, [
-        (M, CyclotomicNumber(e, _reduce_mod_cyclotomic(raw[M][::top // e], e)), _ONE)
-        for M, e in sorted(tags.items())])[0] if tags else cyc(0)
+    """The coefficient of q^r: per M, the sum over grades of value times
+    integer, read by rings.graded_readout at the lcm of the tags of the
+    grades whose column holds M, a zero weight kept, paired by _kernel_sum."""
+    weights = graded_readout(power.rows.get(r, {}), power.values)
+    if not weights:
+        return cyc(0)
+    return _kernel_sum(kernel, r, [(M, w, _ONE) for M, w in sorted(weights.items())])[0]
 
 
 def sigma_coefficient(kernel: ProjectionKernel, r: int, power: GradedPower) -> CyclotomicNumber:
@@ -252,21 +244,22 @@ def ordered_coefficient(kernel: ProjectionKernel, r: int, power: GradedPower) ->
     return _pair_power(kernel, r, power)
 
 
-def _side(cfg, kernel: ProjectionKernel, coefficient, power: GradedPower) -> QSeries:
-    """coefficient(kernel, r, power) for r = 1..cfg.rmax, power built to
-    Y-degree at least cfg.rmax: the one path from a graded power to a side."""
+def _side(cfg, coefficient, power: GradedPower) -> QSeries:
+    """coefficient(cfg.kernel(), r, power) for r = 1..cfg.rmax, power built
+    to Y-degree at least cfg.rmax: the one path from a graded power to a side."""
+    kernel = cfg.kernel()
     return QSeries(1, cfg.rmax, {r: coefficient(kernel, r, power)
                                  for r in range(1, cfg.rmax + 1)})
 
 
 def sigma_side(cfg: ProjectionConfig) -> QSeries:
     """Coefficient of q^r: sum of sigma_sm over multi-indices with entry sum r."""
-    return _side(cfg, cfg.kernel(), sigma_coefficient, sigma_power(cfg, cfg.rmax))
+    return _side(cfg, sigma_coefficient, sigma_power(cfg, cfg.rmax))
 
 
 def ordered_pairs_side(cfg: ProjectionConfig) -> QSeries:
     """Coefficient of q^r: the kernel-weighted sum over ordered pairs at r."""
-    return _side(cfg, cfg.kernel(), ordered_coefficient, ordered_power(cfg, cfg.rmax))
+    return _side(cfg, ordered_coefficient, ordered_power(cfg, cfg.rmax))
 
 
 class OddDimensionError(ValueError):
@@ -365,14 +358,14 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResu
                           tail_delta={r: s[1] for r, s in sums.items()})
 
 
-def lemma_gap_witnesses(cfg: ProjectionConfig, r: int, cap: int = 3, max_entry_sum: int = 16):
+def lemma_gap_witnesses(cfg: ProjectionConfig, r: int, cap: int = 3):
     """Pairs (m, n) with |n|^2 - |m|^2 = r that are NOT componentwise
     dominated: lattice points the unrestricted (full) summation range covers
     but the substitution's ordered range does not.  Each witness carries its
     character weights; a pair may sit in the gap with weight zero.  Returns
     up to `cap` examples, smallest entry sum of m first; the scan is bounded
     so reports stay cheap."""
-    l = cfg.l
+    l, max_entry_sum = cfg.l, 16
     out = []
     for msum in range(l, max_entry_sum + 1):
         for m in compositions(msum, l):
@@ -517,7 +510,7 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     witnesses = []
     if want_full and cfg.l > 1:
         for row in full_nonzero[:8]:
-            w = lemma_gap_witnesses(cfg, row.r, cap=3)
+            w = lemma_gap_witnesses(cfg, row.r)
             if w:
                 witnesses.append({"r": row.r, "pairs": w})
 

@@ -12,7 +12,9 @@ phi(e); reduction modulo the e-th cyclotomic polynomial is canonical, so two
 equal values at the same order have identical coordinates.  Their hot
 operations stay on coordinate tuples and share the polynomial type's
 list-level long division.  Mixed-order arithmetic lifts both operands to the
-lcm order, so callers never manage orders themselves.
+lcm order, so callers never manage orders themselves.  ``graded_readout``
+turns integer sums per grade into tagged values with the tags addition gives;
+it reads the lattice theta powers and the sigma and ordered powers alike.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # integer arithmetic, never rounded
 _SPLIT_BITS = 1 << 14  # an int up to this width (about 4,900 digits) converts in one step
@@ -75,7 +77,7 @@ def rational_to_str(q: int | Fraction) -> str:
 
 
 class UnivariatePoly:
-    """Dense polynomial over Q, the package's one polynomial type.
+    """Polynomial over Q, the package's one dense polynomial type.
 
     ``coeffs[k]`` is the z^k coefficient, a Fraction; trailing zeros are
     trimmed, so equal polynomials compare equal.  Arithmetic accepts
@@ -405,6 +407,33 @@ def cyc(x) -> CyclotomicNumber:
     if isinstance(x, CyclotomicNumber):
         return x
     return CyclotomicNumber(1, (x,))
+
+
+def graded_readout(columns: dict, values: dict) -> dict:
+    """Integer sums per grade as tagged values: per key that some column of
+    columns ({grade: {key: int or Fraction}}) holds, the sum of amount *
+    values[grade] over the columns holding it, at the lcm of their tags,
+    zero amounts included, as adding the terms one at a time to cyc(0) gives
+    it.  Coordinates at that lcm are read once per set of grades present,
+    keyed by grade (value equality ignores tags), lifting only values below."""
+    present, plans, out = {}, {}, {}
+    for grade, col in columns.items():
+        for key in col:
+            present[key] = present.get(key, ()) + (grade,)
+    for key, grades in present.items():
+        if grades not in plans:
+            e = lcm(*(values[g].order for g in grades))
+            plans[grades] = e, euler_phi(e), [
+                (columns[g], (values[g] if values[g].order == e else values[g].lift(e)).coords)
+                for g in grades]
+        e, phi, parts = plans[grades]
+        total = [0] * phi
+        for col, coords in parts:
+            amount = col[key]
+            for k, c in enumerate(coords):
+                total[k] += amount * c
+        out[key] = CyclotomicNumber(e, total)
+    return out
 
 
 # -- serialization (report-file format) -------------------------------------

@@ -9,18 +9,18 @@ tuple per orbit of coordinate permutations, weighted by the orbit's size, with
 radius pruning, into dense integer rows indexed by norm: psi's rational
 values (order tag 1, so +-1) fold their signs into the last coordinate's
 power and share one row, and each residue whose value has a higher tag keeps
-its own.  Per norm the character is applied once, at the lcm of the tags
-present, on integer coordinate vectors.
+its own.  rings.graded_readout, which also reads the sigma and ordered
+powers, applies the character to those rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import factorial, isqrt, lcm
+from math import factorial, isqrt
 
 from .characters import DirichletCharacter
 from .qseries import QSeries
-from .rings import CyclotomicNumber, euler_phi
+from .rings import _ONE, CyclotomicNumber, graded_readout
 
 
 def theta_series(psi: DirichletCharacter, N: int) -> QSeries:
@@ -56,10 +56,10 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
     norm.  The sums go into rows indexed by norm: one for the residues of
     the product where psi is +-1 at tag 1, its sign folded into the last
     power, and one per residue of a higher tag, whose positive entries say
-    where a point landed.  Per norm, e is the lcm of the tags present (tag 1
-    never changes it) and psi is applied once, at e, on integer coordinates,
-    the rational row on coordinate 0.  Reduction mod Phi_e is canonical, so
-    values and tags equal those of adding psi(residue) * sum one at a time.
+    where a point landed.  rings.graded_readout reads them, a residue present
+    where its entry is nonzero and the rational row graded as residue 0 (psi
+    is 0 there) at value 1, so values and tags equal those of adding
+    psi(residue) * sum one at a time; a zero sum is dropped.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
@@ -115,30 +115,14 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
     else:
         descend(l, 0, 0, 1, 1 % mod, factorial(l), 0)
 
-    own = [(values[res], row) for res, row in rows.items() if row is not rational]
+    own = {res: row for res, row in rows.items() if row is not rational}
     if not own:
         return QSeries(l, N, {norm: CyclotomicNumber(1, (s,))
                               for norm, s in enumerate(rational) if s})
-    plans = {}
-    coeffs = {}
-    for norm, sums in enumerate(zip(rational, *(row for _, row in own))):
-        if not any(sums):
-            continue
-        present = tuple(i for i in range(1, len(sums)) if sums[i])
-        plan = plans.get(present)
-        if plan is None:
-            e = lcm(1, *(own[i - 1][0].order for i in present))
-            plan = plans[present] = (e, euler_phi(e), [
-                (i, own[i - 1][0].lift(e).coords) for i in present])
-        e, phi, parts = plan
-        total = [sums[0]] + [0] * (phi - 1)
-        for i, coords in parts:
-            amount = sums[i]
-            for k, c in enumerate(coords):
-                total[k] += amount * c
-        if any(total):
-            coeffs[norm] = CyclotomicNumber(e, total)
-    return QSeries(l, N, coeffs)
+    columns = {res: {norm: s for norm, s in enumerate(row) if s}
+               for res, row in [(0, rational), *own.items()]}
+    weights = graded_readout(columns, {0: _ONE, **{res: values[res] for res in own}})
+    return QSeries(l, N, {norm: w for norm, w in weights.items() if w})
 
 
 def theta_power_series(psi: DirichletCharacter, l: int, N: int) -> QSeries:

@@ -15,6 +15,7 @@ from holoproj.rings import (
     cyc,
     cyclotomic_polynomial,
     euler_phi,
+    graded_readout,
     rational_to_str,
     value_from_json,
     value_to_json,
@@ -303,3 +304,102 @@ def test_rational_to_str_agrees_with_one_decimal_conversion(width, rng, negative
     q = Fraction(n, 3 ** 5000)
     assert rational_to_str(q) == (f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
                                   if n else "0")
+
+
+# -- the graded readout ---------------------------------------------------------
+
+READOUT_VALUES = {
+    "one": cyc(1),
+    "minus": cyc(-1),
+    "three_at_2": CyclotomicNumber(2, (3,)),
+    "w": zeta(3),
+    "i": zeta(4),
+    "minus_i": -zeta(4),
+    "one_at_4": CyclotomicNumber(4, (1, 0)),  # 1 spelled at tag 4
+}
+
+
+def _readout_oracle(columns, values):
+    """amount * value added one term at a time to cyc(0), per key."""
+    out = {}
+    for grade, col in columns.items():
+        for key, amount in col.items():
+            out[key] = out.get(key, cyc(0)) + amount * values[grade]
+    return {key: value_to_json(v) for key, v in out.items()}
+
+
+def _readout_json(columns, values):
+    return {key: value_to_json(v) for key, v in graded_readout(columns, values).items()}
+
+
+@pytest.mark.parametrize("columns, expected", [
+    # tags 1, 2, 3 and 4, one grade per key
+    ({"one": {1: 5}, "three_at_2": {2: 7}, "w": {3: -2}, "i": {4: 3}},
+     {1: "5", 2: {"order": 2, "coords": ["21"]}, 3: {"order": 3, "coords": ["0", "-2"]},
+      4: {"order": 4, "coords": ["0", "3"]}}),
+    # tags 3 and 4 at one key: e = 12
+    ({"w": {1: 2}, "i": {1: -3}}, None),
+    # 1 spelled at tag 4 next to -1 at tag 1: the key holding both is at tag 4,
+    # and 1 at tag 4 alone is not 1 at tag 1 alone
+    ({"one_at_4": {1: 2, 2: 5}, "minus": {1: 7, 3: 1}, "one": {4: 6}},
+     {1: {"order": 4, "coords": ["-5", "0"]}, 2: {"order": 4, "coords": ["5", "0"]}, 3: "-1",
+      4: "6"}),
+    # terms that cancel at tag 4, and a zero amount at tag 4, keep the tag
+    ({"i": {1: 2, 2: 0}, "minus_i": {1: 2}, "one": {2: 3}},
+     {1: {"order": 4, "coords": ["0", "0"]}, 2: {"order": 4, "coords": ["3", "0"]}}),
+    # Fraction amounts
+    ({"w": {1: Fraction(1, 3)}, "one": {1: Fraction(-2, 5), 2: Fraction(7, 4)}},
+     {1: {"order": 3, "coords": ["-2/5", "1/3"]}, 2: "7/4"}),
+    # keys that only some columns hold
+    ({"i": {1: 1, 2: 4}, "one": {2: 3, 3: 1}, "w": {3: 2}},
+     {1: {"order": 4, "coords": ["0", "1"]}, 2: {"order": 4, "coords": ["3", "4"]},
+      3: {"order": 3, "coords": ["1", "2"]}}),
+    # empty columns
+    ({}, {}),
+    ({"i": {}, "w": {}}, {}),
+    ({"i": {}, "one": {1: 2}}, {1: "2"}),
+])
+def test_graded_readout_matches_one_term_at_a_time(columns, expected):
+    got = _readout_json(columns, READOUT_VALUES)
+    assert got == _readout_oracle(columns, READOUT_VALUES)
+    if expected is not None:
+        assert got == expected
+    else:
+        assert {v["order"] for v in got.values()} == {12}
+
+
+def test_graded_readout_lifts_no_value_already_at_its_tag(monkeypatch):
+    calls = []
+    lift = CyclotomicNumber.lift
+    monkeypatch.setattr(CyclotomicNumber, "lift", lambda z, e: calls.append(e) or lift(z, e))
+    values = {"one": cyc(1), "minus": cyc(-1), "i": zeta(4), "one_at_4": READOUT_VALUES["one_at_4"]}
+    graded_readout({"one": {k: k for k in range(9)}, "minus": {k: 1 for k in range(0, 9, 2)}},
+                   values)
+    assert calls == []
+    graded_readout({"i": {1: 1, 2: 2}, "one_at_4": {2: 3}, "one": {2: 1, 3: 5}}, values)
+    assert calls == [4]  # 1 at tag 1 beside tag-4 grades, once for the one set holding all three
+
+
+@st.composite
+def readout_inputs(draw):
+    """Up to four grades, each value spelled at a multiple of its least tag
+    (equal values at two tags among them), and columns over six keys with
+    int or Fraction amounts, zeros included."""
+    values = {}
+    for grade in range(draw(st.integers(0, 4))):
+        v = draw(st.one_of(st.sampled_from(list(READOUT_VALUES.values())),
+                           cyclo_values(orders=(1, 2, 3, 4))))
+        values[grade] = v.lift(draw(st.sampled_from([e for e in (1, 2, 3, 4, 12)
+                                                     if e % v.order == 0])))
+    amounts = st.one_of(st.integers(-9, 9),
+                        st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    columns = {grade: draw(st.dictionaries(st.integers(0, 5), amounts, max_size=6))
+               for grade in values}
+    return columns, values
+
+
+@given(readout_inputs())
+@settings(max_examples=80, deadline=None)
+def test_graded_readout_property(inputs):
+    columns, values = inputs
+    assert _readout_json(columns, values) == _readout_oracle(columns, values)
