@@ -29,7 +29,6 @@ from .jacobi import (
     jacobi_recurrence,
 )
 from .kernel import (
-    BivariateLaurent,
     NonSquareArgumentError,
     ProjectionKernel,
     WeightData,

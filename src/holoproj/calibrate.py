@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .characters import DirichletCharacter, char_conjugate
-from .kernel import ProjectionKernel, _integer_form, kernel_bivariate, weights_for_dim
+from .kernel import ProjectionKernel, weights_for_dim
 from .projection import ProjectionConfig, ordered_pairs_side, sigma_side
 from .rings import cyc, value_to_json
 from .smalldiv import eisenstein_e2, require_twist_pair, sigma_sm_classical
@@ -67,7 +67,7 @@ def _power_difference_kernel(lam: int) -> ProjectionKernel:
     """nu^(1 - 2 lam) - mu^(1 - 2 lam): the kappa = 2 kernel (Jacobi factor 1)
     at the weight k_f = 3/2 - lam of the corrected quotient."""
     w = replace(weights_for_dim(1), k_f=Fraction(3, 2) - lam, kappa=2, two_e=1 - 2 * lam)
-    return ProjectionKernel(w, "prefactor_on_larger", *_integer_form(kernel_bivariate(w)))
+    return ProjectionKernel.from_weights(w)
 
 
 def _sides(inst: CalibrationInstance, rmax: int):

@@ -1,4 +1,4 @@
-"""Projection kernels: weight bookkeeping, exact bivariate Laurent form and
+"""Projection kernels: weight bookkeeping, exact homogeneous forms and
 closed-form cross-checks.
 
 The kernel for dimension l is built from the degree-(kappa-2) Jacobi
@@ -17,9 +17,11 @@ The two differ exactly by the swap x <-> y; both are kept runnable because
 the defining condition is printed inconsistently across its sources and only
 one choice can cancel termwise against the projection sum.
 
-``ProjectionKernel`` holds the integer form of the printed kernel: K from
-``kernel_bivariate`` is homogeneous, so clearing its least powers y^p, x^q and
-its common denominator D leaves an integer homogeneous form G(x, y) with
+The printed kernel and every tabulated closed form are homogeneous in x and
+y, so each is a ``HomogeneousForm`` x^deg t^low P(t) in t = y/x, P a
+``UnivariatePoly``.  ``ProjectionKernel`` holds the integer form of the
+printed kernel: clearing its least powers y^p, x^q and its common
+denominator D leaves an integer homogeneous form G(x, y) with
 K = G(x, y) / (D y^p x^q), x and y the larger and smaller squared norms (their
 square roots when 2(k_f-1) is odd).  The orientation is decided once, in
 ``kernel_bivariate``.  For the default orientation and even l, p = l/2 - 1 and
@@ -80,75 +82,68 @@ def weights_for_dim(l: int) -> WeightData:
     )
 
 
-class BivariateLaurent:
-    """Sparse exact Laurent polynomial sum c_ij x^i y^j, integer exponents of
-    either sign; zero coefficients are never stored, so the representation is
-    canonical.  Coefficients are ints or Fractions, as they come; the two
-    compare, hash and print alike (the rings module docstring)."""
+class HomogeneousForm:
+    """x^deg t^low P(t) with t = y/x: a Laurent form in x and y, homogeneous of
+    total degree deg, whose terms are c_k x^(deg-low-k) y^(low+k) over P's
+    coefficients c_k.  P(0) != 0 unless P = 0, and then low = 0, so equal
+    forms of one degree have equal fields.  All coefficient arithmetic is
+    ``UnivariatePoly``'s."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("deg", "low", "poly")
 
-    def __init__(self, terms=()):
-        """terms: a dict or an iterable of ((i, j), c); repeated exponents add."""
-        data = {}
-        for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
-            key = (int(i), int(j))
-            data[key] = data[key] + c if key in data else c
-        self.terms = {k: c for k, c in sorted(data.items()) if c}
-
-    def __add__(self, other):
-        return BivariateLaurent([*self.terms.items(), *other.terms.items()])
-
-    def __neg__(self):
-        return BivariateLaurent({k: -c for k, c in self.terms.items()})
+    def __init__(self, deg: int, low: int, poly):
+        """poly: P, a UnivariatePoly or its coefficients ascending in t."""
+        poly = poly if isinstance(poly, UnivariatePoly) else UnivariatePoly(poly)
+        n = next((k for k, c in enumerate(poly.coeffs) if c), 0)  # t^n divides P
+        self.poly = UnivariatePoly(poly.coeffs[n:]) if n else poly
+        self.deg, self.low = deg, (low + n if poly.coeffs else 0)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.deg != other.deg:
+            raise ValueError(f"forms of degrees {self.deg} and {other.deg}")
+        low = min(self.low, other.low)
+        p, q = (UnivariatePoly((0,) * (f.low - low) + f.poly.coeffs) for f in (self, other))
+        return HomogeneousForm(self.deg, low, p - q)
 
     def __mul__(self, other):
-        if isinstance(other, BivariateLaurent):
-            return BivariateLaurent([((i1 + i2, j1 + j2), c1 * c2)
-                                     for (i1, j1), c1 in self.terms.items()
-                                     for (i2, j2), c2 in other.terms.items()])
-        return BivariateLaurent({k: c * other for k, c in self.terms.items()})
+        if isinstance(other, HomogeneousForm):
+            return HomogeneousForm(self.deg + other.deg, self.low + other.low,
+                                   self.poly * other.poly)
+        return HomogeneousForm(self.deg, self.low, self.poly * other)
 
     __rmul__ = __mul__
 
-    def shift(self, di: int, dj: int) -> "BivariateLaurent":
-        """Multiply by the monomial x^di y^dj."""
-        return BivariateLaurent({(i + di, j + dj): c for (i, j), c in self.terms.items()})
+    def shift(self, di: int, dj: int) -> "HomogeneousForm":
+        """Multiply by the monomial x^di y^dj = x^(di + dj) t^dj."""
+        return HomogeneousForm(self.deg + di + dj, self.low + dj, self.poly)
 
-    def swap_vars(self) -> "BivariateLaurent":
-        return BivariateLaurent({(j, i): c for (i, j), c in self.terms.items()})
+    def swap_vars(self) -> "HomogeneousForm":
+        """Exchange x and y: y^deg (x/y)^low P(x/y) = x^deg t^(deg - low - n)
+        t^n P(1/t) with n = deg P, and t^n P(1/t) is P reversed."""
+        return HomogeneousForm(self.deg, self.deg - self.low - self.poly.degree(),
+                               self.poly.coeffs[::-1])
 
-    def exponents_all_even(self) -> bool:
-        return all(i % 2 == 0 and j % 2 == 0 for i, j in self.terms)
+    def terms(self) -> dict:
+        """{(i, j): c} over the terms c x^i y^j, ascending in i."""
+        i0, coeffs = self.deg - self.low, self.poly.coeffs
+        return {(i0 - k, self.low + k): coeffs[k]
+                for k in reversed(range(len(coeffs))) if coeffs[k]}
 
     def __eq__(self, other):
-        if not isinstance(other, BivariateLaurent):
+        if not isinstance(other, HomogeneousForm):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.deg, self.low, self.poly) == (other.deg, other.low, other.poly)
 
     def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        acc = Fraction(0)
-        for (i, j), c in self.terms.items():
-            acc += c * x ** i * y ** j
-        return acc
+        t = Fraction(y) / x
+        return Fraction(x) ** self.deg * t ** self.low * self.poly(t)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         bits = []
-        for (i, j), c in self.terms.items():
-            mono = []
-            if i:
-                mono.append(f"x^{i}")
-            if j:
-                mono.append(f"y^{j}")
-            mono = "*".join(mono) or "1"
+        for (i, j), c in self.terms().items():
+            mono = f"x^{i}*y^{j}" if i and j else f"x^{i}" if i else f"y^{j}" if j else "1"
             bits.append(f"({rational_to_str(c)})*{mono}")
-        return " + ".join(bits)
+        return " + ".join(bits) or "0"
 
     __repr__ = __str__
 
@@ -170,7 +165,7 @@ def kernel_u_form(w: WeightData) -> UnivariatePoly:
     return jacobi_hypergeom_u(w.kappa - 2, Fraction(1) - w.k_f, Fraction(1 - w.kappa))
 
 
-def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") -> BivariateLaurent:
+def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") -> HomogeneousForm:
     """Exact kernel K(x, y), x holding the larger squared norm's square root.
 
     prefactor_on_larger:  x^(2(k_f-1)) P_{kappa-2}(1 - 2 y^2/x^2) - y^(2(k_f-1))
@@ -178,15 +173,19 @@ def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") ->
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
-    terms = [((w.two_e - 2 * k, 2 * k), c) for k, c in enumerate(kernel_u_form(w).coeffs)]
-    larger = BivariateLaurent(terms + [((0, w.two_e), -1)])
+    # x^two_e (P(1 - 2t^2) - t^two_e) = x^two_e t^low (shifted - monomial)
+    u_form, low = kernel_u_form(w).coeffs, min(w.two_e, 0)
+    shifted = [0] * (2 * len(u_form) - 1 - low)  # t^-low P(1 - 2t^2)
+    shifted[-low::2] = u_form
+    monomial = UnivariatePoly([0] * (w.two_e - low) + [1])  # t^(two_e - low)
+    larger = HomogeneousForm(w.two_e, low, UnivariatePoly(shifted) - monomial)
     return larger if orientation == "prefactor_on_larger" else larger.swap_vars()
 
 
 @dataclass(frozen=True)
 class ProjectionKernel:
     """Evaluation handle: weight data, orientation and the integer form of
-    the printed kernel (``_integer_form``), split as G = (y - x)^a H with
+    the printed kernel (``from_weights``), split as G = (y - x)^a H with
     a = l + 1 for even l (deg H <= 3 up to l = 10): in the norms, K(N, M) is
     (-r)^a / D times H(N, M) / (M^p N^q), r = N - M.  Cached; immutable."""
 
@@ -198,6 +197,33 @@ class ProjectionKernel:
     roots: bool        # x and y are the square roots of the norms
     diagonal: int      # a: G = (y - x)^a H with H(x, x) != 0
     cofactor: tuple    # integer coefficients h_0..h_(deg-a) of H, ascending in y
+
+    @classmethod
+    def from_weights(cls, w: WeightData, orientation: str = "prefactor_on_larger"):
+        """The handle of K = kernel_bivariate(w, orientation).
+
+        With all exponents of K even (deg, low and P even), K is a Laurent
+        form in the norms x^2 and y^2 and is read in them; otherwise x and y
+        stay the norms' square roots.  With y^-p and x^-q the least powers of
+        y and x in K and D the least common denominator of its coefficients,
+        G(x, y) = D y^p x^q K is an integer form, stored as g_k = its
+        coefficient of y^k x^(deg G - k): D P read in t, or in t^2 for the
+        norms."""
+        K = kernel_bivariate(w, orientation)
+        roots = bool(K.deg % 2 or K.low % 2 or any(K.poly.coeffs[1::2]))
+        s = 1 if roots else 2
+        coeffs = K.poly.coeffs[::s]
+        scale = lcm(*(c.denominator for c in coeffs))
+        form = UnivariatePoly([c.numerator * (scale // c.denominator) for c in coeffs])
+        # G = (y - x)^a H = x^a (t - 1)^a H, so c_a is the first nonzero Taylor
+        # coefficient c_m of G at t = 1.  G(1 + 2^k) = sum c_m 2^(k m) with every
+        # |c_m| < 2^(k - 1), so its lowest set bit lies in the k-bit block of c_a.
+        k = len(form.coeffs) + sum(map(abs, form.coeffs)).bit_length()
+        v = form(1 + (1 << k))
+        a = ((v & -v).bit_length() - 1) // k
+        h = divmod(form, UnivariatePoly([(-1) ** (a - j) * comb(a, j) for j in range(a + 1)]))[0]
+        powers = (-K.low // s, (K.low + K.poly.degree() - K.deg) // s)
+        return cls(w, orientation, form.coeffs, scale, powers, roots, a, h.coeffs)
 
     @property
     def l(self) -> int:
@@ -237,61 +263,34 @@ class ProjectionKernel:
         return Fraction(*self.ratio(N, M))
 
 
-def _integer_form(K: BivariateLaurent):
-    """ProjectionKernel's fields form to cofactor for the homogeneous K(x, y).
-
-    With all exponents even, K is a Laurent form in the norms x^2 and y^2 and
-    is read in them; otherwise x and y stay the norms' square roots.  With
-    y^-p and x^-q the least powers of y and x in K and D the least common
-    denominator of its coefficients, G(x, y) = D y^p x^q K is an integer form
-    of degree deg, stored as g_k = its coefficient of y^k x^(deg - k)."""
-    roots = not K.exponents_all_even()
-    s = 1 if roots else 2
-    terms = {(i // s, j // s): c for (i, j), c in K.terms.items()}
-    p = -min(j for _, j in terms)
-    q = -min(i for i, _ in terms)
-    scale = lcm(*(c.denominator for c in terms.values()))
-    form = [0] * (max(j for _, j in terms) + p + 1)
-    for (_, j), c in terms.items():
-        form[j + p] = int(c * scale)
-    # G = (y - x)^a H, y - x = x (t - 1) at t = y/x: divide by t - 1 while the g_k sum to 0
-    a, h = 0, list(form)
-    while len(h) > 1 and sum(h) == 0:
-        for k in range(len(h) - 2, 0, -1):
-            h[k] += h[k + 1]
-        h, a = h[1:], a + 1
-    return tuple(form), scale, (p, q), roots, a, tuple(h)
-
-
 @lru_cache(maxsize=None)
 def projection_kernel(l: int, orientation: str = "prefactor_on_larger") -> ProjectionKernel:
-    w = weights_for_dim(l)
-    return ProjectionKernel(w, orientation, *_integer_form(kernel_bivariate(w, orientation)))
+    return ProjectionKernel.from_weights(weights_for_dim(l), orientation)
 
 
 # -- reference closed forms ---------------------------------------------------
 
-def _x_minus_y_pow(n: int, step: int = 1) -> BivariateLaurent:
+def _x_minus_y_pow(n: int, step: int = 1) -> HomogeneousForm:
     """(x^step - y^step)^n by the binomial theorem."""
-    return BivariateLaurent({(step * (n - k), step * k): (-1) ** k * comb(n, k)
-                             for k in range(n + 1)})
-
-def _xx_minus_yy_pow(n: int) -> BivariateLaurent:
-    return _x_minus_y_pow(n, 2)
+    coeffs = [0] * (step * n + 1)
+    coeffs[::step] = [(-1) ** k * comb(n, k) for k in range(n + 1)]
+    return HomogeneousForm(step * n, 0, coeffs)
 
 
 def _reference_forms():
     """Tabulated closed forms, in the prefactor-on-smaller printing with x on
-    the larger norm.  The kappa=10 and kappa=12 rows each carry two candidate
-    trailing terms: the y-power believed intended, and the as-printed variant
-    (whose stray symbol can only read as the other norm, x)."""
+    the larger norm; a factor HomogeneousForm(deg, 0, [c_0, c_1, ...]) is
+    sum c_k y^k x^(deg - k).  The kappa=10 and kappa=12 rows each carry two
+    candidate trailing terms: the y-power believed intended, and the
+    as-printed variant (whose stray symbol can only read as the other norm,
+    x)."""
     forms = []
     forms.append({
         "name": "kappa=6 (l=4)",
         "l": 4,
         "display": "(x^2-y^2)^5 / (x^2 y^10)",
         "candidates": {
-            "as-printed": _xx_minus_yy_pow(5).shift(-2, -10),
+            "as-printed": _x_minus_y_pow(5, 2).shift(-2, -10),
         },
     })
     forms.append({
@@ -299,9 +298,7 @@ def _reference_forms():
         "l": 6,
         "display": "(x^2-y^2)^7 (7x^2+y^2) / (x^4 y^16)",
         "candidates": {
-            "as-printed": (
-                _xx_minus_yy_pow(7) * BivariateLaurent({(2, 0): 7, (0, 2): 1})
-            ).shift(-4, -16),
+            "as-printed": (_x_minus_y_pow(7, 2) * HomogeneousForm(2, 0, [7, 0, 1])).shift(-4, -16),
         },
     })
     forms.append({
@@ -309,14 +306,10 @@ def _reference_forms():
         "l": 8,
         "display": "(x^2-y^2)^9 (45x^4+9x^2y^2+[trailing]) / (x^6 y^22)",
         "candidates": {
-            "trailing=y^4 (corrected)": (
-                _xx_minus_yy_pow(9)
-                * BivariateLaurent({(4, 0): 45, (2, 2): 9, (0, 4): 1})
-            ).shift(-6, -22),
-            "trailing=x^4 (as printed)": (
-                _xx_minus_yy_pow(9)
-                * BivariateLaurent({(4, 0): 46, (2, 2): 9})
-            ).shift(-6, -22),
+            "trailing=y^4 (corrected)":
+                (_x_minus_y_pow(9, 2) * HomogeneousForm(4, 0, [45, 0, 9, 0, 1])).shift(-6, -22),
+            "trailing=x^4 (as printed)":
+                (_x_minus_y_pow(9, 2) * HomogeneousForm(4, 0, [46, 0, 9])).shift(-6, -22),
         },
     })
     forms.append({
@@ -324,14 +317,12 @@ def _reference_forms():
         "l": 10,
         "display": "(x^2-y^2)^11 (286x^6+66x^4y^2+11x^2y^4+[trailing]) / (x^8 y^28)",
         "candidates": {
-            "trailing=y^6 (corrected)": (
-                _xx_minus_yy_pow(11)
-                * BivariateLaurent({(6, 0): 286, (4, 2): 66, (2, 4): 11, (0, 6): 1})
-            ).shift(-8, -28),
-            "trailing=x^6 (as printed)": (
-                _xx_minus_yy_pow(11)
-                * BivariateLaurent({(6, 0): 287, (4, 2): 66, (2, 4): 11})
-            ).shift(-8, -28),
+            "trailing=y^6 (corrected)":
+                (_x_minus_y_pow(11, 2) * HomogeneousForm(6, 0, [286, 0, 66, 0, 11, 0, 1]))
+                .shift(-8, -28),
+            "trailing=x^6 (as printed)":
+                (_x_minus_y_pow(11, 2) * HomogeneousForm(6, 0, [287, 0, 66, 0, 11]))
+                .shift(-8, -28),
         },
     })
     forms.append({
@@ -340,10 +331,7 @@ def _reference_forms():
         "display": "-(x-y)^4 (5x^3+20x^2y+29xy^2+16y^3) / (16 x y^7)",
         "candidates": {
             "as-printed": Fraction(-1, 16)
-            * (
-                _x_minus_y_pow(4)
-                * BivariateLaurent({(3, 0): 5, (2, 1): 20, (1, 2): 29, (0, 3): 16})
-            ).shift(-1, -7),
+            * (_x_minus_y_pow(4) * HomogeneousForm(3, 0, [5, 20, 29, 16])).shift(-1, -7),
         },
     })
     forms.append({
@@ -353,10 +341,8 @@ def _reference_forms():
                    "+3003x^3y^10-256y^13) / (256 x^3 y^13)",
         "candidates": {
             "as-printed": Fraction(1, 256)
-            * BivariateLaurent({
-                (13, 0): -693, (11, 2): 4095, (9, 4): -10010, (7, 6): 12870,
-                (5, 8): -9009, (3, 10): 3003, (0, 13): -256,
-            }).shift(-3, -13),
+            * HomogeneousForm(13, 0, [-693, 0, 4095, 0, -10010, 0, 12870, 0,
+                                      -9009, 0, 3003, 0, 0, -256]).shift(-3, -13),
         },
     })
     return forms

@@ -4,9 +4,9 @@ Every identity checked by this package is an equality of exact values, never a
 floating-point comparison.  A rational coordinate is an ``int`` when it is
 integral and a ``fractions.Fraction`` otherwise, never a float; an int and
 the equal Fraction compare, hash and print alike.  ``UnivariatePoly`` (with
-Fraction coefficients) is the package's one dense polynomial type over Q: it
-builds Phi_e here, the Jacobi polynomials in ``jacobi`` and the kernel's
-u-form in ``kernel``.  Cyclotomic numbers are
+int or Fraction coefficients) is the package's one dense polynomial type over
+Q: it builds Phi_e here, the Jacobi polynomials in ``jacobi`` and the kernel's
+u-form and homogeneous forms in ``kernel``.  Cyclotomic numbers are
 elements of Q[z]/Phi_e(z) stored as dense coordinate vectors of length
 phi(e); reduction modulo the e-th cyclotomic polynomial is canonical, so two
 equal values at the same order have identical coordinates.  Their hot
@@ -79,17 +79,20 @@ def rational_to_str(q: int | Fraction) -> str:
 class UnivariatePoly:
     """Polynomial over Q, the package's one dense polynomial type.
 
-    ``coeffs[k]`` is the z^k coefficient, a Fraction; trailing zeros are
-    trimmed, so equal polynomials compare equal.  Arithmetic accepts
-    polynomials and rationals on either side; calling a polynomial evaluates
-    it by Horner's rule, and composes when the argument is a polynomial.
+    ``coeffs[k]`` is the z^k coefficient, an int or a Fraction as it came
+    (anything else becomes a Fraction); trailing zeros are trimmed, so equal
+    polynomials compare equal.  Arithmetic accepts polynomials and rationals
+    on either side; calling a polynomial evaluates it by Horner's rule, and
+    composes when the argument is a polynomial.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
+        coeffs = list(coeffs)
+        if not {int, Fraction}.issuperset(map(type, coeffs)):  # checked at C speed
+            coeffs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
@@ -97,7 +100,7 @@ class UnivariatePoly:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __call__(self, z):
-        acc = UnivariatePoly(()) if isinstance(z, UnivariatePoly) else Fraction(0)
+        acc = UnivariatePoly(()) if isinstance(z, UnivariatePoly) else 0
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
@@ -120,7 +123,7 @@ class UnivariatePoly:
         a, b = self.coeffs, _as_poly(other).coeffs
         if not a or not b:
             return UnivariatePoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -157,7 +160,8 @@ def _as_poly(x) -> UnivariatePoly:
 def _divmod(a, b):
     """Long division of dense ascending coefficient lists, b[-1] nonzero:
     (quotient, remainder), the remainder untrimmed and at most len(b) - 1
-    long.  Entries must be Fractions unless b is monic."""
+    long.  Division by a non-monic lead is exact: an int over an int lead
+    becomes a Fraction, never a float."""
     a = list(a)
     n, lead = len(b) - 1, b[-1]
     q = [0] * max(len(a) - n, 0)
@@ -165,7 +169,7 @@ def _divmod(a, b):
         c = a[i + n]
         if c:
             if lead != 1:
-                c = c / lead
+                c = Fraction(c, lead) if type(c) is type(lead) is int else c / lead
             q[i] = c
             for j, bj in enumerate(b):
                 if bj:
@@ -181,7 +185,7 @@ def cyclotomic_polynomial(e: int) -> tuple:
     for d in range(1, e):
         if e % d == 0:
             num = divmod(num, UnivariatePoly(cyclotomic_polynomial(d)))[0]
-    return tuple(int(c) for c in num.coeffs)
+    return num.coeffs
 
 
 def euler_phi(e: int) -> int:

@@ -1,17 +1,21 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoproj.calibrate import _power_difference_kernel
 from holoproj.jacobi import jacobi_poly
 from holoproj.rings import UnivariatePoly
 from holoproj.kernel import (
-    BivariateLaurent,
+    ORIENTATIONS,
+    HomogeneousForm,
     NonSquareArgumentError,
     WeightError,
     kernel_bivariate,
+    _reference_forms,
     kernel_u_form,
     projection_kernel,
     verify_closed_forms,
@@ -41,11 +45,11 @@ def test_dimension_two_rejected():
 def test_kernel_l1_closed_form():
     # (x - y)^2 / (2x) = x/2 - y + y^2/(2x)
     k = kernel_bivariate(weights_for_dim(1))
-    assert k == BivariateLaurent({(1, 0): F(1, 2), (0, 1): -1, (-1, 2): F(1, 2)})
+    assert k == HomogeneousForm(1, 0, [F(1, 2), -1, F(1, 2)])  # x (1/2 - t + t^2/2), t = y/x
 
 
 def test_kernel_l4_both_orientations():
-    xxyy5 = BivariateLaurent({(10 - 2 * k, 2 * k): (-1) ** k * math.comb(5, k) for k in range(6)})
+    xxyy5 = HomogeneousForm(10, 0, [1, 0, -5, 0, 10, 0, -10, 0, 5, 0, -1])  # (x^2 - y^2)^5
     larger = kernel_bivariate(weights_for_dim(4), "prefactor_on_larger")
     smaller = kernel_bivariate(weights_for_dim(4), "prefactor_on_smaller")
     assert larger == (-1) * xxyy5.shift(-10, -2)
@@ -62,14 +66,15 @@ def test_u_form_is_jacobi_poly_at_one_minus_two_u(l):
     assert kernel_u_form(w) == poly(UnivariatePoly([1, -2]))
 
 
-def test_bivariate_laurent_int_and_fraction_coefficients_agree():
-    terms = {(2, 0): 7, (0, 2): 1, (-1, 3): -45, (3, -1): 0}
-    as_int = BivariateLaurent(terms)
-    as_fraction = BivariateLaurent({k: F(c) for k, c in terms.items()})
+def test_homogeneous_form_int_and_fraction_coefficients_agree():
+    # 0 x^3 y^-1 + 7 x^2 + y^2 - 45 x^-1 y^3, ascending in t = y/x from t^-1
+    coeffs = [0, 7, 0, 1, -45]
+    as_int = HomogeneousForm(2, -1, coeffs)
+    as_fraction = HomogeneousForm(2, -1, [F(c) for c in coeffs])
     assert as_int == as_fraction
     assert str(as_int) == str(as_fraction) == "(-45)*x^-1*y^3 + (1)*y^2 + (7)*x^2"
     assert str(as_int * F(1, 2)) == str(as_fraction * F(1, 2))
-    assert as_int - as_fraction == BivariateLaurent()
+    assert as_int - as_fraction == HomogeneousForm(2, 0, [])
 
 
 @pytest.mark.parametrize("l", [1, 3, 4, 5, 6, 8, 10])
@@ -82,13 +87,14 @@ def test_orientation_swap_is_variable_swap(l):
 
 @pytest.mark.parametrize("l", [4, 6, 8, 10])
 def test_even_dimensions_have_even_exponents(l):
-    assert kernel_bivariate(weights_for_dim(l)).exponents_all_even()
+    k = kernel_bivariate(weights_for_dim(l))
+    assert all(i % 2 == 0 and j % 2 == 0 for i, j in k.terms())
 
 
 @pytest.mark.parametrize("l", [1, 3, 5])
 def test_odd_dimensions_have_odd_exponents(l):
     k = kernel_bivariate(weights_for_dim(l))
-    assert any(i % 2 or j % 2 for i, j in k.terms)
+    assert any(i % 2 or j % 2 for i, j in k.terms())
 
 
 def test_kernel_eval_landmarks():
@@ -305,9 +311,142 @@ def test_closed_forms_other_orientation_matches_directly():
     assert by_name["kappa=6 (l=4)"]["orientation_used"] == "direct"
 
 
-def test_bivariate_laurent_canonical_form():
-    a = BivariateLaurent({(1, 0): 1, (0, 1): 2})
-    b = BivariateLaurent({(0, 1): 2, (1, 0): 1, (5, 5): 0})
+def test_homogeneous_form_canonical_form():
+    # x + 2y, spelled with zero coefficients below and above: t^-2 (0 + 0 t + t^2 + 2 t^3 + 0 t^4)
+    a = HomogeneousForm(1, 0, [1, 2])
+    b = HomogeneousForm(1, -2, [0, 0, 1, 2, 0])
     assert a == b
-    assert a - a == BivariateLaurent()
+    assert (b.low, b.poly) == (0, UnivariatePoly([1, 2]))
+    assert a - a == HomogeneousForm(1, 0, [])
+    assert (a - a).low == 0
     assert a.evaluate(F(3), F(2)) == 7
+    with pytest.raises(ValueError):
+        a - a.shift(1, 0)
+
+
+# -- the homogeneous form against independent arithmetic ------------------------
+
+ORACLE_DIMS = (1, 3, 4, 5, 6, 8, 10, 12)
+
+
+def _sympy_terms(expr):
+    """{(i, j): c} over the terms c x^i y^j of the Laurent polynomial expr,
+    expanded by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    terms = {}
+    for mono, c in sympy.expand(expr).as_coefficients_dict().items():
+        powers = mono.as_powers_dict()
+        key = (int(powers.get(x, 0)), int(powers.get(y, 0)))
+        terms[key] = terms.get(key, 0) + F(int(c.p), int(c.q))
+    return {key: c for key, c in terms.items() if c}
+
+
+def _printed_closed_forms():
+    """Each tabulated candidate as its display prints it, for sympy to expand."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    xxyy = x**2 - y**2
+    return {
+        ("kappa=6 (l=4)", "as-printed"): xxyy**5 / (x**2 * y**10),
+        ("kappa=8 (l=6)", "as-printed"): xxyy**7 * (7 * x**2 + y**2) / (x**4 * y**16),
+        ("kappa=10 (l=8)", "trailing=y^4 (corrected)"):
+            xxyy**9 * (45 * x**4 + 9 * x**2 * y**2 + y**4) / (x**6 * y**22),
+        ("kappa=10 (l=8)", "trailing=x^4 (as printed)"):
+            xxyy**9 * (45 * x**4 + 9 * x**2 * y**2 + x**4) / (x**6 * y**22),
+        ("kappa=12 (l=10)", "trailing=y^6 (corrected)"):
+            xxyy**11 * (286 * x**6 + 66 * x**4 * y**2 + 11 * x**2 * y**4 + y**6) / (x**8 * y**28),
+        ("kappa=12 (l=10)", "trailing=x^6 (as printed)"):
+            xxyy**11 * (286 * x**6 + 66 * x**4 * y**2 + 11 * x**2 * y**4 + x**6) / (x**8 * y**28),
+        ("kappa=5 (l=3)", "as-printed"):
+            -(x - y)**4 * (5 * x**3 + 20 * x**2 * y + 29 * x * y**2 + 16 * y**3) / (16 * x * y**7),
+        ("kappa=7 (l=5)", "as-printed"):
+            (-693 * x**13 + 4095 * x**11 * y**2 - 10010 * x**9 * y**4 + 12870 * x**7 * y**6
+             - 9009 * x**5 * y**8 + 3003 * x**3 * y**10 - 256 * y**13) / (256 * x**3 * y**13),
+    }
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("l", ORACLE_DIMS)
+def test_kernel_form_matches_sympy_expansion(l, orientation):
+    """kernel_bivariate's terms are sympy's expansion of x^(2(k_f-1))
+    P(1 - 2y^2/x^2) - y^(2(k_f-1)) (x and y exchanged for
+    prefactor_on_smaller), and that expansion is homogeneous of degree
+    2(k_f - 1), the precondition of the form type.  P is the explicit sum
+    P_n^(a,b)(z) = sum_s C(n+a, n-s) C(n+b, s) ((z-1)/2)^s ((z+1)/2)^(n-s),
+    neither the recurrence nor the 2F1 sum in u that the package uses
+    (sympy.jacobi divides by zero at the even-l parameters)."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    w = weights_for_dim(l)
+    n = w.kappa - 2
+    a, b = (sympy.Rational(v.numerator, v.denominator) for v in (1 - w.k_f, F(1 - w.kappa)))
+    z = 1 - 2 * y**2 / x**2
+    jacobi = sum(sympy.binomial(n + a, n - s) * sympy.binomial(n + b, s)
+                 * ((z - 1) / 2)**s * ((z + 1) / 2)**(n - s) for s in range(n + 1))
+    expr = x**w.two_e * jacobi - y**w.two_e
+    if orientation == "prefactor_on_smaller":
+        expr = expr.subs({x: y, y: x}, simultaneous=True)
+    expected = _sympy_terms(expr)
+    assert {i + j for i, j in expected} == {w.two_e}
+    k = kernel_bivariate(w, orientation)
+    assert k.deg == w.two_e
+    assert k.terms() == expected
+
+
+def test_reference_forms_match_sympy_expansion():
+    """Every tabulated candidate's terms are sympy's expansion of its printed
+    display, and each is homogeneous of its kernel's degree 2(k_f - 1)."""
+    printed = _printed_closed_forms()
+    built = {(form["name"], label): (form["l"], ref)
+             for form in _reference_forms() for label, ref in form["candidates"].items()}
+    assert set(built) == set(printed)
+    for key, (l, ref) in built.items():
+        expected = _sympy_terms(printed[key])
+        two_e = weights_for_dim(l).two_e
+        assert {i + j for i, j in expected} == {two_e}, key
+        assert ref.deg == two_e, key
+        assert ref.terms() == expected, key
+
+
+_RATIONALS = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5))
+_POINTS = st.fractions(-4, 4, max_denominator=6).filter(bool)
+
+
+def _forms(deg=None):
+    return st.builds(HomogeneousForm, st.integers(-6, 6) if deg is None else st.just(deg),
+                     st.integers(-6, 6), st.lists(_RATIONALS, max_size=5))
+
+
+def _printed_terms(text):
+    """[((i, j), c)] in the printed order of str(form)."""
+    out = []
+    for bit in [] if text == "0" else text.split(" + "):
+        c, mono = re.fullmatch(r"\((-?\d+(?:/\d+)?)\)\*(.+)", bit).groups()
+        powers = dict(re.fullmatch(r"([xy])\^(-?\d+)", p).groups() for p in mono.split("*")
+                      if p != "1")
+        out.append(((int(powers.get("x", 0)), int(powers.get("y", 0))), F(c)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_form_arithmetic_commutes_with_evaluate(data):
+    """-, x, shift and swap_vars of random forms evaluate as the values do, at
+    random nonzero rationals; str lists the terms c x^i y^j read off (deg,
+    low, P) once each, in ascending i."""
+    f = data.draw(_forms())
+    g, h = data.draw(_forms(f.deg)), data.draw(_forms())
+    x, y, r = data.draw(_POINTS), data.draw(_POINTS), data.draw(_RATIONALS)
+    di, dj = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
+    value = f.evaluate(x, y)
+    assert (f - g).evaluate(x, y) == value - g.evaluate(x, y)
+    assert (f * h).evaluate(x, y) == value * h.evaluate(x, y)
+    assert (f * r).evaluate(x, y) == (r * f).evaluate(x, y) == value * r
+    assert f.shift(di, dj).evaluate(x, y) == value * x ** di * y ** dj
+    assert f.swap_vars().evaluate(x, y) == f.evaluate(y, x)
+    terms = {(f.deg - f.low - k, f.low + k): c for k, c in enumerate(f.poly.coeffs) if c}
+    assert value == sum(c * x ** i * y ** j for (i, j), c in terms.items())
+    printed = _printed_terms(str(f))
+    assert dict(printed) == terms and len(printed) == len(terms)
+    assert [i for (i, _), _ in printed] == sorted(i for i, _ in terms)

@@ -261,6 +261,23 @@ def test_univariate_poly_arithmetic():
         divmod(p, UnivariatePoly([0]))
 
 
+def test_univariate_poly_keeps_ints_and_divides_exactly():
+    """Int coefficients stay ints, and a division by a non-monic int divisor
+    is exact: an int over an int lead becomes a Fraction, never a float.  The
+    cyclotomic inverse divides int coordinates by such divisors."""
+    p, d = UnivariatePoly([1, -3, 0, 2]), UnivariatePoly([1, 3])
+    assert all(type(c) is int for c in (p * d - p + 1).coeffs + (p(2),))
+    q, r = divmod(p, d)
+    assert q * d + r == p and r.degree() < d.degree()
+    assert q.coeffs == (Fraction(-25, 27), Fraction(-2, 9), Fraction(2, 3))
+    assert r.coeffs == (Fraction(52, 27),)
+    assert all(type(c) in (int, Fraction) for c in q.coeffs + r.coeffs)
+    x = CyclotomicNumber(3, (2, 3))  # 2 + 3 zeta_3: Phi_3 over the lead 3
+    inv = x.inverse()
+    assert x * inv == 1
+    assert all(type(c) in (int, Fraction) for c in inv.coords)
+
+
 def _chunked_decimal(n: int) -> str:
     """Decimal digits of n by repeated divmod by 10^9: str() only ever sees
     integers of at most nine digits."""
