@@ -50,20 +50,21 @@ from .projection import (
     residual_report,
     sigma_side,
 )
-from .calibrate import CalibrationInstance, CalibrationResult, calibrate_constants
 
-# The mpmath-backed companion checks load on first use (PEP 562), so that
-# importing the package does not import mpmath.
-_NUMERIC = frozenset({
+# The mpmath-backed companion checks and the calibrations load on first use
+# (PEP 562), so that importing the package imports neither mpmath nor them.
+_LAZY = {**dict.fromkeys((
     "EichlerCalibration", "FMinusValue", "UpperHalfPoint", "XiCheckResult", "calibrate_eichler",
     "eichler_integral", "eval_f_minus", "inc_gamma", "theta_numeric", "xi_check",
-    "xi_finite_difference"})
+    "xi_finite_difference"), "numeric"),
+    **dict.fromkeys(("CalibrationInstance", "CalibrationResult", "calibrate_constants"),
+                    "calibrate")}
 
 
 def __getattr__(name):
-    if name in _NUMERIC:
-        from . import numeric
-        return getattr(numeric, name)
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

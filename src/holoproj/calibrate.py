@@ -10,9 +10,9 @@ mu^(1 - 2 lam).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .characters import DirichletCharacter, char_conjugate
 from .kernel import ProjectionKernel, weights_for_dim
@@ -24,8 +24,13 @@ CAL_UNKNOWNS = {"classical-d": ("alpha", "C"), "classical-d2": ("C",), "kernel-1
 CAL_FAMILIES = tuple(CAL_UNKNOWNS)
 
 
-@dataclass(frozen=True)
-class CalibrationInstance:
+class _InstanceFields(NamedTuple):
+    family: str
+    psi: DirichletCharacter
+    chi: DirichletCharacter
+
+
+class CalibrationInstance(_InstanceFields):
     """One-dimensional cancellation instance.
 
     classical-d:   weight d,   psi = chi non-trivial; unknowns (alpha, C)
@@ -35,11 +40,11 @@ class CalibrationInstance:
     kernel-1dim:   this package's kernel-weighted sigma at l = 1; unknown C.
     """
 
-    family: str
-    psi: DirichletCharacter
-    chi: DirichletCharacter
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in CAL_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "classical-d":
@@ -47,10 +52,10 @@ class CalibrationInstance:
                 raise ValueError("classical-d needs psi = chi, non-trivial")
         else:
             require_twist_pair(self.psi, self.chi)
+        return self
 
 
-@dataclass
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     family: str
     scalars: dict
     consistent: bool
@@ -60,13 +65,13 @@ class CalibrationResult:
     failures: list
 
     def to_json_obj(self):
-        return {**asdict(self), "scalars": {k: value_to_json(v) for k, v in self.scalars.items()}}
+        return {**self._asdict(), "scalars": {k: value_to_json(v) for k, v in self.scalars.items()}}
 
 
 def _power_difference_kernel(lam: int) -> ProjectionKernel:
     """nu^(1 - 2 lam) - mu^(1 - 2 lam): the kappa = 2 kernel (Jacobi factor 1)
     at the weight k_f = 3/2 - lam of the corrected quotient."""
-    w = replace(weights_for_dim(1), k_f=Fraction(3, 2) - lam, kappa=2, two_e=1 - 2 * lam)
+    w = weights_for_dim(1)._replace(k_f=Fraction(3, 2) - lam, kappa=2, two_e=1 - 2 * lam)
     return ProjectionKernel.from_weights(w)
 
 

@@ -10,7 +10,6 @@ crash.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -19,7 +18,6 @@ from itertools import chain
 
 from .characters import char_from_spec, char_kronecker
 from .kernel import ORIENTATIONS, verify_closed_forms
-from .calibrate import CAL_FAMILIES, CAL_UNKNOWNS, CalibrationInstance, calibrate_constants
 from .projection import ProjectionConfig, compositions, residual_report
 from .rings import value_to_json
 from .smalldiv import CharacterPlacement, MultiIndex, sigma_entry_table, sigma_sm
@@ -81,6 +79,7 @@ def _write_outputs(out, obj, csv_path=None, csv_rows=()):
     with nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
         fh.write(data)
     if csv_path:
+        import csv  # only --csv writes one
         with open(csv_path, "w", newline="") as table:
             csv.writer(table).writerows(csv_rows)
 
@@ -234,6 +233,7 @@ def _cmd_closed_forms(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .calibrate import CAL_UNKNOWNS, CalibrationInstance, calibrate_constants
     with _inputs():
         inst = CalibrationInstance(args.family, _parse_char(args.psi, "--psi"),
                                    _parse_char(args.chi, "--chi"))
@@ -383,6 +383,7 @@ def _add_closed_forms(sub) -> None:
 
 
 def _add_calibrate(sub) -> None:
+    from .calibrate import CAL_FAMILIES  # the calibrations load only for this command
     c = sub.add_parser("calibrate", help="calibrate-then-verify a 1-dim instance")
     c.add_argument("--family", required=True, choices=CAL_FAMILIES)
     c.add_argument("--psi", required=True)

@@ -33,10 +33,10 @@ recurrence/2F1 cross-check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt, lcm
+from typing import NamedTuple
 
 from .jacobi import jacobi_hypergeom_u
 from .rings import UnivariatePoly, rational_to_str
@@ -57,8 +57,7 @@ class NonSquareArgumentError(ValueError):
 ORIENTATIONS = ("prefactor_on_larger", "prefactor_on_smaller")
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(NamedTuple):
     l: int
     k_f: Fraction          # 2 - l/2
     kappa: int             # l + 2
@@ -72,14 +71,7 @@ def weights_for_dim(l: int) -> WeightData:
     if l == 2:
         raise WeightError("l = 2 is excluded (k_f would be 1)")
     k_f = Fraction(2) - Fraction(l, 2)
-    kappa = l + 2
-    return WeightData(
-        l=l,
-        k_f=k_f,
-        kappa=kappa,
-        k_g=Fraction(3 * l, 2),
-        two_e=int(2 * (k_f - 1)),
-    )
+    return WeightData(l, k_f, l + 2, Fraction(3 * l, 2), int(2 * (k_f - 1)))
 
 
 class HomogeneousForm:
@@ -182,8 +174,7 @@ def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") ->
     return larger if orientation == "prefactor_on_larger" else larger.swap_vars()
 
 
-@dataclass(frozen=True)
-class ProjectionKernel:
+class ProjectionKernel(NamedTuple):
     """Evaluation handle: weight data, orientation and the integer form of
     the printed kernel (``from_weights``), split as G = (y - x)^a H with
     a = l + 1 for even l (deg H <= 3 up to l = 10): in the norms, K(N, M) is

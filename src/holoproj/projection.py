@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import datetime as _dt
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt, lcm, prod
@@ -35,8 +34,8 @@ from typing import NamedTuple
 from .characters import DirichletCharacter
 from .kernel import ProjectionKernel, projection_kernel, weights_for_dim
 from .qseries import QSeries
-from .rings import (_ONE, CyclotomicNumber, _reduce_mod_cyclotomic, cyc, graded_readout,
-                    value_to_json)
+from .rings import (_ONE, CyclotomicNumber, _reduce_mod_cyclotomic, _trusted, cyc,
+                    graded_readout, value_to_json)
 from .smalldiv import (
     CharacterPlacement,
     eisenstein_e2,  # noqa: F401  (re-exported as holoproj.projection.eisenstein_e2)
@@ -46,8 +45,7 @@ from .smalldiv import (
 from .theta import theta_power_direct
 
 
-@dataclass(frozen=True)
-class ProjectionConfig:
+class _ConfigFields(NamedTuple):
     psi: DirichletCharacter
     chi: DirichletCharacter
     l: int
@@ -57,7 +55,13 @@ class ProjectionConfig:
     placement: CharacterPlacement = CharacterPlacement.PSI_ON_LARGER
     orientation: str = "prefactor_on_larger"
 
-    def __post_init__(self):
+
+class ProjectionConfig(_ConfigFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_twist_pair(self.psi, self.chi)
         weights_for_dim(self.l)  # rejects l = 2
         if self.rmax < 1:
@@ -70,6 +74,7 @@ class ProjectionConfig:
                 raise ValueError("full mode needs a norm bound B")
             if self.B < self.rmax:
                 raise ValueError(f"need B >= rmax, got B={self.B} < {self.rmax}")
+        return self
 
     def kernel(self) -> ProjectionKernel:
         return projection_kernel(self.l, self.orientation)
@@ -267,8 +272,7 @@ class OddDimensionError(ValueError):
     sequences are square-supported)."""
 
 
-@dataclass(frozen=True)
-class FullSideResult:
+class FullSideResult(NamedTuple):
     series: QSeries
     tail_delta: dict  # r -> CyclotomicNumber, change from B/2 to B
 
@@ -316,7 +320,7 @@ def _kernel_sum(kernel: ProjectionKernel, r: int, terms: list, half: int = 0):
 
     def reduced(sums):
         raw = [c * Fraction(*sums[at]) if at in sums else 0 for at in range(2 * e)]
-        return CyclotomicNumber(e, _reduce_mod_cyclotomic(raw, e))
+        return _trusted(e, _reduce_mod_cyclotomic(raw, e))
 
     tail = reduced(tail)
     return (reduced(whole) if head else tail), tail
@@ -385,8 +389,7 @@ def lemma_gap_witnesses(cfg: ProjectionConfig, r: int, cap: int = 3):
     return out
 
 
-@dataclass
-class ResidualRow:
+class ResidualRow(NamedTuple):
     r: int
     sigma: CyclotomicNumber
     ordered: CyclotomicNumber | None
@@ -397,12 +400,11 @@ class ResidualRow:
 
     def cells(self, fmt) -> list:
         """(column, value) in field order: r as it is, every other value by fmt."""
-        return [(f.name, self.r if f.name == "r" else fmt(getattr(self, f.name)))
-                for f in fields(self)]
+        return [(name, value if name == "r" else fmt(value))
+                for name, value in zip(self._fields, self)]
 
 
-@dataclass
-class ResidualReport:
+class ResidualReport(NamedTuple):
     config: dict
     rows: list
     schedule: list      # per B: {"B": int, "rows": [{"r", "full", "tail_delta"}]}
@@ -424,7 +426,7 @@ class ResidualReport:
         return obj
 
     def csv_rows(self):
-        yield tuple(f.name for f in fields(ResidualRow))
+        yield ResidualRow._fields
         for row in self.rows:
             yield tuple(value for _, value in row.cells(_csv_value))
 

@@ -28,6 +28,8 @@ from .rings import (
     _EXACT,
     CyclotomicNumber,
     _divmod,
+    _exact,
+    _trusted,
     cyc,
     cyclotomic_polynomial,
     rational_to_str,
@@ -133,7 +135,7 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
     if order == 1:
         for s, d in enumerate(digits):
             if d:
-                value = CyclotomicNumber(1, (d if scale == 1 else Fraction(d, scale),))
+                value = _trusted(1, (d,) if scale == 1 else _exact((Fraction(d, scale),)))
                 i = base + s - v
                 data[i] = value if data[i] is _ZERO else data[i] + value  # as _ZERO + value
         return
@@ -146,8 +148,8 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
         if hits[s]:
             coords = _divmod(digits[s * stride:(s + 1) * stride], modulus)[1]
             i = base + s - v
-            value = CyclotomicNumber(order, coords if scale == 1
-                                     else [Fraction(c, scale) for c in coords])
+            value = _trusted(order, tuple(coords) if scale == 1
+                             else _exact(tuple([Fraction(c, scale) for c in coords])))
             data[i] = value if data[i] is _ZERO else data[i] + value  # as _ZERO + value
 
 

@@ -197,10 +197,10 @@ def euler_phi(e: int) -> int:
 
 def _reduce_mod_cyclotomic(coeffs, e):
     """Reduce a rational coefficient list modulo Phi_e; returns a tuple of
-    length phi(e)."""
+    length phi(e), each integral Fraction read as an int."""
     phi = cyclotomic_polynomial(e)
     rem = _divmod(coeffs, phi)[1]
-    return tuple(rem) + (0,) * (len(phi) - 1 - len(rem))
+    return _exact(tuple(rem) + (0,) * (len(phi) - 1 - len(rem)))
 
 
 def _rational(c):
@@ -208,6 +208,13 @@ def _rational(c):
     if type(c) is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _exact(coords: tuple) -> tuple:
+    """coords, ints and Fractions, with each integral Fraction as an int."""
+    if Fraction not in map(type, coords):  # checked at C speed
+        return coords
+    return tuple([c if type(c) is int else _rational(c) for c in coords])
 
 
 class CyclotomicNumber:
@@ -260,7 +267,7 @@ class CyclotomicNumber:
         raw = [0] * ((len(self.coords) - 1) * step + 1)
         for k, c in enumerate(self.coords):
             raw[k * step] = c
-        return CyclotomicNumber(e, _reduce_mod_cyclotomic(raw, e))
+        return _trusted(e, _reduce_mod_cyclotomic(raw, e))
 
     def _common(self, other):
         if self.order == other.order:
@@ -296,14 +303,14 @@ class CyclotomicNumber:
         if other is NotImplemented:
             return NotImplemented
         if self.order == 1 and other.order == 1:
-            return CyclotomicNumber(1, (self.coords[0] + other.coords[0],))
+            return _trusted(1, _exact((self.coords[0] + other.coords[0],)))
         a, b = self._common(other)
-        return CyclotomicNumber(a.order, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return _trusted(a.order, _exact(tuple([x + y for x, y in zip(a.coords, b.coords)])))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-c for c in self.coords))
+        return _trusted(self.order, tuple([-c for c in self.coords]))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -319,7 +326,7 @@ class CyclotomicNumber:
         if other is NotImplemented:
             return NotImplemented
         if self.order == 1 and other.order == 1:
-            return CyclotomicNumber(1, (self.coords[0] * other.coords[0],))
+            return _trusted(1, _exact((self.coords[0] * other.coords[0],)))
         a, b = self._common(other)
         n = len(a.coords)
         raw = [0] * (2 * n - 1)
@@ -328,7 +335,7 @@ class CyclotomicNumber:
                 for j, y in enumerate(b.coords):
                     if y:
                         raw[i + j] += x * y
-        return CyclotomicNumber(a.order, _reduce_mod_cyclotomic(raw, a.order))
+        return _trusted(a.order, _reduce_mod_cyclotomic(raw, a.order))
 
     __rmul__ = __mul__
 
@@ -350,14 +357,14 @@ class CyclotomicNumber:
         raw = [0] * e
         for k, c in enumerate(self.coords):
             raw[(e - k) % e] += c
-        return CyclotomicNumber(e, _reduce_mod_cyclotomic(raw, e))
+        return _trusted(e, _reduce_mod_cyclotomic(raw, e))
 
     def inverse(self) -> "CyclotomicNumber":
         """Multiplicative inverse via extended Euclid against Phi_e in Q[x]."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic inverse of zero")
         if self.order == 1:
-            return CyclotomicNumber(1, (Fraction(1, self.coords[0]),))
+            return _trusted(1, _exact((Fraction(1, self.coords[0]),)))
         r0, r1 = UnivariatePoly(cyclotomic_polynomial(self.order)), UnivariatePoly(self.coords)
         s0, s1 = UnivariatePoly(()), UnivariatePoly((1,))
         while r1.degree() > 0:
@@ -366,7 +373,7 @@ class CyclotomicNumber:
             s0, s1 = s1, s0 - q * s1
         # Phi_e is irreducible, so the last remainder is a nonzero constant
         inv = s1 * Fraction(1, r1.coeffs[0])
-        return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(inv.coeffs, self.order))
+        return _trusted(self.order, _reduce_mod_cyclotomic(inv.coeffs, self.order))
 
     def multiplicative_order(self, bound: int = 10_000) -> int:
         """Smallest k >= 1 with self^k == 1 (for roots of unity)."""
@@ -404,6 +411,17 @@ class CyclotomicNumber:
 
 
 _ONE = CyclotomicNumber(1, (1,))
+_new, _set_order, _set_coords = (object.__new__, CyclotomicNumber.order.__set__,
+                                 CyclotomicNumber.coords.__set__)
+
+
+def _trusted(order: int, coords: tuple) -> CyclotomicNumber:
+    """CyclotomicNumber(order, coords) without its checks, for coordinates the package
+    built: a tuple of phi(order) ints and non-integral Fractions, as the checks leave them."""
+    z = _new(CyclotomicNumber)
+    _set_order(z, order)
+    _set_coords(z, coords)
+    return z
 
 
 def cyc(x) -> CyclotomicNumber:
@@ -436,7 +454,7 @@ def graded_readout(columns: dict, values: dict) -> dict:
             amount = col[key]
             for k, c in enumerate(coords):
                 total[k] += amount * c
-        out[key] = CyclotomicNumber(e, total)
+        out[key] = _trusted(e, _exact(tuple(total)))
     return out
 
 

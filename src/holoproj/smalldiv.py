@@ -12,7 +12,6 @@ that computes them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
@@ -67,17 +66,20 @@ def eisenstein_e2(N: int) -> QSeries:
     return QSeries(0, N, {0: 1, **{n: -24 * divisor_sum(n, 1) for n in range(1, N + 1)}})
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    entries: tuple
+class MultiIndex(tuple):
+    """The multi-index (n_1, ..., n_l), a tuple of its positive entries."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if not self.entries or any(e < 1 for e in self.entries):
-            raise ValueError(f"entries must all be >= 1, got {self.entries}")
+    __slots__ = ()
+    entries = property(tuple)  # the entries as a plain tuple
 
-    def __len__(self):
-        return len(self.entries)
+    def __new__(cls, entries):
+        self = super().__new__(cls, map(int, entries))
+        if not self or min(self) < 1:
+            raise ValueError(f"entries must all be >= 1, got {tuple(self)}")
+        return self
+
+    def __repr__(self):
+        return f"MultiIndex(entries={tuple(self)!r})"
 
 
 class CharacterPlacement(enum.Enum):

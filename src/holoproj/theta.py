@@ -20,7 +20,7 @@ from math import factorial, isqrt
 
 from .characters import DirichletCharacter
 from .qseries import QSeries
-from .rings import _ONE, CyclotomicNumber, graded_readout
+from .rings import _ONE, _trusted, graded_readout
 
 
 def theta_series(psi: DirichletCharacter, N: int) -> QSeries:
@@ -39,7 +39,7 @@ def theta_series(psi: DirichletCharacter, N: int) -> QSeries:
     while n * n <= N:
         v = psi(n)
         if not v.is_zero():
-            coeffs[n * n] = CyclotomicNumber(v.order, [c * n ** lam for c in v.coords])
+            coeffs[n * n] = _trusted(v.order, tuple([c * n ** lam for c in v.coords]))
         n += 1
     return QSeries(1, N, coeffs)
 
@@ -117,7 +117,7 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
 
     own = {res: row for res, row in rows.items() if row is not rational}
     if not own:
-        return QSeries(l, N, {norm: CyclotomicNumber(1, (s,))
+        return QSeries(l, N, {norm: _trusted(1, (s,))
                               for norm, s in enumerate(rational) if s})
     columns = {res: {norm: s for norm, s in enumerate(row) if s}
                for res, row in [(0, rational), *own.items()]}

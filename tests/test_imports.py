@@ -1,6 +1,8 @@
-"""mpmath and concurrent.futures load only where they are used: importing the
-package and the CLI, and an exact verify, load neither; the numeric names
-and the irrational full-residual verdict load mpmath on first use."""
+"""mpmath, concurrent.futures, dataclasses, inspect, csv and the calibrations
+load only where they are used: importing the package and the CLI, and an
+exact verify, load none of them; the numeric names and the irrational
+full-residual verdict load mpmath on first use, and the calibration names
+holoproj.calibrate."""
 
 import json
 import os
@@ -15,11 +17,12 @@ from holoproj.rings import CyclotomicNumber, cyc
 SRC = os.path.dirname(os.path.dirname(holoproj.__file__))
 
 
-def run_fresh(script: str):
+def run_fresh(script: str, *args):
     """Run `script` in a fresh isolated interpreter (`python -I`, the package
-    on its path) and return what it prints, read as JSON."""
+    on its path, args in sys.argv[2:]) and return what it prints, read as JSON."""
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", "import sys\nsys.path.insert(0, sys.argv[1])\n" + script, SRC],
+        [sys.executable, "-I", "-c", "import sys\nsys.path.insert(0, sys.argv[1])\n" + script, SRC,
+         *args],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -32,9 +35,12 @@ import holoproj, holoproj.cli
 from holoproj import ProjectionConfig, char_from_spec, char_kronecker, residual_report
 
 def loaded():
-    return [m for m in ("mpmath", "concurrent.futures") if m in sys.modules]
+    return [m for m in ("mpmath", "concurrent.futures", "dataclasses", "inspect", "csv",
+                        "holoproj.calibrate") if m in sys.modules]
 
 out = {"import": loaded()}
+out["verify_exit"] = holoproj.cli.main(["verify", "--config", sys.argv[2], "--out", sys.argv[3],
+                                        "--no-timestamp"])
 psi = char_from_spec({"modulus": 5, "values": [  # the order-4 psi mod 5 of cyclo-l4
     "0", "1", {"order": 4, "coords": ["0", "1"]}, {"order": 4, "coords": ["0", "-1"]}, "-1"]})
 report = residual_report(ProjectionConfig(psi, char_kronecker(8), 4, 8, B=64), b_schedule=[32, 64])
@@ -43,17 +49,23 @@ out["report"] = loaded()
 out["inc_gamma"] = holoproj.inc_gamma.__module__
 from holoproj import xi_check
 out["xi_check"] = xi_check.__module__
+out["calibrate_constants"] = holoproj.calibrate_constants.__module__
 print(json.dumps(out))
 """
 
 
-def test_import_and_exact_verify_load_neither_mpmath_nor_futures():
-    out = run_fresh(_IMPORTS)
+def test_import_and_exact_verify_load_neither_mpmath_nor_futures(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"psi": {"kronecker": -4}, "chi": {"kronecker": 8}, "l": 4,
+                                  "rmax": 8, "b_schedule": [32, 64]}))
+    out = run_fresh(_IMPORTS, str(config), str(tmp_path / "report.json"))
     assert out["import"] == []
+    assert out["verify_exit"] == 0
     # the residuals over Q(i) have rational squared moduli: decided exactly
     assert out["verdict"] == "discrepancy documented"
     assert out["report"] == []
     assert out["inc_gamma"] == out["xi_check"] == "holoproj.numeric"
+    assert out["calibrate_constants"] == "holoproj.calibrate"
 
 
 _EXCEEDS = """

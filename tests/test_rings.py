@@ -7,7 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoproj.characters import char_kronecker
+from holoproj.characters import char_from_table, char_kronecker
+from holoproj.kernel import projection_kernel
+from holoproj.projection import _kernel_sum
+from holoproj.qseries import QSeries
 from holoproj.rings import (
     _SPLIT_BITS,
     CyclotomicNumber,
@@ -20,7 +23,7 @@ from holoproj.rings import (
     value_from_json,
     value_to_json,
 )
-from holoproj.theta import theta_power_direct, theta_power_series
+from holoproj.theta import theta_power_direct, theta_power_series, theta_series
 
 
 def zeta(e, k=1):
@@ -420,3 +423,65 @@ def readout_inputs(draw):
 def test_graded_readout_property(inputs):
     columns, values = inputs
     assert _readout_json(columns, values) == _readout_oracle(columns, values)
+
+
+# -- values built without re-validation ----------------------------------------
+
+def _as_validated(z):
+    """z has the order, the coords and the coordinate types that
+    CyclotomicNumber's checks give its coordinates (which also check their
+    count), and its coords are a tuple."""
+    checked = CyclotomicNumber(z.order, z.coords)
+    assert type(z) is CyclotomicNumber and type(z.coords) is tuple
+    assert (z.order, z.coords) == (checked.order, checked.coords)
+    assert list(map(type, z.coords)) == list(map(type, checked.coords))
+    return True
+
+
+@given(cyclo_values(), cyclo_values(), st.integers(1, 3), st.integers(-3, 3))
+@example(cyc(Fraction(1, 2)), cyc(Fraction(1, 2)), 2, 2)  # 1/2 + 1/2 = 1, an int
+@example(CyclotomicNumber(4, (Fraction(1, 2), 0)), CyclotomicNumber(4, (Fraction(1, 2), 0)), 3, -1)
+@settings(max_examples=80, deadline=None)
+def test_ring_arithmetic_builds_values_as_validated(a, b, k, n):
+    results = [a + b, a - b, -a, a * b, a.lift(a.order * k), a.conjugate(), a + 1, 2 * a]
+    if not a.is_zero():
+        results += [a.inverse(), a ** n]
+    assert all(map(_as_validated, results))
+
+
+@given(readout_inputs())
+@settings(max_examples=60, deadline=None)
+def test_graded_readout_builds_values_as_validated(inputs):
+    assert all(map(_as_validated, graded_readout(*inputs).values()))
+
+
+@st.composite
+def cyclo_series(draw):
+    v = draw(st.integers(-2, 2))
+    width = draw(st.integers(0, 6))
+    coeffs = draw(st.dictionaries(st.integers(v, v + width), cyclo_values(orders=(1, 3, 4)),
+                                  max_size=width + 1))
+    return QSeries(v, v + width, coeffs)
+
+
+@given(cyclo_series(), cyclo_series())
+@settings(max_examples=60, deadline=None)
+def test_series_products_build_values_as_validated(a, b):
+    assert all(_as_validated(c) for _, c in (a * b).nonzero_items())
+
+
+@pytest.mark.parametrize("psi", [char_kronecker(-4), char_kronecker(12), char_from_table(
+    5, [cyc(0), cyc(1), zeta(4), -zeta(4), cyc(-1)])], ids=["kron_m4", "kron_12", "quartic_mod5"])
+def test_theta_builds_values_as_validated(psi):
+    for series in (theta_series(psi, 200), theta_power_direct(psi, 3, 200),
+                   theta_power_series(psi, 3, 200)):
+        assert all(_as_validated(c) for _, c in series.nonzero_items())
+
+
+@given(st.lists(st.tuples(cyclo_values(orders=(1, 2, 4, 6)), cyclo_values(orders=(1, 3, 4))),
+                max_size=6),
+       st.integers(1, 12), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_kernel_sum_builds_values_as_validated(pairs, r, half):
+    terms = [(3 * i + 1, a, b) for i, (a, b) in enumerate(pairs)]
+    assert all(map(_as_validated, _kernel_sum(projection_kernel(4), r, terms, half)))

@@ -60,6 +60,7 @@ def test_ab_substitution_round_trip():
 def test_multi_index_accessors():
     n = MultiIndex((3, 1, 4))
     assert n.entries == (3, 1, 4) and len(n) == 3
+    assert MultiIndex(["3", 1, 4.0]) == n and repr(n) == "MultiIndex(entries=(3, 1, 4))"
     with pytest.raises(ValueError):
         MultiIndex((0, 1))
     with pytest.raises(ValueError):
