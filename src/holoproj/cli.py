@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from fractions import Fraction
 from itertools import chain
 
 from .characters import char_from_spec, char_kronecker
@@ -22,8 +23,6 @@ from .projection import ProjectionConfig, compositions, residual_report
 from .rings import value_to_json
 from .smalldiv import CharacterPlacement, MultiIndex, sigma_entry_table, sigma_sm
 from .theta import theta_power_direct
-
-from fractions import Fraction
 
 
 class ConfigError(Exception):
@@ -56,7 +55,7 @@ def _parse_char(text: str, flag: str):
         raise ValueError(f"character spec {text!r}: use kronecker:D or inline JSON")
 
 
-def _write_outputs(out, obj, csv_path=None, csv_rows=()):
+def _write_outputs(out, obj, csv_path, csv_rows):
     """The JSON report to out ("-": stdout) and, given csv_path, the CSV rows.
     Every path is opened for appending, which truncates nothing, before any is
     written: a path that cannot be opened is a usage error that leaves every
@@ -90,22 +89,20 @@ def _check_dimension(l: int) -> None:
         raise ConfigError(f"l must be 1 or even, got {l}")
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args):
     if args.terms < 1 or args.pow < 1:
         raise ConfigError(f"--terms and --pow must be >= 1, got {args.terms} and {args.pow}")
     with _inputs("--char: "):  # the mod-1 character is rejected before any summation
         psi = _parse_char(args.char, "--char")
         series = theta_power_direct(psi, args.pow, args.terms)
-    obj = {
+    return {
         "character": {"modulus": psi.modulus, "parity": psi.parity, "order": psi.order},
         "power": args.pow,
         "series": series.to_json_obj(),
-    }
-    _write_outputs(args.out, obj, args.csv, chain([("exponent", "value")], series.to_csv_rows()))
-    return 0
+    }, [], chain([("exponent", "value")], series.to_csv_rows())
 
 
-def _cmd_sigma_table(args) -> int:
+def _cmd_sigma_table(args):
     _check_dimension(args.l)
     with _inputs():
         cfg = ProjectionConfig(
@@ -128,16 +125,14 @@ def _cmd_sigma_table(args) -> int:
             val = by_multiset[key]
             if not val.is_zero():
                 rows.append({"n": list(parts), "sigma_sm": value_to_json(val)})
-    obj = {
+    return {
         "l": cfg.l,
         "rmax": cfg.rmax,
         "placement": cfg.placement.value,
         "orientation": cfg.orientation,
         "rows": rows,
         "note": "multi-indices with zero value are suppressed",
-    }
-    _write_outputs(args.out, obj)
-    return 0
+    }, [], ()
 
 
 def _field(raw: dict, name: str, ok, what: str, *default):
@@ -198,7 +193,7 @@ def _load_verify_config(path):
     return cfg, schedule, want_closed
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     with _inputs():
@@ -222,17 +217,14 @@ def _cmd_verify(args) -> int:
             failures.append(f"closed forms without a matching reading: {bad}")
 
     obj["asserted_failures"] = failures
-    _write_outputs(args.out, obj, args.csv, report.csv_rows())
-    return 1 if failures else 0
+    return obj, failures, report.csv_rows()
 
 
-def _cmd_closed_forms(args) -> int:
-    obj = verify_closed_forms(args.orientation)
-    _write_outputs(args.out, obj)
-    return 0
+def _cmd_closed_forms(args):
+    return verify_closed_forms(args.orientation), [], ()
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args):
     from .calibrate import CAL_UNKNOWNS, CalibrationInstance, calibrate_constants
     with _inputs():
         inst = CalibrationInstance(args.family, _parse_char(args.psi, "--psi"),
@@ -242,8 +234,7 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(f"--probes must be >= {need} for {args.family} and --verify-rows >= 0, "
                           f"got {args.probes} and {args.verify_rows}")
     result = calibrate_constants(inst, probe_count=args.probes, verify_rows=args.verify_rows)
-    _write_outputs(args.out, result.to_json_obj())
-    return 0
+    return result.to_json_obj(), [], ()
 
 
 _GAMMA_GRID_S = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-1, 2),
@@ -251,77 +242,82 @@ _GAMMA_GRID_S = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-1, 2),
 _GAMMA_GRID_X = ("0.1", "1", "5", "20")
 
 
-def _cmd_numeric(args) -> int:
-    import mpmath as mp  # mpmath and numeric load here: no other command uses them
-    from .numeric import UpperHalfPoint, calibrate_eichler, eval_f_minus, inc_gamma, xi_check
-    if args.check == "gamma-grid":
-        with mp.workdps(40):
-            rows = []
+def _gamma_grid(args):
+    import mpmath as mp
+    from .numeric import inc_gamma
+    with mp.workdps(40):
+        rows = []
+        for s in _GAMMA_GRID_S:
+            for x in _GAMMA_GRID_X:
+                xm = mp.mpf(x)
+                lhs = inc_gamma(s + 1, xm)
+                rhs = mp.mpf(s.numerator) / s.denominator * inc_gamma(s, xm) \
+                    + xm ** (mp.mpf(s.numerator) / s.denominator) * mp.e ** (-xm)
+                rel = abs(lhs - rhs) / abs(lhs)
+                rows.append({"s": str(s), "x": x, "rel_error": mp.nstr(rel, 5),
+                             "pass": rel <= mp.mpf("1e-12")})
+        asym = []
+        for vv, tol in ((50, "0.10"), (100, "0.05"), (200, "0.025")):
             for s in _GAMMA_GRID_S:
-                for x in _GAMMA_GRID_X:
-                    xm = mp.mpf(x)
-                    lhs = inc_gamma(s + 1, xm)
-                    rhs = mp.mpf(s.numerator) / s.denominator * inc_gamma(s, xm) \
-                        + xm ** (mp.mpf(s.numerator) / s.denominator) * mp.e ** (-xm)
-                    rel = abs(lhs - rhs) / abs(lhs)
-                    rows.append({"s": str(s), "x": x, "rel_error": mp.nstr(rel, 5),
-                                 "pass": rel <= mp.mpf("1e-12")})
-            asym = []
-            for vv, tol in ((50, "0.10"), (100, "0.05"), (200, "0.025")):
-                for s in _GAMMA_GRID_S:
-                    ratio = inc_gamma(s, vv) / (mp.mpf(vv) ** (mp.mpf(s.numerator) / s.denominator - 1) * mp.e ** (-vv))
-                    err = abs(ratio - 1)
-                    asym.append({"s": str(s), "v": vv, "ratio_minus_1": mp.nstr(err, 5),
-                                 "pass": err <= mp.mpf(tol)})
-            ok = all(r["pass"] for r in rows) and all(r["pass"] for r in asym)
-            _write_outputs(args.out, {"check": "gamma-grid",
-                                      "functional_equation": rows,
-                                      "asymptotic": asym, "pass": ok})
-            return 0 if ok else 1
+                ratio = inc_gamma(s, vv) / (mp.mpf(vv) ** (mp.mpf(s.numerator) / s.denominator - 1) * mp.e ** (-vv))
+                err = abs(ratio - 1)
+                asym.append({"s": str(s), "v": vv, "ratio_minus_1": mp.nstr(err, 5),
+                             "pass": err <= mp.mpf(tol)})
+    ok = all(r["pass"] for r in rows) and all(r["pass"] for r in asym)
+    return {"check": "gamma-grid", "functional_equation": rows, "asymptotic": asym,
+            "pass": ok}, [] if ok else ["gamma-grid"], ()
 
-    if args.check in ("xi", "f-minus"):
-        with _inputs():
-            psi = _parse_char(args.psi, "--psi") if args.psi else char_kronecker(-4)
-            chi = _parse_char(args.chi, "--chi") if args.chi else char_kronecker(8)
-            cfg = ProjectionConfig(psi, chi, args.l, 1, modes=())
-            point = UpperHalfPoint(args.tau_u, args.tau_v)
-            if args.check == "xi":
-                h, tolerance = mp.mpf(args.h), mp.mpf(args.tolerance)
-                if not (mp.isfinite(h) and h > 0 and mp.isfinite(tolerance) and tolerance >= 0):
-                    raise ValueError(f"need finite --h > 0 and --tolerance >= 0, got {args.h}, {args.tolerance}")
 
-    if args.check == "xi":
-        with _inputs():  # the point or cutoff is rejected before any computation
-            res = xi_check(cfg, point, args.h, cutoff=args.cutoff)
-        ok = res.rel_error <= tolerance
-        _write_outputs(args.out, {
-            "check": "xi", "l": args.l,
-            "point": {"u": args.tau_u, "v": args.tau_v},
-            "h": args.h,
-            "comparison": {
-                "finite_difference": _c_str(res.fd_value),
-                "closed_formula": _c_str(res.closed_value),
-            },
-            "rel_error": mp.nstr(res.rel_error, 8),
-            "tolerance": args.tolerance,
-            "pass": bool(ok),
-        })
-        return 0 if ok else 1
+def _config_and_point(args):
+    """The --psi/--chi pair (kronecker -4 and 8 by default) at --l, and tau."""
+    from .numeric import UpperHalfPoint
+    psi = _parse_char(args.psi, "--psi") if args.psi else char_kronecker(-4)
+    chi = _parse_char(args.chi, "--chi") if args.chi else char_kronecker(8)
+    return ProjectionConfig(psi, chi, args.l, 1, modes=()), UpperHalfPoint(args.tau_u, args.tau_v)
 
-    if args.check == "f-minus":
-        with _inputs():  # the tail bound is checked before any computation
-            res = eval_f_minus(cfg, point, args.cutoff)
-        _write_outputs(args.out, {
-            "check": "f-minus", "l": args.l,
-            "point": {"u": args.tau_u, "v": args.tau_v},
-            "value": _c_str(res.value),
-            "tail_estimate": mp.nstr(res.tail_estimate, 5),
-            "cutoff": res.cutoff,
-            "terms_used": res.terms_used,
-        })
-        return 0
 
-    # eichler, the last of the parser's choices
+def _xi(args):
+    import mpmath as mp
+    from .numeric import xi_check
+    with _inputs():  # every input is rejected before any computation
+        cfg, point = _config_and_point(args)
+        h, tolerance = mp.mpf(args.h), mp.mpf(args.tolerance)
+        if not (mp.isfinite(h) and h > 0 and mp.isfinite(tolerance) and tolerance >= 0):
+            raise ValueError(f"need finite --h > 0 and --tolerance >= 0, got {args.h}, {args.tolerance}")
+        res = xi_check(cfg, point, args.h, cutoff=args.cutoff)
+    ok = bool(res.rel_error <= tolerance)
+    return {
+        "check": "xi", "l": args.l,
+        "point": {"u": args.tau_u, "v": args.tau_v},
+        "h": args.h,
+        "comparison": {
+            "finite_difference": _c_str(res.fd_value),
+            "closed_formula": _c_str(res.closed_value),
+        },
+        "rel_error": mp.nstr(res.rel_error, 8),
+        "tolerance": args.tolerance,
+        "pass": ok,
+    }, [] if ok else ["xi"], ()
+
+
+def _f_minus(args):
+    import mpmath as mp
+    from .numeric import eval_f_minus
+    with _inputs():  # the tail bound is checked before any computation
+        res = eval_f_minus(*_config_and_point(args), args.cutoff)
+    return {
+        "check": "f-minus", "l": args.l,
+        "point": {"u": args.tau_u, "v": args.tau_v},
+        "value": _c_str(res.value),
+        "tail_estimate": mp.nstr(res.tail_estimate, 5),
+        "cutoff": res.cutoff,
+        "terms_used": res.terms_used,
+    }, [], ()
+
+
+def _eichler(args):
+    import mpmath as mp
+    from .numeric import UpperHalfPoint, calibrate_eichler
     char = _parse_char(args.char, "--char") if args.char else char_kronecker(8)
     fit = UpperHalfPoint("0.1", "1.0")
     verify = [UpperHalfPoint("0.3", "0.9"), UpperHalfPoint("-0.2", "1.3"),
@@ -329,16 +325,18 @@ def _cmd_numeric(args) -> int:
               UpperHalfPoint("0.4", "1.1")]
     with _inputs():  # the shift and the character are rejected before any quadrature
         cal = calibrate_eichler(char, args.lam_shift, fit, verify)
-    tol = mp.mpf("1e-8")
-    ok = all(e <= tol for e in cal.rel_errors)
-    _write_outputs(args.out, {
+    ok = all(e <= mp.mpf("1e-8") for e in cal.rel_errors)
+    return {
         "check": "eichler",
         "constant": _c_str(cal.constant),
         "verification_rel_errors": [mp.nstr(e, 5) for e in cal.rel_errors],
         "tolerance": "1e-8",
-        "pass": bool(ok),
-    })
-    return 0 if ok else 1
+        "pass": ok,
+    }, [] if ok else ["eichler"], ()
+
+
+# each numeric check loads mpmath and numeric itself: no other command uses them
+_NUMERIC_CHECKS = {"gamma-grid": _gamma_grid, "xi": _xi, "f-minus": _f_minus, "eichler": _eichler}
 
 
 def _add_theta(sub) -> None:
@@ -396,7 +394,7 @@ def _add_calibrate(sub) -> None:
 
 def _add_numeric(sub) -> None:
     n = sub.add_parser("numeric", help="floating-point companion checks")
-    n.add_argument("check", choices=["gamma-grid", "xi", "f-minus", "eichler"])
+    n.add_argument("check", choices=list(_NUMERIC_CHECKS))
     n.add_argument("--l", type=int, default=4)
     n.add_argument("--psi", default=None)
     n.add_argument("--chi", default=None)
@@ -408,7 +406,7 @@ def _add_numeric(sub) -> None:
     n.add_argument("--lam-shift", type=int, default=0)
     n.add_argument("--tolerance", default="1e-5")
     n.add_argument("--out", default="-")
-    n.set_defaults(func=_cmd_numeric)
+    n.set_defaults(func=lambda args: _NUMERIC_CHECKS[args.check](args))
 
 
 # each command's subparser builder, in the order --help lists them
@@ -438,10 +436,13 @@ def main(argv=None) -> int:
     parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a command returns its report, its asserted failures and its CSV rows
+        obj, failures, csv_rows = args.func(args)
+        _write_outputs(args.out, obj, getattr(args, "csv", None), csv_rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
-"""Floating-point companion checks: incomplete Gamma, truncated evaluation of
-the non-holomorphic part, a finite-difference check of the weight-kappa
-antiholomorphic derivative against its closed formula, and quadrature for the
-one-dimensional period integral.
+"""Floating-point companion checks: mpmath's incomplete Gamma on the
+half-integer grid, truncated evaluation of the non-holomorphic part, a
+finite-difference check of the weight-kappa antiholomorphic derivative against
+its closed formula, and quadrature for the one-dimensional period integral.
 
 All computations run in mpmath arbitrary precision (30+ digits for every
 acceptance run) and every result carries explicit truncation/tail metadata;
@@ -10,8 +10,9 @@ there is no silent truncation anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -28,66 +29,43 @@ def _to_mpf(x):
     return mp.mpf(str(x))
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """tau = u + i v with u, v finite doubles and v > 0, plus the working
-    precision in decimal digits."""
-
+class _PointFields(NamedTuple):
     u: object
     v: object
     dps: int = 40
 
-    def __post_init__(self):
+
+class UpperHalfPoint(_PointFields):
+    """tau = u + i v with u, v finite doubles and v > 0, plus the working
+    precision in decimal digits."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         u, v = float(_to_mpf(self.u)), float(_to_mpf(self.v))
         if not (mp.isfinite(u) and mp.isfinite(v) and v > 0):
             raise ValueError(f"need u, v finite doubles and v > 0, got u = {self.u}, v = {self.v}")
         if self.dps < 30:
             raise ValueError("acceptance runs require >= 30 digits")
+        return self
 
     def tau(self):
         return mp.mpc(_to_mpf(self.u), _to_mpf(self.v))
 
 
 def inc_gamma(s, x):
-    """Upper incomplete Gamma on the half-integer grid, by the functional
-    equation Gamma(s+1, x) = s Gamma(s, x) + x^s e^(-x).
-
-    Base cases: Gamma(1, x) = e^(-x), Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)),
-    and Gamma(0, x) = E1(x); the last is its own base because the downward
-    step from s = 1 degenerates to 0/0.  Negative s by downward recursion;
-    s > 1 reachable by the same equation applied upward (the grid checks need
-    both sides of each identity).
-    """
+    """Upper incomplete Gamma Gamma(s, x) = integral of t^(s-1) e^(-t) over
+    t > x, for s on the half-integer grid and x > 0: mpmath's gammainc at the
+    working precision."""
     s = Fraction(s)
     if (2 * s).denominator != 1:
         raise ValueError(f"s = {s} outside the supported half-integer grid")
     x = _to_mpf(x)
     if x <= 0:
         raise ValueError("need x > 0")
-    emx = mp.e ** (-x)
-
-    if s.denominator == 1:
-        k = int(s)
-        if k >= 1:
-            val = emx  # Gamma(1, x)
-            for j in range(1, k):
-                val = j * val + x ** j * emx
-            return val
-        val = mp.e1(x)  # Gamma(0, x)
-        for j in range(0, k, -1):
-            val = (val - x ** (j - 1) * emx) / (j - 1)
-        return val
-
-    val = mp.sqrt(mp.pi) * mp.erfc(mp.sqrt(x))  # Gamma(1/2, x)
-    cur = Fraction(1, 2)
-    while cur < s:
-        val = _to_mpf(cur) * val + x ** _to_mpf(cur) * emx
-        cur += 1
-    while cur > s:
-        prev = cur - 1
-        val = (val - x ** _to_mpf(prev) * emx) / _to_mpf(prev)
-        cur = prev
-    return val
+    return mp.gammainc(_to_mpf(s), x)
 
 
 def embed_cyclotomic(z: CyclotomicNumber):
@@ -99,28 +77,24 @@ def embed_cyclotomic(z: CyclotomicNumber):
     return acc
 
 
-def theta_numeric(char: DirichletCharacter, tau, tol=None):
+def theta_numeric(char: DirichletCharacter, tau):
     """theta value at tau: sum over n >= 1 of char(n) n^lambda q^(n^2),
-    truncated once the term bound falls below tol (default: beyond working
-    precision)."""
-    if tol is None:
-        tol = mp.mpf(10) ** (-(mp.mp.dps + 5))
+    truncated once the term bound falls below 10^-(dps + 5), beyond the
+    working precision."""
+    tol = mp.mpf(10) ** (-(mp.mp.dps + 5))
     q = mp.e ** (2j * mp.pi * tau)
     absq = abs(q)
     lam = char.parity
     acc = mp.mpc(0)
-    n = 1
-    while True:
+    for n in count(1):
         v = char(n)
         if not v.is_zero():
             acc += embed_cyclotomic(v) * n ** lam * q ** (n * n)
         if n >= 3 and absq ** (n * n) * (n + 1) ** (lam + 1) < tol:
             return acc
-        n += 1
 
 
-@dataclass(frozen=True)
-class FMinusValue:
+class FMinusValue(NamedTuple):
     value: object
     tail_estimate: object
     cutoff: int
@@ -129,12 +103,11 @@ class FMinusValue:
 
 def _gamma_series(coeffs, k_f: Fraction, tau):
     """sum over M of a(M) M^(k_f-1) Gamma(1-k_f, 4 pi M v) q^(-M) for the
-    coefficients a(M) of the series coeffs, and the number of terms."""
+    coefficients a(M) of the series coeffs."""
     v = mp.im(tau)
     q = mp.e ** (2j * mp.pi * tau)
     s = Fraction(1) - k_f
     acc = mp.mpc(0)
-    terms = 0
     for M, aM in coeffs.nonzero_items():
         acc += (
             embed_cyclotomic(aM)
@@ -142,15 +115,13 @@ def _gamma_series(coeffs, k_f: Fraction, tau):
             * inc_gamma(s, 4 * mp.pi * M * v)
             * q ** (-M)
         )
-        terms += 1
-    return acc, terms
+    return acc
 
 
 def _f_minus_raw(alpha_series, l: int, tau):
     """Collapsed truncated sum given the chi-side theta-power coefficients."""
     k_f = weights_for_dim(l).k_f
-    acc, terms = _gamma_series(alpha_series, k_f, tau)
-    return acc / mp.gamma(_to_mpf(1 - k_f)), terms
+    return _gamma_series(alpha_series, k_f, tau) / mp.gamma(_to_mpf(1 - k_f))
 
 
 def eval_f_minus(cfg: ProjectionConfig, point: UpperHalfPoint, cutoff: int,
@@ -174,8 +145,8 @@ def eval_f_minus(cfg: ProjectionConfig, point: UpperHalfPoint, cutoff: int,
                 f"raise the cutoff or v"
             )
         alpha = theta_power_direct(cfg.chi, cfg.l, cutoff)
-        value, terms = _f_minus_raw(alpha, cfg.l, tau)
-        return FMinusValue(value=value, tail_estimate=tail, cutoff=cutoff, terms_used=terms)
+        return FMinusValue(value=_f_minus_raw(alpha, cfg.l, tau), tail_estimate=tail,
+                           cutoff=cutoff, terms_used=sum(1 for _ in alpha.nonzero_items()))
 
 
 def f_minus_tail_bound(l: int, lam_chi: int, v, cutoff: int):
@@ -217,13 +188,10 @@ def xi_finite_difference(func, tau, kappa: int, h):
     return 2j * v ** kappa * mp.conj(dtaubar)
 
 
-@dataclass(frozen=True)
-class XiCheckResult:
+class XiCheckResult(NamedTuple):
     fd_value: object
     closed_value: object
     rel_error: object
-    h: object
-    cutoff: int
 
 
 def xi_check(cfg: ProjectionConfig, point: UpperHalfPoint, h,
@@ -256,8 +224,7 @@ def xi_check(cfg: ProjectionConfig, point: UpperHalfPoint, h,
         alpha = theta_power_direct(cfg.chi, l, cutoff)
 
         def F(t):
-            fm, _ = _f_minus_raw(alpha, l, t)
-            return fm * theta_numeric(cfg.psi, t) ** l
+            return _f_minus_raw(alpha, l, t) * theta_numeric(cfg.psi, t) ** l
 
         fd = xi_finite_difference(F, tau, w.kappa, h)
 
@@ -275,8 +242,7 @@ def xi_check(cfg: ProjectionConfig, point: UpperHalfPoint, h,
             * mp.conj(theta_psi_here) ** l
         )
         rel = abs(fd - closed) / abs(closed)
-        return XiCheckResult(fd_value=fd, closed_value=closed, rel_error=rel,
-                             h=_to_mpf(h), cutoff=cutoff)
+        return XiCheckResult(fd_value=fd, closed_value=closed, rel_error=rel)
 
 
 def eichler_integral(chi: DirichletCharacter, lam_shift: int, point: UpperHalfPoint,
@@ -300,12 +266,9 @@ def eichler_integral(chi: DirichletCharacter, lam_shift: int, point: UpperHalfPo
         return 1j * mp.quad(integrand, [0, _to_mpf(path_truncation)])
 
 
-@dataclass
-class EichlerCalibration:
+class EichlerCalibration(NamedTuple):
     constant: object
     rel_errors: list
-    fit_point: dict
-    verify_points: list
 
 
 def calibrate_eichler(chi: DirichletCharacter, lam_shift: int,
@@ -319,16 +282,11 @@ def calibrate_eichler(chi: DirichletCharacter, lam_shift: int,
 
     def series(point):
         with mp.workdps(point.dps):
-            return _gamma_series(theta, k_f, point.tau())[0]
+            return _gamma_series(theta, k_f, point.tau())
 
     c = eichler_integral(chi, lam_shift, fit_point) / series(fit_point)
     errs = []
     for pt in verify_points:
         e = eichler_integral(chi, lam_shift, pt)
         errs.append(abs(e - c * series(pt)) / abs(e))
-    return EichlerCalibration(
-        constant=c,
-        rel_errors=errs,
-        fit_point={"u": str(fit_point.u), "v": str(fit_point.v)},
-        verify_points=[{"u": str(p.u), "v": str(p.v)} for p in verify_points],
-    )
+    return EichlerCalibration(constant=c, rel_errors=errs)

@@ -188,11 +188,27 @@ def cyclotomic_polynomial(e: int) -> tuple:
     return num.coeffs
 
 
+@lru_cache(maxsize=None)
 def euler_phi(e: int) -> int:
-    """phi(e), the degree of Phi_e."""
+    """phi(e), the degree of Phi_e, by trial division: no Phi_d is built."""
     if e < 1:
         raise ValueError(f"euler_phi needs a positive argument, got {e}")
-    return len(cyclotomic_polynomial(e)) - 1
+    phi, p = e, 2
+    while p * p <= e:
+        if e % p == 0:
+            phi -= phi // p
+            while e % p == 0:
+                e //= p
+        p += 1
+    return phi - phi // e if e > 1 else phi
+
+
+@lru_cache(maxsize=None)
+def _traces(e: int) -> tuple:
+    """Tr(zeta_e^k) / phi(e) for k < phi(e): mu(d) / phi(d), d the order of zeta_e^k;
+    mu(d), the sum of the roots of Phi_d, is minus its second-highest coefficient."""
+    orders = [e // gcd(e, k) for k in range(euler_phi(e))]
+    return tuple(Fraction(-cyclotomic_polynomial(d)[-2], euler_phi(d)) for d in orders)
 
 
 def _reduce_mod_cyclotomic(coeffs, e):
@@ -396,9 +412,9 @@ class CyclotomicNumber:
         return a.coords == b.coords
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.order, self.coords))
+        # the normalised trace Tr(z) / phi(order): the same at every order
+        # that spells z, and z itself when z is rational
+        return hash(sum(c * t for c, t in zip(self.coords, _traces(self.order)) if c))
 
     def __bool__(self):
         return not self.is_zero()

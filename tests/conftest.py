@@ -2,6 +2,8 @@ import sys
 
 import pytest
 
+from holoproj import rings
+
 
 @pytest.fixture
 def default_int_str_limit():
@@ -12,3 +14,17 @@ def default_int_str_limit():
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     yield sys.int_info.default_max_str_digits
     sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def no_large_cyclotomic_polynomial(monkeypatch):
+    """rings.cyclotomic_polynomial fails for e > 10^4, so a test shows that no
+    large Phi_e is built."""
+    build = rings.cyclotomic_polynomial
+
+    def guarded(e):
+        if e > 10 ** 4:
+            raise AssertionError(f"Phi_{e} was built")
+        return build(e)
+
+    monkeypatch.setattr(rings, "cyclotomic_polynomial", guarded)

@@ -362,6 +362,45 @@ def test_numeric_f_minus(tmp_path):
     assert float(data["tail_estimate"]) < 1e-100
 
 
+NUMERIC_KEYS = {
+    "gamma-grid": ["check", "functional_equation", "asymptotic", "pass"],
+    "xi": ["check", "l", "point", "h", "comparison", "rel_error", "tolerance", "pass"],
+    "f-minus": ["check", "l", "point", "value", "tail_estimate", "cutoff", "terms_used"],
+    "eichler": ["check", "constant", "verification_rel_errors", "tolerance", "pass"],
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("gamma-grid",), 0),
+    (("xi", "--tolerance", "0"), 1),
+    (("f-minus",), 0),
+    (("eichler", "--char", "kronecker:8"), 0),
+])
+def test_numeric_reports_are_written_whatever_the_exit_code(argv, code, tmp_path):
+    """A failed check still writes its report, with "pass": false, and exits
+    1; each report keeps its key order."""
+    out = tmp_path / "report.json"
+    assert run_cli("numeric", *argv, "--out", str(out)) == code
+    data = json.loads(out.read_text())
+    assert list(data) == NUMERIC_KEYS[argv[0]]
+    assert data.get("pass", True) is (code == 0)
+
+
+def test_verify_rejects_a_huge_order_before_building_its_polynomial(
+        tmp_path, capsys, no_large_cyclotomic_polynomial):
+    """A value at order 10^9 with one coordinate is a config error, found by
+    counting phi(10^9) coordinates, not by building Phi_(10^9)."""
+    psi = json.loads(QUARTIC_MOD5)
+    psi["values"][2] = {"order": 10 ** 9, "coords": ["1"]}
+    path = write_config(tmp_path, psi=psi, l=4, rmax=8, B=32)
+    out = tmp_path / "out.json"
+    assert run_cli("verify", "--config", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert "phi(1000000000)" in err[0]
+    assert not out.exists()
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "holoproj.cli", "closed-forms", "--out", "-"],

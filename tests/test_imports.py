@@ -2,7 +2,8 @@
 load only where they are used: importing the package and the CLI, and an
 exact verify, load none of them; the numeric names and the irrational
 full-residual verdict load mpmath on first use, and the calibration names
-holoproj.calibrate."""
+holoproj.calibrate.  No command loads dataclasses: the numeric checks, which
+load mpmath, do not either."""
 
 import json
 import os
@@ -84,3 +85,19 @@ def test_irrational_verdict_imports_mpmath_on_demand():
     golden = cyc(1) + CyclotomicNumber.zeta(5)  # |.| = 2 cos(pi/5), irrational w
     expected = projection._exceeds(golden, cyc(Fraction(4, 5)))
     assert run_fresh(_EXCEEDS) == [False, True, expected]
+
+
+_GAMMA_GRID = """
+import json
+from holoproj.cli import main
+
+code = main(["numeric", "gamma-grid", "--out", sys.argv[2]])
+print(json.dumps([code, [m for m in ("mpmath", "dataclasses", "inspect", "holoproj.numeric")
+                         if m in sys.modules]]))
+"""
+
+
+def test_numeric_gamma_grid_loads_no_dataclasses(tmp_path):
+    out = tmp_path / "gamma.json"
+    assert run_fresh(_GAMMA_GRID, str(out)) == [0, ["mpmath", "holoproj.numeric"]]
+    assert json.loads(out.read_text())["pass"] is True

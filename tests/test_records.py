@@ -5,6 +5,7 @@ rejected."""
 
 import pickle
 
+import mpmath as mp
 import pytest
 
 from holoproj import (
@@ -17,6 +18,13 @@ from holoproj import (
     weights_for_dim,
 )
 from holoproj.calibrate import CalibrationInstance, calibrate_constants
+from holoproj.numeric import (
+    EichlerCalibration,
+    FMinusValue,
+    UpperHalfPoint,
+    XiCheckResult,
+    eval_f_minus,
+)
 
 PSI, CHI = char_kronecker(-4), char_kronecker(8)
 
@@ -41,6 +49,11 @@ RECORDS = {
     "CalibrationResult": (lambda: calibrate_constants(
         CalibrationInstance("classical-d2", PSI, CHI), probe_count=3, verify_rows=4), False),
     "MultiIndex": (lambda: MultiIndex((3, 1, 4)), True),
+    "UpperHalfPoint": (lambda: UpperHalfPoint("0.1", "0.8"), True),
+    "FMinusValue": (lambda: eval_f_minus(ProjectionConfig(PSI, CHI, 4, 1, modes=()),
+                                         UpperHalfPoint("0.1", "0.8"), 40), True),
+    "XiCheckResult": (lambda: XiCheckResult(mp.mpc(1, 2), mp.mpc(1, 2), mp.mpf(0)), True),
+    "EichlerCalibration": (lambda: EichlerCalibration(mp.mpc(0, 1), [mp.mpf("1e-12")]), False),
 }
 
 
@@ -77,8 +90,20 @@ def test_record_behaviour(name):
     (lambda: CalibrationInstance("classical-d3", PSI, CHI), "unknown family"),
     (lambda: CalibrationInstance("classical-d", PSI, CHI), "needs psi = chi"),
     (lambda: CalibrationInstance("kernel-1dim", PSI, CHI)._replace(family="x"), "unknown family"),
+    (lambda: UpperHalfPoint("0", "-1"), "v > 0"),
+    (lambda: UpperHalfPoint("0.1", "0.8")._replace(v="-1"), "v > 0"),
+    (lambda: UpperHalfPoint("0.1", "0.8")._replace(u="inf"), "finite doubles"),
+    (lambda: UpperHalfPoint("0.1", "0.8")._replace(dps=10), ">= 30 digits"),
 ])
 def test_validated_records_still_reject(make, message):
     with pytest.raises(ValueError, match=message):
         make()
 
+
+def test_numeric_records_print_as_before():
+    """The reprs the frozen dataclasses printed, for the fields kept."""
+    assert repr(UpperHalfPoint("0.1", "0.8")) == "UpperHalfPoint(u='0.1', v='0.8', dps=40)"
+    assert repr(FMinusValue(1, 2, 40, 5)) == (
+        "FMinusValue(value=1, tail_estimate=2, cutoff=40, terms_used=5)")
+    assert repr(XiCheckResult(1, 2, 3)) == "XiCheckResult(fd_value=1, closed_value=2, rel_error=3)"
+    assert repr(EichlerCalibration(1, [2])) == "EichlerCalibration(constant=1, rel_errors=[2])"

@@ -485,3 +485,33 @@ def test_theta_builds_values_as_validated(psi):
 def test_kernel_sum_builds_values_as_validated(pairs, r, half):
     terms = [(3 * i + 1, a, b) for i, (a, b) in enumerate(pairs)]
     assert all(map(_as_validated, _kernel_sum(projection_kernel(4), r, terms, half)))
+
+
+# -- hashing across order tags, and phi without Phi_e ---------------------------
+
+@given(cyclo_values(), st.integers(1, 4))
+@example(zeta(4), 2)  # i at tag 4 and at tag 8
+@example(cyc(Fraction(-3, 7)), 6)
+@settings(max_examples=80, deadline=None)
+def test_hash_is_the_same_at_every_order_tag(z, k):
+    """Equal values hash alike whatever order spells them, and a rational
+    value hashes as the rational itself."""
+    lifted = z.lift(k * z.order)
+    assert lifted == z and hash(lifted) == hash(z)
+    assert lifted in {z} and z in {lifted}
+    if z.is_rational():
+        assert hash(z) == hash(z.rational_value())
+
+
+def test_a_character_spelled_at_two_tags_is_one_set_element():
+    i4, i8 = zeta(4), zeta(4).lift(8)
+    psi4 = char_from_table(5, [cyc(0), cyc(1), i4, -i4, cyc(-1)])
+    psi8 = char_from_table(5, [cyc(0), cyc(1), i8, -i8, cyc(-1)])
+    assert psi4(2).order == 4 and psi8(2).order == 8
+    assert psi4 == psi8 and len({psi4, psi8}) == 1
+
+
+def test_a_wrong_coordinate_count_is_rejected_before_any_phi_e(no_large_cyclotomic_polynomial):
+    with pytest.raises(ValueError, match=r"need phi\(1000000000\) = 400000000 coordinates, got 1"):
+        value_from_json({"order": 10 ** 9, "coords": ["1"]})
+    assert euler_phi(200000) == 80000 and euler_phi(10 ** 9 + 7) == 10 ** 9 + 6
