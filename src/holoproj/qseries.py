@@ -13,16 +13,18 @@ one order tag are scaled to integer coordinate vectors and packed, q and
 zeta together, as base-10^w digits of one decimal number per operand, so a
 product costs one multiplication (libmpdec's number-theoretic transform for
 large operands) per pair of order tags instead of a cyclotomic
-multiplication per pair of terms.  The digits are read back as slices of one
-string, then reduced mod Phi_e; values and order tags are those of adding
-the term products one pair at a time.
+multiplication per pair of terms.  Only every g-th exponent gets a digit, g
+the gcd of the exponent gaps: a theta power of a character of even modulus
+has all its exponents in one class mod 8 (mod 24 for kronecker 12).  The
+digits are read back as slices of one string, then reduced mod Phi_e; values
+and order tags are those of adding the term products one pair at a time.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .rings import (
     _EXACT,
@@ -64,37 +66,40 @@ def _integer_rows(terms, order: int):
     return [[x.numerator * (scale // x.denominator) for x in row] for row in coords], scale
 
 
-def _pack(terms, rows, stride: int, width: int) -> Decimal:
-    """Sum of rows[i][k] * X^((e_i - e_0) * stride + k), X = 10^width: the
-    digits are written as width decimal characters, positive and negative
+def _pack(terms, rows, stride: int, step: int, width: int) -> Decimal:
+    """Sum of rows[i][k] * X^((e_i - e_0) / step * stride + k), X = 10^width:
+    the digits are written as width decimal characters, positive and negative
     ones in separate strings, so packing is linear in the output size."""
     base = terms[0][0]
     zero = "0" * width
-    pos = [zero] * ((terms[-1][0] - base) * stride + len(rows[0]))
+    pos = [zero] * ((terms[-1][0] - base) // step * stride + len(rows[0]))
     neg = list(pos)
     for (e, _), row in zip(terms, rows):
-        at = (e - base) * stride
+        at = (e - base) // step * stride
         for k, x in enumerate(row):
             if x:
                 (pos if x > 0 else neg)[at + k] = str(Decimal(abs(x))).zfill(width)
     return _EXACT.subtract(Decimal("".join(reversed(pos))), Decimal("".join(reversed(neg))))
 
 
-def _product_digits(terms_a, rows_a, terms_b, rows_b, stride: int, bound: int, count: int) -> list:
-    """The lowest count digits of the product of the packed operands, each
-    at most bound in absolute value, in balanced base 10^w, where w, from the
-    bit length of 2 bound, has 10^w > 2 bound.  A square (terms_b is
-    terms_a, rows equal) packs once.  One decimal product (libmpdec
-    multiplies large operands by a number-theoretic transform) gets
-    5 * 10^(w - 1) added to every digit at once, which leaves no borrow
-    between digits, so each digit is a slice of one str().  int() reads a
-    slice directly up to 640 digits, the least int<->str limit Python allows;
-    wider ints convert through Decimal, which has no digit limit."""
+def _product_digits(terms_a, rows_a, terms_b, rows_b, stride: int, step: int, bound: int,
+                    count: int) -> list:
+    """The lowest count digits of the product of the operands packed at the
+    step of their exponents (see _pack), each at most bound in absolute value,
+    in balanced base 10^w, where w, from the bit length of 2 bound, has
+    10^w > 2 bound.  A square (terms_b is terms_a, rows equal) packs once.
+    One decimal product (libmpdec multiplies large operands by a
+    number-theoretic transform) gets 5 * 10^(w - 1) added to every digit at
+    once, which leaves no borrow between digits, so each digit is a slice of
+    one str().  int() reads a slice directly up to 640 digits, the least
+    int<->str limit Python allows; wider ints convert through Decimal, which
+    has no digit limit."""
     width = (2 * bound).bit_length() * 30103 // 100000 + 1
     zero = "5" + "0" * (width - 1)  # the slice of a zero digit
-    total = (terms_a[-1][0] - terms_a[0][0] + terms_b[-1][0] - terms_b[0][0] + 1) * stride
-    packed_a = _pack(terms_a, rows_a, stride, width)
-    packed_b = packed_a if terms_b is terms_a else _pack(terms_b, rows_b, stride, width)
+    span = terms_a[-1][0] - terms_a[0][0] + terms_b[-1][0] - terms_b[0][0]
+    total = (span // step + 1) * stride
+    packed_a = _pack(terms_a, rows_a, stride, step, width)
+    packed_b = packed_a if terms_b is terms_a else _pack(terms_b, rows_b, stride, step, width)
     end = total * width
     raw = str(_EXACT.fma(packed_a, packed_b, Decimal(zero * total))).zfill(end)
     half = 5 * 10 ** (width - 1)
@@ -108,19 +113,23 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
     lands at or below n into data (the slots of exponents v..n), at the
     given order.
 
-    Kronecker substitution: each operand's coordinates are scaled to
-    integers and packed into one number, the z^k coordinate of the q^e term
-    at base-10^w digit (e - e_0) * (2 phi - 1) + k, so one product holds
-    every coefficient of the product in Z[q, z], whose z-degree stays below
-    2 phi - 1.  A product digit sums at most min(n_a, n_b) * phi products of
-    coordinates, which bounds it (see _product_digits).  Each slot's digits
-    are then reduced mod Phi_order and divided by the two denominators.
+    Kronecker substitution: g is the gcd of every term's offset from its
+    operand's first exponent e_0 (8 for theta powers of kronecker -4; 1 when
+    both are single terms).  Each operand's coordinates are scaled to integers
+    and packed into one number, the z^k coordinate of the q^e term at base-10^w
+    digit (e - e_0) / g * (2 phi - 1) + k, so one product holds every
+    coefficient of the product in Z[q^g, z], whose z-degree stays below
+    2 phi - 1; slot s is the exponent base + s * g.  A product digit sums at
+    most min(n_a, n_b) * phi products of coordinates, which bounds it (see
+    _product_digits).  Each slot's digits are then reduced mod Phi_order and
+    divided by the two denominators.
     """
     square = terms_a is terms_b
     terms_a = [t for t in terms_a if t[0] + terms_b[0][0] <= n]
     if not terms_a:
         return
     terms_b = terms_a if square else [t for t in terms_b if t[0] + terms_a[0][0] <= n]
+    step = gcd(*[e - t[0][0] for t in (terms_a, terms_b) for e, _ in t]) or 1
     rows_a, scale_a = _integer_rows(terms_a, order)
     rows_b, scale_b = (rows_a, scale_a) if square else _integer_rows(terms_b, order)
     phi = len(rows_a[0])
@@ -129,25 +138,25 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
     bound = (max(abs(x) for row in rows_a for x in row)
              * max(abs(x) for row in rows_b for x in row) * pairs * phi)
     base = terms_a[0][0] + terms_b[0][0]
-    slots = min(n - base, terms_a[-1][0] + terms_b[-1][0] - base) + 1  # the q-slots read
-    digits = _product_digits(terms_a, rows_a, terms_b, rows_b, stride, bound, slots * stride)
+    slots = min(n - base, terms_a[-1][0] + terms_b[-1][0] - base) // step + 1  # q-slots read
+    digits = _product_digits(terms_a, rows_a, terms_b, rows_b, stride, step, bound, slots * stride)
     scale = scale_a * scale_b
     if order == 1:
         for s, d in enumerate(digits):
             if d:
                 value = _trusted(1, (d,) if scale == 1 else _exact((Fraction(d, scale),)))
-                i = base + s - v
+                i = base + s * step - v
                 data[i] = value if data[i] is _ZERO else data[i] + value  # as _ZERO + value
         return
     # a slot whose products cancel still takes the order tag: find the
     # exponents some term pair lands on, by the same substitution on 0/1 rows
     hits = _product_digits(terms_a, [[1]] * len(terms_a), terms_b, [[1]] * len(terms_b),
-                           1, pairs, slots)
+                           1, step, pairs, slots)
     modulus = cyclotomic_polynomial(order)
     for s in range(slots):
         if hits[s]:
             coords = _divmod(digits[s * stride:(s + 1) * stride], modulus)[1]
-            i = base + s - v
+            i = base + s * step - v
             value = _trusted(order, tuple(coords) if scale == 1
                              else _exact(tuple([Fraction(c, scale) for c in coords])))
             data[i] = value if data[i] is _ZERO else data[i] + value  # as _ZERO + value

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoproj.characters import char_kronecker
+from holoproj import qseries
+from holoproj.characters import char_from_table, char_kronecker
 from holoproj.qseries import QSeries, SeriesRangeError
 from holoproj.rings import CyclotomicNumber, cyc, euler_phi, value_to_json
 from holoproj.theta import theta_power_direct, theta_power_series, theta_series
@@ -258,6 +259,53 @@ def test_mul_matches_schoolbook_product(a, b):
     assert slots(a * b) == slots(schoolbook_product(a, b))
 
 
+@st.composite
+def stepped_series(draw):
+    """Each order group's terms on its own start + step * k, step 1 to 9;
+    the window's end falls on or off a group's step."""
+    v = draw(st.integers(min_value=-6, max_value=4))
+    coeffs = {}
+    for order in draw(st.lists(st.sampled_from([1, 3, 4, 6]), min_size=1, max_size=3,
+                               unique=True)):
+        start, step = v + draw(st.integers(0, 5)), draw(st.integers(1, 9))
+        for k in draw(st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True)):
+            coeffs[start + step * k] = draw(tagged_value([order]))
+    return QSeries(v, max(coeffs) + draw(st.integers(0, 10)), coeffs)
+
+
+_I = CyclotomicNumber.zeta(4)
+
+
+@given(stepped_series(), stepped_series())
+# steps 2 against 3: the gcd is 1
+@example(QSeries(0, 20, {0: 1, 2: -1, 4: 3}), QSeries(1, 16, {1: 2, 4: 1, 7: -5}))
+# an order-4 group at step 8 beside an order-1 group at step 4, windows off the steps
+@example(QSeries(-3, 30, {0: 1, 4: -1, 8: 3, 1: _I, 9: -_I, 17: 2 * _I}),
+         QSeries(-2, 21, {-2: _I, 6: 3 * _I, 14: -_I, 0: 5, 4: -2, 12: 1}))
+# i * (-i) + i * i cancels at q^3 on step 3: the zero keeps order 4
+@example(QSeries(0, 7, {0: _I, 3: _I}), QSeries(0, 8, {0: _I, 3: -_I}))
+# single terms at negative valuations
+@example(QSeries(-5, -1, {-4: 3 * _I}), QSeries(-2, 4, {-2: Fraction(1, 3)}))
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_schoolbook_product_on_stepped_supports(a, b):
+    assert slots(a * b) == slots(schoolbook_product(a, b))
+
+
+def test_mul_packs_theta_square_at_the_exponents_step(monkeypatch):
+    """theta of kronecker -4 has its exponents n^2 = 1 mod 8: the square asks
+    for one slot in 8 of its window, not every slot."""
+    counts = []
+    product_digits = qseries._product_digits
+
+    def counted(*args):
+        counts.append(args[-1])
+        return product_digits(*args)
+
+    monkeypatch.setattr(qseries, "_product_digits", counted)
+    theta_power_series(char_kronecker(-4), 2, 3072)
+    assert counts and max(counts) <= 3072 // 8 + 1
+
+
 def test_mul_matches_schoolbook_product_landmarks(default_int_str_limit):
     i = CyclotomicNumber.zeta(4)
     w = CyclotomicNumber.zeta(3)
@@ -322,10 +370,25 @@ def test_mul_reads_digits_on_both_sides_of_the_least_int_str_limit(default_int_s
             assert slots(x * y) == slots(schoolbook_product(x, y))
 
 
-@pytest.mark.parametrize("name", ["quartic_mod5", "sextic_mod7"])
+def _quartic_mod16():
+    """The quartic character mod 16 with psi(5) = i and psi(-1) = 1 (5 and -1
+    generate the units): theta's exponents sit on 1 mod 8, its values mix
+    orders 1 and 4."""
+    table = [cyc(0)] * 16
+    for k in range(4):
+        for sign in (1, -1):
+            table[sign * 5 ** k % 16] = cyc(1) if k == 0 else _I ** k
+    return char_from_table(16, table)
+
+
+SERIES_CHARS = {**ORACLE_CHARS, "quartic_mod16": _quartic_mod16()}
+
+
+@pytest.mark.parametrize("name", ["quartic_mod5", "sextic_mod7", "kron_m4", "kron_8", "kron_m3",
+                                  "kron_12", "quartic_mod16"])
 @pytest.mark.parametrize("l", [2, 4, 6])
 def test_theta_power_series_matches_lattice_and_schoolbook(name, l):
-    psi, n = ORACLE_CHARS[name], 120
+    psi, n = SERIES_CHARS[name], 120
     powered = theta_power_series(psi, l, n)
     assert powered.agrees_with(theta_power_direct(psi, l, n), l, n)
     oracle = schoolbook_pow(theta_series(psi, n), l)
