@@ -19,15 +19,15 @@ one choice can cancel termwise against the projection sum.
 
 The printed kernel and every tabulated closed form are homogeneous in x and
 y, so each is a ``HomogeneousForm`` x^deg t^low P(t) in t = y/x, P a
-``UnivariatePoly``.  ``ProjectionKernel`` holds the integer form of the
-printed kernel: clearing its least powers y^p, x^q and its common
-denominator D leaves an integer homogeneous form G(x, y) with
-K = G(x, y) / (D y^p x^q), x and y the larger and smaller squared norms (their
-square roots when 2(k_f-1) is odd).  The orientation is decided once, in
-``kernel_bivariate``.  For the default orientation and even l, p = l/2 - 1 and
-q = deg P + p.  The u-form P(1 - 2u) is read off the 2F1 sum in u
-(``jacobi.jacobi_hypergeom_u``: even l never uses the recurrence, whose c1
-vanishes at j = l/2 + 1; acceptance criterion 2 still asserts the
+``UnivariatePoly``.  ``ProjectionKernel`` holds the printed kernel in one
+encoding, K = (y - x)^a H(x, y) / (D y^p x^q) with H an integer form,
+H(x, x) != 0, and x and y the larger and smaller squared norms (their square
+roots when 2(k_f-1) is odd); ``ProjectionKernel.along_gap`` is its one
+evaluator.  The orientation is decided once, in ``kernel_bivariate``.  For
+the default orientation and even l, p = l/2 - 1, q = deg P + p, a = l + 1
+and deg H <= 3 up to l = 10.  The u-form P(1 - 2u) is read off the 2F1 sum
+in u (``jacobi.jacobi_hypergeom_u``: even l never uses the recurrence, whose
+c1 vanishes at j = l/2 + 1; acceptance criterion 2 still asserts the
 recurrence/2F1 cross-check).
 """
 
@@ -175,14 +175,12 @@ def kernel_bivariate(w: WeightData, orientation: str = "prefactor_on_larger") ->
 
 
 class ProjectionKernel(NamedTuple):
-    """Evaluation handle: weight data, orientation and the integer form of
-    the printed kernel (``from_weights``), split as G = (y - x)^a H with
-    a = l + 1 for even l (deg H <= 3 up to l = 10): in the norms, K(N, M) is
-    (-r)^a / D times H(N, M) / (M^p N^q), r = N - M.  Cached; immutable."""
+    """Evaluation handle: weight data, orientation and the split integer form
+    (a, H, D, p, q) of the printed kernel (``from_weights``), evaluated by
+    ``along_gap`` alone.  Cached; immutable."""
 
     weights: WeightData
     orientation: str
-    form: tuple        # integer coefficients g_0..g_deg of G, ascending in y
     scale: int         # D
     powers: tuple      # (p, q): K = G(x, y) / (D y^p x^q)
     roots: bool        # x and y are the square roots of the norms
@@ -191,30 +189,26 @@ class ProjectionKernel(NamedTuple):
 
     @classmethod
     def from_weights(cls, w: WeightData, orientation: str = "prefactor_on_larger"):
-        """The handle of K = kernel_bivariate(w, orientation).
-
-        With all exponents of K even (deg, low and P even), K is a Laurent
-        form in the norms x^2 and y^2 and is read in them; otherwise x and y
-        stay the norms' square roots.  With y^-p and x^-q the least powers of
-        y and x in K and D the least common denominator of its coefficients,
-        G(x, y) = D y^p x^q K is an integer form, stored as g_k = its
-        coefficient of y^k x^(deg G - k): D P read in t, or in t^2 for the
-        norms."""
+        """The handle of K = kernel_bivariate(w, orientation); ValueError if K
+        is zero.  With all exponents of K even (deg, low and P even), K is a
+        Laurent form in the norms x^2 and y^2 and is read in them; otherwise x
+        and y stay the norms' square roots.  With y^-p and x^-q the least
+        powers of y and x in K and D the least common denominator of its
+        coefficients, G(x, y) = D y^p x^q K = x^deg g(y/x), g = D P read in t
+        (in t^2 for the norms).  As y - x = x (t - 1), a is the multiplicity
+        of the root t = 1 of g, and H is g / (t - 1)^a."""
         K = kernel_bivariate(w, orientation)
+        if not K.poly.coeffs:
+            raise ValueError(f"the kernel of {w} is identically zero")
         roots = bool(K.deg % 2 or K.low % 2 or any(K.poly.coeffs[1::2]))
         s = 1 if roots else 2
         coeffs = K.poly.coeffs[::s]
         scale = lcm(*(c.denominator for c in coeffs))
-        form = UnivariatePoly([c.numerator * (scale // c.denominator) for c in coeffs])
-        # G = (y - x)^a H = x^a (t - 1)^a H, so c_a is the first nonzero Taylor
-        # coefficient c_m of G at t = 1.  G(1 + 2^k) = sum c_m 2^(k m) with every
-        # |c_m| < 2^(k - 1), so its lowest set bit lies in the k-bit block of c_a.
-        k = len(form.coeffs) + sum(map(abs, form.coeffs)).bit_length()
-        v = form(1 + (1 << k))
-        a = ((v & -v).bit_length() - 1) // k
-        h = divmod(form, UnivariatePoly([(-1) ** (a - j) * comb(a, j) for j in range(a + 1)]))[0]
+        h, a = UnivariatePoly([c.numerator * (scale // c.denominator) for c in coeffs]), 0
+        while not h(1):
+            h, a = divmod(h, UnivariatePoly([-1, 1]))[0], a + 1
         powers = (-K.low // s, (K.low + K.poly.degree() - K.deg) // s)
-        return cls(w, orientation, form.coeffs, scale, powers, roots, a, h.coeffs)
+        return cls(w, orientation, scale, powers, roots, a, h.coeffs)
 
     @property
     def l(self) -> int:
@@ -228,30 +222,28 @@ class ProjectionKernel(NamedTuple):
             acc = acc * x + h * y_k
         return acc
 
-    def ratio(self, N: int, M: int) -> tuple:
-        """K at (larger squared norm N, smaller squared norm M) as the ints
-        (y - x)^a H(x, y) and D y^p x^q > 0, not reduced."""
-        if M < 1 or N <= M:
-            raise ValueError(f"need N > M >= 1, got ({N}, {M})")
-        x, y = (_exact_root(N), _exact_root(M)) if self.roots else (N, M)
-        p, q = self.powers
-        return (y - x) ** self.diagonal * self.cofactor_at(x, y), self.scale * y ** p * x ** q
-
     def along_gap(self, r: int, norms: list) -> tuple:
         """(c, ratios): K(M + r, M) = c n/d for (n, d) in ratios, one per M of
-        norms.  In the norms y - x = -r, so c = (-r)^a / D and n/d = H(M + r, M)
-        / (M^p (M + r)^q); in square roots c = 1 and (n, d) = ratio(M + r, M)."""
-        if self.roots or r < 1 or min(norms, default=1) < 1:  # ratio rejects M < 1
-            return Fraction(1), [self.ratio(M + r, M) for M in norms]
+        norms, not reduced; needs r >= 1 and every M >= 1.  In the norms
+        y - x = -r, so c = (-r)^a / D and n/d = H(M + r, M) / (M^p (M + r)^q);
+        in square roots (NonSquareArgumentError unless M + r and M are
+        squares) c = 1 and n/d = (y - x)^a H(x, y) / (D y^p x^q)."""
+        if r < 1 or min(norms, default=1) < 1:
+            raise ValueError(f"need r >= 1 and M >= 1, got r = {r}, M = {min(norms, default=1)}")
         (p, q), h = self.powers, self.cofactor_at
+        if self.roots:
+            xy = [(_exact_root(M + r), _exact_root(M)) for M in norms]
+            return Fraction(1), [((y - x) ** self.diagonal * h(x, y), self.scale * y ** p * x ** q)
+                                 for x, y in xy]
         return (Fraction((-r) ** self.diagonal, self.scale),
                 [(h(M + r, M), M ** p * (M + r) ** q) for M in norms])
 
     def eval(self, N: int, M: int) -> Fraction:
         """K at (larger squared norm N, smaller squared norm M), exact:
         N^(k_f-1) P(1 - 2M/N) - M^(k_f-1), slots exchanged for
-        prefactor_on_smaller."""
-        return Fraction(*self.ratio(N, M))
+        prefactor_on_smaller.  The one-term case of ``along_gap``."""
+        c, [(n, d)] = self.along_gap(N - M, [M])
+        return c * Fraction(n, d)
 
 
 @lru_cache(maxsize=None)

@@ -442,13 +442,11 @@ def _exceeds(res: CyclotomicNumber, delta: CyclotomicNumber) -> bool:
     """|res| > 4 |delta|, decided without floats.
 
     w = res conj(res) - 16 delta conj(delta) is exact and real, and the
-    question is whether w > 0.  A zero or rational w is compared exactly;
-    otherwise w is enclosed under zeta_e -> exp(2 pi i / e) in an mpmath
-    interval, at doubling precision until the interval excludes 0 (it does
-    at some precision, as w is not 0)."""
+    question is whether w > 0.  A rational w, zero included, is compared
+    exactly; otherwise w is enclosed under zeta_e -> exp(2 pi i / e) in an
+    mpmath interval, at doubling precision until the interval excludes 0 (it
+    does at some precision, as w is not 0)."""
     w = res * res.conjugate() - 16 * (delta * delta.conjugate())
-    if w.is_zero():
-        return False
     if w.is_rational():
         return w.rational_value() > 0
     from mpmath import MPIntervalContext  # loaded only for an irrational w

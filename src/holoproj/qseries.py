@@ -141,21 +141,15 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
     slots = min(n - base, terms_a[-1][0] + terms_b[-1][0] - base) // step + 1  # q-slots read
     digits = _product_digits(terms_a, rows_a, terms_b, rows_b, stride, step, bound, slots * stride)
     scale = scale_a * scale_b
-    if order == 1:
-        for s, d in enumerate(digits):
-            if d:
-                value = _trusted(1, (d,) if scale == 1 else _exact((Fraction(d, scale),)))
-                i = base + s * step - v
-                data[i] = value if data[i] is _ZERO else data[i] + value  # as _ZERO + value
-        return
-    # a slot whose products cancel still takes the order tag: find the
-    # exponents some term pair lands on, by the same substitution on 0/1 rows
-    hits = _product_digits(terms_a, [[1]] * len(terms_a), terms_b, [[1]] * len(terms_b),
-                           1, step, pairs, slots)
+    # above order 1 a slot whose products cancel still takes the order tag: find
+    # the exponents some term pair lands on, by the same substitution on 0/1 rows
+    hits = digits if order == 1 else _product_digits(
+        terms_a, [[1]] * len(terms_a), terms_b, [[1]] * len(terms_b), 1, step, pairs, slots)
     modulus = cyclotomic_polynomial(order)
     for s in range(slots):
         if hits[s]:
-            coords = _divmod(digits[s * stride:(s + 1) * stride], modulus)[1]
+            coords = ((hits[s],) if order == 1  # Phi_1 leaves one digit as it is
+                      else _divmod(digits[s * stride:(s + 1) * stride], modulus)[1])
             i = base + s * step - v
             value = _trusted(order, tuple(coords) if scale == 1
                              else _exact(tuple([Fraction(c, scale) for c in coords])))

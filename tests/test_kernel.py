@@ -13,6 +13,7 @@ from holoproj.kernel import (
     ORIENTATIONS,
     HomogeneousForm,
     NonSquareArgumentError,
+    ProjectionKernel,
     WeightError,
     kernel_bivariate,
     _reference_forms,
@@ -158,9 +159,9 @@ SQUARE_GRID = [(n * n, m * m) for n in range(2, 30) for m in range(1, n)] + [
 def test_integer_form_equals_the_fraction_evaluation(l, orientation):
     k = projection_kernel(l, orientation)
     for N, M in GRID if l % 2 == 0 else SQUARE_GRID:
-        num, den = k.ratio(N, M)
+        c, [(num, den)] = k.along_gap(N - M, [M])
         assert den > 0
-        assert k.eval(N, M) == F(num, den) == fraction_eval(k, N, M), (N, M)
+        assert k.eval(N, M) == c * F(num, den) == fraction_eval(k, N, M), (N, M)
 
 
 def _times_diagonal(a, h):
@@ -171,12 +172,26 @@ def _times_diagonal(a, h):
     return tuple(out)
 
 
-def _form_ratio(k, N, M):
+def _integer_form(k):
+    """(G, D, roots) read off the terms of kernel_bivariate, not off the
+    handle: G = D y^p x^q K as its integer coefficients g_k of
+    y^k x^(deg G - k), in the norms x^2, y^2 unless some exponent is odd."""
+    terms = kernel_bivariate(k.weights, k.orientation).terms()
+    roots = any(i % 2 or j % 2 for i, j in terms)
+    step, low = 1 if roots else 2, min(j for _, j in terms)
+    scale = math.lcm(*(F(c).denominator for c in terms.values()))
+    form = [0] * ((max(j for _, j in terms) - low) // step + 1)
+    for (_, j), c in terms.items():
+        form[(j - low) // step] = int(c * scale)
+    return tuple(form), scale, roots
+
+
+def _form_ratio(k, form, N, M):
     """K's ratio from the unsplit form: G(x, y) = sum g_k y^k x^(deg - k) by
     homogeneous Horner, over D y^p x^q."""
     x, y = (math.isqrt(N), math.isqrt(M)) if k.roots else (N, M)
-    acc, y_k = k.form[0], 1
-    for g in k.form[1:]:
+    acc, y_k = form[0], 1
+    for g in form[1:]:
         y_k *= y
         acc = acc * x + g * y_k
     p, q = k.powers
@@ -192,24 +207,29 @@ SPLIT_KERNELS = {
 
 @pytest.mark.parametrize("name", list(SPLIT_KERNELS))
 def test_diagonal_split_multiplies_back_to_the_form(name):
-    """G = (y - x)^a H exactly, H(1, 1) != 0, a = l + 1 with deg H <= 3 for
-    even l, and ratio and along_gap give the unsplit form's values."""
+    """G = (y - x)^a H exactly, G read off kernel_bivariate, H(1, 1) != 0,
+    a = l + 1 with deg H <= 3 for even l, and along_gap gives the unsplit
+    form's values (its very ratios in square roots, where c = 1)."""
     l, k = SPLIT_KERNELS[name]
-    assert _times_diagonal(k.diagonal, k.cofactor) == k.form
+    form, scale, roots = _integer_form(k)
+    assert (k.scale, k.roots) == (scale, roots)
+    assert _times_diagonal(k.diagonal, k.cofactor) == form
     assert sum(k.cofactor) != 0
     if l is not None and l % 2 == 0:
         assert k.diagonal == l + 1 and len(k.cofactor) <= 4
     for N, M in SQUARE_GRID if k.roots else GRID:
-        assert k.ratio(N, M) == _form_ratio(k, N, M), (N, M)
         c, [ratio] = k.along_gap(N - M, [M])
-        assert c * F(*ratio) == F(*_form_ratio(k, N, M)), (N, M)
+        assert c * F(*ratio) == F(*_form_ratio(k, form, N, M)), (N, M)
+        if k.roots:
+            assert (c, ratio) == (1, _form_ratio(k, form, N, M)), (N, M)
 
 
 @pytest.mark.parametrize("l", [4, 6, 8, 10])
 def test_integer_form_denominator_powers(l):
     """D M^a N^b with a = l/2 - 1 and b = deg P + a: the powers (p, q) of
     y = M and x = N, read off the swapped Laurent form for
-    prefactor_on_smaller, whose denominator is D N^a M^b."""
+    prefactor_on_smaller, whose denominator is D N^a M^b; along_gap puts D
+    in c = (-r)^(l + 1) / D and y^a x^b in each ratio."""
     a = l // 2 - 1
     b = kernel_u_form(weights_for_dim(l)).degree() + a
     for orientation in ("prefactor_on_larger", "prefactor_on_smaller"):
@@ -218,8 +238,9 @@ def test_integer_form_denominator_powers(l):
         assert not k.roots
         N, M = 3 ** 5, 2 ** 7
         x, y = (N, M) if orientation == "prefactor_on_larger" else (M, N)
-        assert k.ratio(N, M)[1] == k.scale * y ** a * x ** b
-        assert all(isinstance(g, int) for g in k.form)
+        c, [(_, den)] = k.along_gap(N - M, [M])
+        assert (c, den) == (F((M - N) ** (l + 1), k.scale), y ** a * x ** b)
+        assert all(isinstance(h, int) for h in (k.scale, *k.cofactor))
 
 
 @pytest.mark.parametrize("orientation", ["prefactor_on_larger", "prefactor_on_smaller"])
@@ -229,9 +250,49 @@ def test_odd_integer_form_rejects_non_square_arguments(l, orientation):
     assert k.roots
     for N, M in ((8, 1), (9, 2), (11, 3), (50, 49)):
         with pytest.raises(NonSquareArgumentError):
-            k.ratio(N, M)
+            k.along_gap(N - M, [M])
         with pytest.raises(NonSquareArgumentError):
             k.eval(N, M)
+
+
+@pytest.mark.parametrize("name", list(SPLIT_KERNELS))
+def test_along_gap_is_eval_term_by_term(name):
+    """along_gap(r, norms) gives eval(M + r, M) for each M of norms, r = 1..40:
+    every M up to 60 in the norms, in square roots every square M with M + r
+    square (M < (r/2)^2)."""
+    _, k = SPLIT_KERNELS[name]
+    for r in range(1, 41):
+        norms = ([m * m for m in range(1, 21) if math.isqrt(m * m + r) ** 2 == m * m + r]
+                 if k.roots else list(range(1, 61)))
+        c, ratios = k.along_gap(r, norms)
+        assert len(ratios) == len(norms)
+        assert [c * F(*ratio) for ratio in ratios] == [k.eval(M + r, M) for M in norms], r
+
+
+@pytest.mark.parametrize("l", [1, 3, 4])
+def test_along_gap_needs_a_positive_gap_and_norms(l):
+    k = projection_kernel(l)
+    for r, norms in ((0, [1]), (-3, [4]), (0, []), (5, [0]), (5, [4, -1, 9])):
+        with pytest.raises(ValueError, match="need r >= 1"):
+            k.along_gap(r, norms)
+
+
+@pytest.mark.parametrize("l", [1, 3, 5])
+def test_along_gap_rejects_one_non_square_norm_among_squares(l):
+    """In square roots every M and M + r must be squares: 9 + 16 = 25, but
+    144 + 16 = 160 is not, and 20 (with 20 + 16 = 36) is not itself."""
+    k = projection_kernel(l)
+    assert len(k.along_gap(16, [9, 9])[1]) == 2
+    for norms in ([9, 144], [9, 20, 9]):
+        with pytest.raises(NonSquareArgumentError):
+            k.along_gap(16, norms)
+
+
+def test_zero_kernel_is_rejected():
+    """kappa = 2 at k_f = 1 makes K = x^0 - y^0 = 0, which has no split."""
+    w = weights_for_dim(1)._replace(k_f=F(1), kappa=2, two_e=0)
+    with pytest.raises(ValueError, match="identically zero"):
+        ProjectionKernel.from_weights(w)
 
 
 def test_kernel_eval_matches_printed_table():

@@ -76,6 +76,17 @@ def test_inc_gamma_asymptotic_ratio():
                 assert abs(ratio - 1) <= mp.mpf(tol)
 
 
+def test_inc_gamma_takes_an_mpf_argument_unrounded():
+    """An mpf x reaches gammainc as it is, not rounded to mp.dps decimal
+    digits through str(): the arguments 4 pi M v of the f-minus sum."""
+    with mp.workdps(40):
+        for M in (1, 7, 50, 199):
+            x = 4 * mp.pi * M * mp.mpf("0.8")
+            for s in (F(-2), F(-1, 2), F(1, 2), F(3)):
+                sm = mp.mpf(s.numerator) / s.denominator
+                assert inc_gamma(s, x) == mp.gammainc(sm, x), (M, s)
+
+
 def test_inc_gamma_domain_errors():
     with pytest.raises(ValueError):
         inc_gamma(F(1, 3), 1)
