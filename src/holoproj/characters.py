@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .rings import CyclotomicNumber, cyc, value_from_json
+from .rings import CyclotomicNumber, _factorize, cyc, value_from_json
 
 
 class CharacterTableError(ValueError):
@@ -112,54 +112,29 @@ def kronecker_symbol(D: int, n: int) -> int:
     """Kronecker symbol (D|n) for n >= 0."""
     if n == 0:
         return 1 if D in (1, -1) else 0
-    out = 1
     if n < 0:
         raise ValueError("kronecker_symbol expects n >= 0 here")
-    # factor out 2s
-    while n % 2 == 0:
-        if D % 2 == 0:
-            return 0
-        d8 = D % 8
-        out *= 1 if d8 in (1, 7) else -1
-        n //= 2
-    # odd part via Legendre symbols (Euler's criterion), prime by prime
-    m = n
-    p = 3
-    while m > 1:
-        while p * p <= m and m % p != 0:
-            p += 2
-        q = p if p * p <= m else m
-        while m % q == 0:
-            ls = pow(D % q, (q - 1) // 2, q)
-            if ls == q - 1:
-                out = -out
-            elif ls == 0:
-                return 0
-            m //= q
+    out = 1
+    for p, k in _factorize(n).items():
+        if p == 2:
+            s = (0, 1, 0, -1, 0, -1, 0, 1)[D % 8]  # (D|2) by D mod 8
+        else:
+            s = pow(D % p, (p - 1) // 2, p)  # Euler's criterion: 0, 1 or p - 1
+            if s == p - 1:
+                s = -1
+        out *= s ** k
     return out
 
 
 def is_fundamental_discriminant(D: int) -> bool:
-    if D == 0:
-        return False
-    if D == 1:
-        return True
-
-    def squarefree(m):
-        m = abs(m)
-        k = 2
-        while k * k <= m:
-            if m % (k * k) == 0:
-                return False
-            k += 1
-        return True
-
+    """D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree."""
     if D % 4 == 1:
-        return squarefree(D)
-    if D % 4 == 0:
+        m = D
+    elif D % 4 == 0 and (D // 4) % 4 in (2, 3):
         m = D // 4
-        return m % 4 in (2, 3) and squarefree(m)
-    return False
+    else:
+        return False
+    return all(k == 1 for k in _factorize(abs(m)).values())
 
 
 def char_kronecker(D: int) -> DirichletCharacter:

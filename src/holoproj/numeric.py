@@ -228,17 +228,11 @@ def xi_check(cfg: ProjectionConfig, point: UpperHalfPoint, h,
 
         fd = xi_finite_difference(F, tau, w.kappa, h)
 
-        chibar = char_conjugate(cfg.chi)
-        series = theta_power_direct(chibar, l, cutoff)
-        q = mp.e ** (2j * mp.pi * tau)
-        theta_chibar_l = mp.mpc(0)
-        for M, aM in series.nonzero_items():
-            theta_chibar_l += embed_cyclotomic(aM) * q ** M
         closed = (
             -((4 * mp.pi) ** _to_mpf(1 - w.k_f))
             / mp.gamma(_to_mpf(1 - w.k_f))
             * v ** _to_mpf(w.k_g)
-            * theta_chibar_l
+            * theta_numeric(char_conjugate(cfg.chi), tau) ** l
             * mp.conj(theta_psi_here) ** l
         )
         rel = abs(fd - closed) / abs(closed)

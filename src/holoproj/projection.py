@@ -32,7 +32,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 from .characters import DirichletCharacter
-from .kernel import ProjectionKernel, projection_kernel, weights_for_dim
+from .kernel import ORIENTATIONS, ProjectionKernel, projection_kernel, weights_for_dim
 from .qseries import QSeries
 from .rings import (_ONE, CyclotomicNumber, _reduce_mod_cyclotomic, _trusted, cyc,
                     graded_readout, value_to_json)
@@ -66,6 +66,10 @@ class ProjectionConfig(_ConfigFields):
         weights_for_dim(self.l)  # rejects l = 2
         if self.rmax < 1:
             raise ValueError("rmax must be >= 1")
+        if self.orientation not in ORIENTATIONS:
+            raise ValueError(f"unknown orientation {self.orientation!r}")
+        if not isinstance(self.placement, CharacterPlacement):
+            raise ValueError(f"placement must be a CharacterPlacement, got {self.placement!r}")
         unknown = set(self.modes) - {"ordered", "full"}
         if unknown:
             raise ValueError(f"unknown modes {sorted(unknown)}")

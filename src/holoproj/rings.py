@@ -11,10 +11,12 @@ elements of Q[z]/Phi_e(z) stored as dense coordinate vectors of length
 phi(e); reduction modulo the e-th cyclotomic polynomial is canonical, so two
 equal values at the same order have identical coordinates.  Their hot
 operations stay on coordinate tuples and share the polynomial type's
-list-level long division.  Mixed-order arithmetic lifts both operands to the
-lcm order, so callers never manage orders themselves.  ``graded_readout``
-turns integer sums per grade into tagged values with the tags addition gives;
-it reads the lattice theta powers and the sigma and ordered powers alike.
+list-level product and long division.  Mixed-order arithmetic lifts both
+operands to the lcm order, so callers never manage orders themselves.
+``_factorize``, read by phi(e) and the Kronecker symbol, is the one
+factorization.  ``graded_readout`` turns integer sums per grade into tagged
+values with the tags addition gives; it reads the lattice theta powers and
+the sigma and ordered powers alike.
 """
 
 from __future__ import annotations
@@ -123,12 +125,7 @@ class UnivariatePoly:
         a, b = self.coeffs, _as_poly(other).coeffs
         if not a or not b:
             return UnivariatePoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return UnivariatePoly(out)
+        return UnivariatePoly(_times(a, b))
 
     __rmul__ = __mul__
 
@@ -155,6 +152,16 @@ class UnivariatePoly:
 
 def _as_poly(x) -> UnivariatePoly:
     return x if isinstance(x, UnivariatePoly) else UnivariatePoly((x,))
+
+
+def _times(a, b):
+    """Product of dense ascending coefficient lists, both nonempty."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _divmod(a, b):
@@ -188,19 +195,28 @@ def cyclotomic_polynomial(e: int) -> tuple:
     return num.coeffs
 
 
+def _factorize(n: int) -> dict:
+    """{p: k} with n the product of the p^k, for n >= 1, by trial division."""
+    factors, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 @lru_cache(maxsize=None)
 def euler_phi(e: int) -> int:
-    """phi(e), the degree of Phi_e, by trial division: no Phi_d is built."""
+    """phi(e), the degree of Phi_e, from the primes of e: no Phi_d is built."""
     if e < 1:
         raise ValueError(f"euler_phi needs a positive argument, got {e}")
-    phi, p = e, 2
-    while p * p <= e:
-        if e % p == 0:
-            phi -= phi // p
-            while e % p == 0:
-                e //= p
-        p += 1
-    return phi - phi // e if e > 1 else phi
+    phi = e
+    for p in _factorize(e):
+        phi -= phi // p
+    return phi
 
 
 @lru_cache(maxsize=None)
@@ -266,9 +282,7 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, e: int, k: int = 1) -> "CyclotomicNumber":
         """zeta_e^k."""
-        k %= e
-        raw = [0] * (k + 1)
-        raw[k] = 1
+        raw = [0] * (k % e) + [1]
         return cls(e, _reduce_mod_cyclotomic(raw, e))
 
     # -- order management --------------------------------------------------
@@ -281,14 +295,13 @@ class CyclotomicNumber:
             raise ValueError(f"cannot lift order {self.order} to non-multiple {e}")
         step = e // self.order
         raw = [0] * ((len(self.coords) - 1) * step + 1)
-        for k, c in enumerate(self.coords):
-            raw[k * step] = c
+        raw[::step] = self.coords
         return _trusted(e, _reduce_mod_cyclotomic(raw, e))
 
     def _common(self, other):
         if self.order == other.order:
             return self, other
-        e = self.order * other.order // gcd(self.order, other.order)
+        e = lcm(self.order, other.order)
         return self.lift(e), other.lift(e)
 
     # -- predicates --------------------------------------------------------
@@ -344,14 +357,7 @@ class CyclotomicNumber:
         if self.order == 1 and other.order == 1:
             return _trusted(1, _exact((self.coords[0] * other.coords[0],)))
         a, b = self._common(other)
-        n = len(a.coords)
-        raw = [0] * (2 * n - 1)
-        for i, x in enumerate(a.coords):
-            if x:
-                for j, y in enumerate(b.coords):
-                    if y:
-                        raw[i + j] += x * y
-        return _trusted(a.order, _reduce_mod_cyclotomic(raw, a.order))
+        return _trusted(a.order, _reduce_mod_cyclotomic(_times(a.coords, b.coords), a.order))
 
     __rmul__ = __mul__
 

@@ -6,14 +6,15 @@ and the divisor sums with the weight-2 Eisenstein series built from them.
 D_n is the set of divisors d | n with d <= n/d and d = n/d (mod 2); the
 parity condition makes a = (n/d + d)/2 and b = (n/d - d)/2 integers, with
 a^2 - b^2 = n, a - b = d and a + b = n/d.  `substitutions` is the one place
-that computes them.
+that computes them; `_divisor_pairs`, the one divisor walk, also gives the
+divisor sums.
 """
 
 from __future__ import annotations
 
 import enum
 from itertools import product
-from math import prod
+from math import isqrt, prod
 
 from .characters import DirichletCharacter
 from .kernel import ProjectionKernel
@@ -26,17 +27,17 @@ class CharacterParityError(ValueError):
     non-trivial)."""
 
 
-def small_divisors(n: int) -> list[int]:
-    """D_n as a sorted list: d | n with d <= n/d and d = n/d mod 2."""
+def _divisor_pairs(n: int) -> list[tuple[int, int]]:
+    """(d, n // d) for each divisor d <= sqrt(n) of n, by increasing d: the
+    one divisor walk, read by D_n and by the divisor sums."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0 and (d - n // d) % 2 == 0:
-            out.append(d)
-        d += 1
-    return out
+    return [(d, n // d) for d in range(1, isqrt(n) + 1) if n % d == 0]
+
+
+def small_divisors(n: int) -> list[int]:
+    """D_n as a sorted list: d | n with d <= n/d and d = n/d mod 2."""
+    return [d for d, e in _divisor_pairs(n) if (d - e) % 2 == 0]
 
 
 def substitutions(n: int) -> list[tuple[int, int]]:
@@ -46,17 +47,7 @@ def substitutions(n: int) -> list[tuple[int, int]]:
 
 def divisor_sum(n: int, k: int = 1) -> int:
     """sigma_k(n) = sum of d^k over all divisors d of n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** k
-            if d != n // d:
-                total += (n // d) ** k
-        d += 1
-    return total
+    return sum(d ** k + e ** k if d != e else d ** k for d, e in _divisor_pairs(n))
 
 
 def eisenstein_e2(N: int) -> QSeries:

@@ -88,6 +88,21 @@ def test_kronecker_symbol_values():
     assert kronecker_symbol(1, 0) == 1
 
 
+def test_fundamental_discriminant_filter_matches_the_definition():
+    """The oracle test below selects its D with this filter, so a filter that
+    dropped valid D would shrink that oracle without failing it."""
+    sympy = pytest.importorskip("sympy")
+
+    def squarefree(m):
+        return all(k == 1 for k in sympy.factorint(abs(m)).values())
+
+    expected = [D for D in range(-200, 201)
+                if (D % 4 == 1 and squarefree(D))
+                or (D % 4 == 0 and D // 4 % 4 in (2, 3) and squarefree(D // 4))]
+    assert [D for D in range(-200, 201) if is_fundamental_discriminant(D)] == expected
+    assert len(expected) == 123
+
+
 def test_kronecker_symbol_matches_sympy():
     pytest.importorskip("sympy")
     from sympy.functions.combinatorial.numbers import kronecker_symbol as oracle

@@ -85,6 +85,10 @@ def test_record_behaviour(name):
     (lambda: ProjectionConfig(PSI, CHI, 4, 40, B=32), "need B >= rmax"),
     (lambda: ProjectionConfig(PSI, CHI, 4, 8), "needs a norm bound B"),
     (lambda: _config()._replace(l=2), "l = 2"),
+    (lambda: ProjectionConfig(PSI, CHI, 4, 8, B=32, orientation="bogus"), "unknown orientation"),
+    (lambda: _config()._replace(orientation="bogus"), "unknown orientation"),
+    (lambda: ProjectionConfig(PSI, CHI, 4, 8, B=32, placement="psi_on_larger"),
+     "placement must be a CharacterPlacement"),
     (lambda: MultiIndex((2, 0)), "entries must all be >= 1"),
     (lambda: MultiIndex(()), "entries must all be >= 1"),
     (lambda: CalibrationInstance("classical-d3", PSI, CHI), "unknown family"),

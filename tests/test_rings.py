@@ -15,6 +15,7 @@ from holoproj.rings import (
     _SPLIT_BITS,
     CyclotomicNumber,
     UnivariatePoly,
+    _factorize,
     cyc,
     cyclotomic_polynomial,
     euler_phi,
@@ -249,6 +250,15 @@ def test_cyclotomic_polynomial_matches_sympy():
         expected = sympy.Poly(sympy.cyclotomic_poly(e, x), x).all_coeffs()[::-1]
         assert cyclotomic_polynomial(e) == tuple(int(c) for c in expected), e
         assert euler_phi(e) == sympy.totient(e), e
+
+
+def test_factorize_and_euler_phi_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 3001):
+        assert _factorize(n) == sympy.factorint(n), n
+        assert euler_phi(n) == sympy.totient(n), n
+    with pytest.raises(ValueError, match="euler_phi needs a positive argument, got 0"):
+        euler_phi(0)
 
 
 def test_univariate_poly_arithmetic():

@@ -195,3 +195,17 @@ def test_divisor_sum():
     assert divisor_sum(6, 1) == 12
     assert divisor_sum(6, 0) == 4
     assert divisor_sum(4, 2) == 21
+
+
+def test_small_divisors_and_divisor_sums_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 3001):
+        divisors = sympy.divisors(n)
+        assert small_divisors(n) == [d for d in divisors
+                                     if d * d <= n and (d - n // d) % 2 == 0], n
+        for k in range(4):
+            assert divisor_sum(n, k) == sympy.divisor_sigma(n, k), (n, k)
+    for bad in (0, -3):
+        for f in (small_divisors, divisor_sum):
+            with pytest.raises(ValueError, match=f"n must be positive, got {bad}"):
+                f(bad)
