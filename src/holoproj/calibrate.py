@@ -130,22 +130,16 @@ def calibrate_constants(inst: CalibrationInstance, probe_count: int = 12,
     if verify_rows < 0:
         raise ValueError(f"verify_rows must be >= 0, got {verify_rows}")
 
-    sides = _sides(inst, probe_count + verify_rows)
-    equations = [_calibration_equation(inst, r, sides) for r in range(1, probe_count + 1)]
-    solution = _solve_from_pivots(equations, n_unknown)
+    rows = probe_count + verify_rows
+    sides = _sides(inst, rows)
+    equations = [_calibration_equation(inst, r, sides) for r in range(1, rows + 1)]
+    solution = _solve_from_pivots(equations[:probe_count], n_unknown)
     if solution is None:
         return CalibrationResult(inst.family, {}, False, True,
                                  probe_count, 0, failures=[])
 
-    failures = []
-    for r in range(1, probe_count + verify_rows + 1):
-        basis, rhs = (equations[r - 1] if r <= probe_count
-                      else _calibration_equation(inst, r, sides))
-        acc = cyc(0)
-        for coeff, scal in zip(basis, solution):
-            acc = acc + coeff * scal
-        if acc != rhs:
-            failures.append(r)
+    failures = [r for r, (basis, rhs) in enumerate(equations, 1)
+                if sum((coeff * scal for coeff, scal in zip(basis, solution)), cyc(0)) != rhs]
     return CalibrationResult(
         inst.family,
         dict(zip(names, solution)),

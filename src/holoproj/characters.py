@@ -1,14 +1,15 @@
 """Dirichlet characters with exact cyclotomic values.
 
-Characters are stored as explicit value tables over the residues 0..M-1 (the
-moduli in play are tiny), validated for multiplicativity on every residue
-pair.  Zero entries are genuine cyclotomic zeros so coefficient arithmetic
-downstream needs no special cases.
+A character is a named-tuple record holding its explicit value table over
+the residues 0..M-1 (the moduli in play are tiny), validated for
+multiplicativity on every residue pair.  Zero entries are genuine cyclotomic
+zeros so coefficient arithmetic downstream needs no special cases.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .rings import CyclotomicNumber, _factorize, cyc, value_from_json
 
@@ -17,26 +18,19 @@ class CharacterTableError(ValueError):
     """Raised when a value table fails Dirichlet-character validation."""
 
 
-class DirichletCharacter:
-    """Immutable character mod M given by its full value table.
+class DirichletCharacter(NamedTuple):
+    """Character mod M given by its full value table, values[a] = value(a).
 
     parity is 0 for even characters (value(-1) = 1) and 1 for odd ones.
     order is the multiplicative order of the character in the dual group.
+    Both are functions of the values, so equality and hashing over all four
+    fields compare the tables.
     """
 
-    __slots__ = ("modulus", "values", "order", "parity")
-
-    def __init__(self, modulus: int, values, order: int, parity: int):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "parity", parity)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DirichletCharacter is immutable")
-
-    def __reduce__(self):
-        return (DirichletCharacter, (self.modulus, self.values, self.order, self.parity))
+    modulus: int
+    values: tuple
+    order: int
+    parity: int
 
     def __call__(self, n: int) -> CyclotomicNumber:
         return self.values[n % self.modulus]
@@ -48,19 +42,7 @@ class DirichletCharacter:
         return self.parity == 0
 
     def is_trivial(self) -> bool:
-        return all(
-            self.values[a] == 1
-            for a in range(self.modulus)
-            if gcd(a, self.modulus) == 1
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return self.modulus == other.modulus and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.modulus, self.values))
+        return self.order == 1
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, order {self.order}, parity {self.parity})"
@@ -76,8 +58,7 @@ def char_from_table(modulus: int, values) -> DirichletCharacter:
     if len(table) != modulus:
         raise CharacterTableError(f"table covers {len(table)} residues, modulus is {modulus}")
 
-    one = cyc(1)
-    if table[1 % modulus] != one:
+    if table[1 % modulus] != 1:
         raise CharacterTableError("value(1) must be 1")
     for a in range(modulus):
         if gcd(a, modulus) > 1:
@@ -92,20 +73,12 @@ def char_from_table(modulus: int, values) -> DirichletCharacter:
                     f"multiplicativity fails at ({a},{b}) mod {modulus}"
                 )
 
-    vm1 = table[(modulus - 1) % modulus]
-    if vm1 == one:
-        parity = 0
-    elif vm1 == cyc(-1):
-        parity = 1
-    else:
-        raise CharacterTableError("value(-1) must be +1 or -1")
+    # value(-1)^2 = value(1) = 1 by multiplicativity, so value(-1) is 1 or -1
+    parity = 0 if table[(modulus - 1) % modulus] == 1 else 1
 
-    order = 1
-    for a in range(modulus):
-        if gcd(a, modulus) == 1:
-            k = table[a].multiplicative_order(bound=4 * modulus * modulus)
-            order = order * k // gcd(order, k)
-    return DirichletCharacter(modulus, table, order, parity)
+    order = lcm(*(table[a].multiplicative_order(bound=4 * modulus * modulus)
+                  for a in range(modulus) if gcd(a, modulus) == 1))
+    return DirichletCharacter(modulus, tuple(table), order, parity)
 
 
 def kronecker_symbol(D: int, n: int) -> int:

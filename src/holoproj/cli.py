@@ -58,23 +58,29 @@ def _parse_char(text: str, flag: str):
 def _write_outputs(out, obj, csv_path, csv_rows):
     """The JSON report to out ("-": stdout) and, given csv_path, the CSV rows.
     Every path is opened for appending, which truncates nothing, before any is
-    written: a path that cannot be opened is a usage error that leaves every
-    output as it was (a file created here is removed again)."""
+    written: a path that cannot be opened, or a --csv that is the --out file,
+    is a usage error that leaves every output as it was (a file created here
+    is removed again)."""
     data = json.dumps(obj, indent=2) + "\n"
     targets = [("--csv", csv_path)] if csv_path else []
     if out != "-":
         targets.append(("--out", out))
     created = []
-    for flag, path in targets:
-        fresh = not os.path.lexists(path)
-        try:
-            open(path, "a").close()
-        except OSError as exc:
-            for made in created:
-                os.remove(made)
-            raise ConfigError(f"{flag}: {exc}") from None
-        if fresh:
-            created.append(path)
+    try:
+        for flag, path in targets:
+            fresh = not os.path.lexists(path)
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise ConfigError(f"{flag}: {exc}") from None
+            if fresh:
+                created.append(path)
+        if csv_path and out != "-" and os.path.samefile(csv_path, out):
+            raise ConfigError(f"--csv: {csv_path} is the --out file, which holds the JSON report")
+    except ConfigError:
+        for made in created:
+            os.remove(made)
+        raise
     with nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
         fh.write(data)
     if csv_path:

@@ -341,8 +341,6 @@ def verify_closed_forms(orientation: str = "prefactor_on_larger") -> dict:
     for form in _reference_forms():
         K = kernel_bivariate(weights_for_dim(form["l"]), orientation)
         candidates = {}
-        overall = False
-        orientation_used = None
         for label, ref in sorted(form["candidates"].items()):
             if K == ref:
                 match, how, diff = True, "direct", "0"
@@ -356,16 +354,14 @@ def verify_closed_forms(orientation: str = "prefactor_on_larger") -> dict:
                 "orientation_used": how,
                 "difference": diff,
             }
-            if match:
-                overall = True
-                orientation_used = how
+        matched = [c["orientation_used"] for c in candidates.values() if c["match"]]
         identities.append({
             "name": form["name"],
             "l": form["l"],
             "reference_form": form["display"],
             "computed_form": str(K),
-            "match": overall,
-            "orientation_used": orientation_used,
+            "match": bool(matched),
+            "orientation_used": matched[-1] if matched else None,
             "candidates": candidates,
         })
     return {"kernel_orientation": orientation, "identities": identities}

@@ -187,26 +187,21 @@ def ordered_power(cfg, rmax: int) -> GradedPower:
     nonzero of m^lambda_chi n^lambda_psi X^(m^2) Y^(n^2 - m^2).
 
     A pair's grade is the class of (m mod q_chi, n mod q_psi) among the unit
-    residue pairs, two pairs (u, v) and (u', v') sharing a class when
-    chi(uw) psi(vz) and chi(u'w) psi(v'z) are spelled alike (value and order
-    tag) for every unit pair (w, z), that is, when (u'/u, v'/v) fixes every
-    spelled product.  Classes multiply as residues do, and a class's value
-    is chi(u) psi(v) at any of its pairs: the value, and the tag, that
-    chi(prod m) psi(prod n) has.  Never looks at divisors."""
+    residue pairs, keyed by its signature: chi(uw) psi(vz) spelled (value and
+    order tag) for every unit pair (w, z).  Two pairs share a signature when
+    their ratio fixes every spelled product, so classes multiply as residues
+    do, and a class's value is chi(u) psi(v) at any of its pairs: the value,
+    and the tag, that chi(prod m) psi(prod n) has.  Classes are numbered in
+    first-seen order.  Never looks at divisors."""
     l, psi, chi = cfg.l, cfg.psi, cfg.chi
     qc, qp = chi.modulus, psi.modulus
     value = {(u, v): chi(u) * psi(v) for u in range(qc) if chi(u) for v in range(qp) if psi(v)}
     spelled = {pair: (z.order, z.coords) for pair, z in value.items()}
-    # the classes are the cosets of the unit pairs that fix every spelled product
-    fixing = [(a, b) for a, b in value
-              if all(spelled[a * u % qc, b * v % qp] == s for (u, v), s in spelled.items())]
-    grade, rep = {}, {}
+    classes, grade, rep = {}, {}, {}
     for u, v in value:
-        if (u, v) not in grade:
-            g = len(rep)
-            rep[g] = u, v
-            for a, b in fixing:
-                grade[u * a % qc, v * b % qp] = g
+        signature = tuple(spelled[u * w % qc, v * z % qp] for w, z in value)
+        g = grade[u, v] = classes.setdefault(signature, len(classes))
+        rep.setdefault(g, (u, v))
 
     def times(g, h):
         (u, v), (w, z) = rep[g], rep[h]
@@ -330,10 +325,10 @@ def _kernel_sum(kernel: ProjectionKernel, r: int, terms: list, half: int = 0):
     return (reduced(whole) if head else tail), tail
 
 
-def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResult:
+def full_pairs_side(cfg: ProjectionConfig) -> FullSideResult:
     """Collapsed unrestricted-pair sum: coefficient of q^r is
 
-        sum over M <= B of alpha(M) beta(M + r) K(M + r, M)
+        sum over M <= B = cfg.B of alpha(M) beta(M + r) K(M + r, M)
 
     with alpha, beta the theta-power coefficients of the chi and psi sides.
     tail_delta records, per r, the change between bounds B/2 and B.
@@ -348,20 +343,19 @@ def full_pairs_side(cfg: ProjectionConfig, B: int | None = None) -> FullSideResu
         raise OddDimensionError(
             f"l = {cfg.l}: collapsed norms are not perfect squares, no exact evaluation"
         )
-    B = cfg.B if B is None else B
-    if B is None:
+    if cfg.B is None:
         raise ValueError("full mode needs a norm bound B")
-    if B < cfg.rmax:
-        raise ValueError(f"need B >= rmax, got B={B} < {cfg.rmax}")
+    if cfg.B < cfg.rmax:
+        raise ValueError(f"need B >= rmax, got B={cfg.B} < {cfg.rmax}")
     kernel = cfg.kernel()
-    alpha = theta_power_direct(cfg.chi, cfg.l, B).nonzero_items()
-    beta = list(theta_power_direct(cfg.psi, cfg.l, B + cfg.rmax).nonzero_items())
+    alpha = theta_power_direct(cfg.chi, cfg.l, cfg.B).nonzero_items()
+    beta = list(theta_power_direct(cfg.psi, cfg.l, cfg.B + cfg.rmax).nonzero_items())
     norms = [N for N, _ in beta]
     gaps = {r: [] for r in range(1, cfg.rmax + 1)}
     for M, a in alpha:
         for N, b in beta[bisect_right(norms, M):bisect_right(norms, M + cfg.rmax)]:
             gaps[N - M].append((M, a, b))
-    sums = {r: _kernel_sum(kernel, r, terms, B // 2) for r, terms in gaps.items()}
+    sums = {r: _kernel_sum(kernel, r, terms, cfg.B // 2) for r, terms in gaps.items()}
     return FullSideResult(series=QSeries(1, cfg.rmax, {r: s[0] for r, s in sums.items()}),
                           tail_delta={r: s[1] for r, s in sums.items()})
 
@@ -487,7 +481,7 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     if want_ordered:
         jobs.append(partial(ordered_pairs_side, cfg))
     if want_full:
-        jobs += [partial(full_pairs_side, cfg, B) for B in bounds]
+        jobs += [partial(full_pairs_side, cfg._replace(B=B)) for B in bounds]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:

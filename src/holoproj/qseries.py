@@ -260,7 +260,7 @@ class QSeries:
         Divisor leading coefficients are taken at its first nonzero exponent;
         a divisor that is zero on its whole window is an error.  The quotient
         window is [va - vb, min(Na - vb, Nb + va - 2*vb)] with va, vb the
-        strict valuations.
+        strict valuations, never empty as va <= Na and vb <= Nb.
         """
         if not isinstance(other, QSeries):
             raise TypeError("divide expects a QSeries")
@@ -276,8 +276,6 @@ class QSeries:
         lead_inv = lead.inverse()
         vq = va - vb
         nq = min(self.truncation - vb, other.truncation + va - 2 * vb)
-        if nq < vq:
-            raise SeriesRangeError("operand windows too narrow for any quotient term")
         q = [_ZERO] * (nq - vq + 1)
         for r in range(vq, nq + 1):
             acc = self.coeff(r + vb)

@@ -1,4 +1,6 @@
+import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -217,6 +219,19 @@ def test_verify_csv_mirror(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("r,sigma,ordered,full")
     assert len(lines) == 11
+
+
+def test_verify_csv_of_an_ordered_only_run_leaves_the_full_cells_empty(tmp_path):
+    cfg = write_config(tmp_path, rmax=6, modes=["ordered"], B=None, closed_forms=False)
+    csv_path = tmp_path / "r.csv"
+    assert run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+                   "--csv", str(csv_path), "--no-timestamp") == 0
+    with csv_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["r"] for row in rows] == [str(r) for r in range(1, 7)]
+    for row in rows:
+        assert row["full"] == row["tail_delta"] == row["residual_full"] == ""
+        assert row["ordered"] and row["residual_ordered"] == "0"
 
 
 @pytest.mark.parametrize("fields,workers", [
@@ -456,10 +471,17 @@ SIGMA_TABLE = ("sigma-table", "--psi", "kronecker:-4", "--chi", "kronecker:8")
     ("numeric", "f-minus", "--cutoff=-1"),
     ("numeric", "xi", "--tau-v", "1e-12"),
     ("numeric", "f-minus", "--tau-v", "1e400"),
+    ("theta", "--char", "kronecker:-4", "--terms", "10", "--out", "{kept_json}",
+     "--csv", "{kept_json}"),
+    ("theta", "--char", "kronecker:-4", "--terms", "10", "--out", "{fresh_csv}",
+     "--csv", "{fresh_csv}"),
+    ("verify", "--config", "{small_config}", "--out", "{kept_json}", "--csv", "{kept_json}"),
+    ("verify", "--config", "{small_config}", "--out", "{fresh_csv}", "--csv", "{fresh_csv}"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
-    """A case that names its own --out (an unwritable path, a kept file, or -
-    with an unwritable --csv) keeps it; every other case writes to x.json.
+    """A case that names its own --out (an unwritable path, a kept file, the
+    --csv file, or - with an unwritable --csv) keeps it; every other case
+    writes to x.json.
     No output is left behind, and a file that was there keeps its bytes."""
     list_config = tmp_path / "list.json"
     list_config.write_text("[1, 2]")
@@ -485,6 +507,27 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
     assert not (tmp_path / "fresh.csv").exists()
     assert {path: path.read_bytes() for path in kept} == kept
+
+
+@pytest.mark.parametrize("csv_name, link, kept", [
+    ("./x.json", None, False), ("./x.json", None, True), ("y.csv", os.symlink, True),
+    ("y.csv", os.link, True)])
+def test_csv_naming_the_out_file_another_way_is_refused(csv_name, link, kept, tmp_path,
+                                                        monkeypatch, capsys):
+    """--csv spelled ./x.json, or a symlink or a hard link y.csv to --out
+    x.json, is the same file: exit 2 on one `config error: --csv:` line, and
+    x.json keeps its bytes, or is gone again when this run created it."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "x.json"
+    if kept:
+        out.write_bytes(b"{}\n")
+    if link:
+        link(out, tmp_path / "y.csv")
+    assert run_cli("theta", "--char", "kronecker:-4", "--terms", "10", "--out", "x.json",
+                   "--csv", csv_name) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --csv: "), err
+    assert (out.read_bytes() == b"{}\n") if kept else not out.exists()
 
 
 def test_readme_verify_example_runs(tmp_path):

@@ -500,7 +500,7 @@ def test_full_side_rejects_odd_dimensions_above_one():
 def test_full_side_tail_delta_definition():
     cfg = cfg_for(4, 16, modes=("full",), B=512)
     res = full_pairs_side(cfg)
-    res_half = full_pairs_side(cfg, B=256)
+    res_half = full_pairs_side(cfg._replace(B=256))
     for r in range(1, 17):
         assert res.tail_delta[r] == res.series.coeff(r) - res_half.series.coeff(r)
 
@@ -531,7 +531,7 @@ def full_pairs_oracle(cfg, B):
 
 
 def full_pairs_json(cfg, B):
-    res = full_pairs_side(cfg, B=B)
+    res = full_pairs_side(cfg._replace(B=B))
     rs = range(1, cfg.rmax + 1)
     return ([value_to_json(res.series.coeff(r)) for r in rs],
             [value_to_json(res.tail_delta[r]) for r in rs])
@@ -691,6 +691,33 @@ def test_lemma_gap_witness_row5():
         m_sq = sum(x * x for x in p["m"])
         assert n_sq - m_sq == 5
         assert not all(nj > mj for nj, mj in zip(p["n"], p["m"]))
+
+
+def _gap_oracle(cfg, r, max_entry_sum=16):
+    """Every pair the witness scan covers, by itertools.product: m with entry
+    sum at most max_entry_sum, n with |n|^2 = |m|^2 + r not dominating m, in
+    the scan's order (entry sum of m, then m, then n)."""
+    l = cfg.l
+    ms = sorted((m for m in itertools.product(range(1, max_entry_sum + 1), repeat=l)
+                 if sum(m) <= max_entry_sum), key=lambda m: (sum(m), m))
+    top = math.isqrt((max_entry_sum - l + 1) ** 2 + l - 1 + r)
+    by_norm = {}
+    for n in itertools.product(range(1, top + 1), repeat=l):
+        by_norm.setdefault(sum(x * x for x in n), []).append(n)
+    return [{"m": list(m), "n": list(n), "chi_weight": value_to_json(cfg.chi(math.prod(m))),
+             "psi_weight": value_to_json(cfg.psi(math.prod(n)))}
+            for m in ms for n in by_norm.get(sum(x * x for x in m) + r, [])
+            if not all(nj > mj for nj, mj in zip(n, m))]
+
+
+@pytest.mark.parametrize("l, r, count", [(1, 7, 0), (4, 3, 65936)])
+def test_lemma_gap_witnesses_are_the_brute_force_pairs(l, r, count):
+    """At l = 1 every pair is dominated, so the scan returns []; at l = 4,
+    r = 3 the uncapped scan lists all of them."""
+    cfg = cfg_for(l, 8)
+    witnesses = lemma_gap_witnesses(cfg, r, cap=10 ** 6)
+    assert len(witnesses) == count
+    assert witnesses == _gap_oracle(cfg, r)
 
 
 def test_residual_report_l1_confirmed():

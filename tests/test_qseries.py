@@ -106,6 +106,17 @@ def test_divide_skips_leading_zeros_of_divisor():
     assert (quo * b).agrees_with(a)
 
 
+def test_agrees_with_outside_the_shared_window():
+    """Below a valuation the coefficients are exact zeros, above a
+    truncation they are not certified, and an empty range agrees."""
+    a = series(2, 8, {2: 1, 5: 3})
+    assert a.agrees_with(series(0, 6, {2: 1, 5: 3}), 0, 6)
+    assert not a.agrees_with(series(0, 6, {1: 1, 2: 1, 5: 3}), 0, 6)
+    with pytest.raises(SeriesRangeError):
+        a.agrees_with(series(0, 6, {2: 1, 5: 3}), 2, 7)
+    assert a.agrees_with(series(0, 6, {5: 9}), 5, 4)
+
+
 def test_valuation_accessors():
     a = series(0, 10, {3: 1, 7: -2})
     assert a.min_nonzero_exponent() == 3

@@ -1,7 +1,7 @@
 """The package's records are named tuples (MultiIndex a tuple of its
 entries): immutable, equal by value, picklable for the process pool, printed
-as Name(field=value, ...), and the validated ones reject what they always
-rejected."""
+as Name(field=value, ...) (a character keeps its short form), and the
+validated ones reject what they always rejected."""
 
 import pickle
 
@@ -49,6 +49,7 @@ RECORDS = {
     "CalibrationResult": (lambda: calibrate_constants(
         CalibrationInstance("classical-d2", PSI, CHI), probe_count=3, verify_rows=4), False),
     "MultiIndex": (lambda: MultiIndex((3, 1, 4)), True),
+    "DirichletCharacter": (lambda: char_kronecker(-4), True),
     "UpperHalfPoint": (lambda: UpperHalfPoint("0.1", "0.8"), True),
     "FMinusValue": (lambda: eval_f_minus(ProjectionConfig(PSI, CHI, 4, 1, modes=()),
                                          UpperHalfPoint("0.1", "0.8"), 40), True),
@@ -74,7 +75,10 @@ def test_record_behaviour(name):
         with pytest.raises(TypeError):
             hash(a)
     assert pickle.loads(pickle.dumps(a)) == a
-    assert repr(a).startswith(f"{name}({first}=")
+    if name == "DirichletCharacter":  # the short form it always printed
+        assert repr(a) == "DirichletCharacter(mod 4, order 2, parity 1)"
+    else:
+        assert repr(a).startswith(f"{name}({first}=")
 
 
 @pytest.mark.parametrize("make, message", [
