@@ -60,7 +60,7 @@ def _write_outputs(out, obj, csv_path, csv_rows):
     Every path is opened for appending, which truncates nothing, before any is
     written: a path that cannot be opened, or a --csv that is the --out file,
     is a usage error that leaves every output as it was (a file created here
-    is removed again)."""
+    is removed again: for a dangling symlink, the file made at its target)."""
     data = json.dumps(obj, indent=2) + "\n"
     targets = [("--csv", csv_path)] if csv_path else []
     if out != "-":
@@ -68,13 +68,13 @@ def _write_outputs(out, obj, csv_path, csv_rows):
     created = []
     try:
         for flag, path in targets:
-            fresh = not os.path.lexists(path)
+            fresh = not os.path.exists(path)  # a dangling symlink's target is made here
             try:
                 open(path, "a").close()
             except OSError as exc:
                 raise ConfigError(f"{flag}: {exc}") from None
             if fresh:
-                created.append(path)
+                created.append(os.path.realpath(path))
         if csv_path and out != "-" and os.path.samefile(csv_path, out):
             raise ConfigError(f"--csv: {csv_path} is the --out file, which holds the JSON report")
     except ConfigError:

@@ -437,13 +437,16 @@ def _csv_value(x):
 
 
 def _exceeds(res: CyclotomicNumber, delta: CyclotomicNumber) -> bool:
-    """|res| > 4 |delta|, decided without floats.
+    """|res| > 4 |delta|, decided without floats; a tie is no excess.
 
-    w = res conj(res) - 16 delta conj(delta) is exact and real, and the
-    question is whether w > 0.  A rational w, zero included, is compared
+    Rational res and delta are compared by magnitude, with no square formed.
+    Otherwise w = res conj(res) - 16 delta conj(delta) is exact and real, and
+    the question is whether w > 0.  A rational w, zero included, is compared
     exactly; otherwise w is enclosed under zeta_e -> exp(2 pi i / e) in an
     mpmath interval, at doubling precision until the interval excludes 0 (it
     does at some precision, as w is not 0)."""
+    if res.is_rational() and delta.is_rational():
+        return abs(res.rational_value()) > 4 * abs(delta.rational_value())
     w = res * res.conjugate() - 16 * (delta * delta.conjugate())
     if w.is_rational():
         return w.rational_value() > 0

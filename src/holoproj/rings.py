@@ -28,6 +28,7 @@ from math import gcd, lcm
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # integer arithmetic, never rounded
 _SPLIT_BITS = 1 << 14  # an int up to this width (about 4,900 digits) converts in one step
+_WORD_BITS = 64  # an int up to this width prints by str(), uncached
 
 
 @lru_cache(maxsize=None)
@@ -53,26 +54,32 @@ def _to_decimal(n: int) -> Decimal:
     return _EXACT.fma(_to_decimal(hi), _decimal_power_of_two(k), _to_decimal(n - (hi << k)))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=512)
 def _wide_to_str(n: int) -> str:
-    """str(_to_decimal(n)) for n >= 0 wider than _SPLIT_BITS, kept for the
-    last 64 such n: a report prints its full sums twice, once in the last
-    bound's schedule row and once in its rows, and their negatives once more
-    where sigma is zero."""
+    """str(_to_decimal(n)) for n >= 0 wider than a machine word, kept for the
+    last 512 such n.  A report prints each value of its last bound at least
+    twice, in its rows and in that bound's schedule row, and prints
+    residual_full = -full once more where sigma is 0.  512 holds every repeat
+    of a report like cyclo-l4's (l = 4 over Q(i), rmax 32: 539 distinct wide
+    magnitudes, each repeat within 384 distinct values of its first print)."""
     return str(_to_decimal(n))
 
 
 def _int_to_str(n: int) -> str:
-    if n.bit_length() <= _SPLIT_BITS:
-        return str(Decimal(n))
+    """The decimal digits of n: str(n) for a machine word, and the cached
+    conversion of |n| for a wider n."""
+    if n.bit_length() <= _WORD_BITS:
+        return str(n)
     return "-" + _wide_to_str(-n) if n < 0 else _wide_to_str(n)
 
 
 def rational_to_str(q: int | Fraction) -> str:
     """Serialize a rational as "p/q" ("p" when the denominator is 1).
 
-    Integers print through Decimal, which converts an int exactly and, unlike
-    str(), has no digit limit; a wide one is converted in halves."""
+    An integer wider than a machine word prints through Decimal, which
+    converts an int exactly and, unlike str(), has no digit limit; a wide one
+    is converted in halves, and a recently printed magnitude is read from a
+    cache."""
     if q.denominator == 1:
         return _int_to_str(q.numerator)
     return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"

@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from holoproj import rings
 from holoproj.calibrate import CAL_FAMILIES
 from holoproj.cli import main
 from holoproj.smalldiv import CharacterPlacement
@@ -530,15 +532,53 @@ def test_csv_naming_the_out_file_another_way_is_refused(csv_name, link, kept, tm
     assert (out.read_bytes() == b"{}\n") if kept else not out.exists()
 
 
-def test_readme_verify_example_runs(tmp_path):
-    """The verify config the README shows, run as its command line runs it."""
+def test_a_dangling_csv_link_keeps_no_file_after_a_usage_error(tmp_path, monkeypatch, capsys):
+    """--csv link.csv -> target.csv, missing at the start: opening the link
+    makes target.csv, and when --out then cannot be opened the run exits 2
+    with target.csv gone again and the link left as it was."""
+    monkeypatch.chdir(tmp_path)
+    os.symlink("target.csv", "link.csv")
+    assert run_cli("theta", "--char", "kronecker:-4", "--terms", "10", "--csv", "link.csv",
+                   "--out", "missing/x.json") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --out: "), err
+    assert sorted(os.listdir(tmp_path)) == ["link.csv"]
+    assert os.readlink("link.csv") == "target.csv"
+
+
+def _readme_verify_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"A verify config is .*?```json\n(.*?)```", readme, re.S)
-    cfg, out = tmp_path / "verify.json", tmp_path / "report.json"
+    cfg = tmp_path / "verify.json"
     cfg.write_text(block)
+    return cfg
+
+
+def test_readme_verify_example_runs(tmp_path):
+    """The verify config the README shows, run as its command line runs it."""
+    cfg, out = _readme_verify_config(tmp_path), tmp_path / "report.json"
     assert run_cli("verify", "--config", str(cfg), "--out", str(out), "--no-timestamp") == 0
     assert json.loads(out.read_text())["verdicts"] == {
         "ordered_residual": "zero", "full_residual": "discrepancy documented"}
+
+
+def test_readme_verify_report_converts_each_wide_integer_once(tmp_path, monkeypatch):
+    """The README report prints its last bound's values in its rows and again
+    in the schedule, and -full where sigma is 0: every integer wider than a
+    machine word goes to Decimal once, its repeats read from the cache."""
+    conversions = Counter()
+    convert = rings._to_decimal
+
+    def counted(n):
+        conversions[n] += 1
+        return convert(n)
+
+    monkeypatch.setattr(rings, "_to_decimal", counted)
+    rings._wide_to_str.cache_clear()
+    cfg, out = _readme_verify_config(tmp_path), tmp_path / "report.json"
+    assert run_cli("verify", "--config", str(cfg), "--out", str(out), "--no-timestamp") == 0
+    assert conversions and max(conversions.values()) == 1, conversions.most_common(1)
+    assert max(n.bit_length() for n in conversions) > 4096
 
 
 BAD_FIELDS = {

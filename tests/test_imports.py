@@ -76,15 +76,21 @@ from holoproj import projection
 from holoproj.rings import CyclotomicNumber, cyc
 
 before = "mpmath" in sys.modules
+wide = 3 ** 9100  # past the int->str limit
+rational = [projection._exceeds(cyc(Fraction(-9, 2) * wide), cyc(Fraction(9, 8) * wide)),
+            projection._exceeds(cyc(wide), cyc(0))]
+after_rational = "mpmath" in sys.modules
 answer = projection._exceeds(cyc(1) + CyclotomicNumber.zeta(5), cyc(Fraction(4, 5)))
-print(json.dumps([before, "mpmath" in sys.modules, answer]))
+print(json.dumps([before, rational, after_rational, "mpmath" in sys.modules, answer]))
 """
 
 
 def test_irrational_verdict_imports_mpmath_on_demand():
+    """A rational pair (a tie, and a zero delta) is decided with no mpmath;
+    the first irrational w loads it."""
     golden = cyc(1) + CyclotomicNumber.zeta(5)  # |.| = 2 cos(pi/5), irrational w
     expected = projection._exceeds(golden, cyc(Fraction(4, 5)))
-    assert run_fresh(_EXCEEDS) == [False, True, expected]
+    assert run_fresh(_EXCEEDS) == [False, [False, True], False, True, expected]
 
 
 _GAMMA_GRID = """

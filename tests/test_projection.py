@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import holoproj
 
@@ -742,9 +742,9 @@ def test_residual_report_l4_discrepancy_documented():
 
 
 def test_full_residual_verdict_is_decided_exactly():
-    """|res| > 4 |delta| through w = |res|^2 - 16 |delta|^2: zero and rational
-    w exactly, irrational w by an interval that must separate values closer
-    than a double can."""
+    """|res| > 4 |delta|: a rational pair by its magnitudes, otherwise through
+    w = |res|^2 - 16 |delta|^2, zero and rational w exactly, irrational w by an
+    interval that must separate values closer than a double can."""
     exceeds = projection._exceeds
     golden = cyc(1) + CyclotomicNumber.zeta(5)             # |.| = 2 cos(pi/5)
     assert not exceeds(cyc(4), cyc(1))                     # w = 0
@@ -755,6 +755,33 @@ def test_full_residual_verdict_is_decided_exactly():
     eps = F(1, 10 ** 40)
     assert exceeds(golden, cyc((cos_pi_5 - eps) / 2))
     assert not exceeds(golden, cyc((cos_pi_5 + eps) / 2))
+
+
+_WIDE = 3 ** 9100  # 4,342 digits, past CPython's default int->str limit
+# scales by name, so that hypothesis never prints a wide value
+_SCALES = {"1": 1, "-1": -1, "W": _WIDE, "-W": -_WIDE, "1/W": Fraction(1, _WIDE),
+           "W/7": Fraction(_WIDE, 7)}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(res=st.fractions(), delta=st.fractions(), res_scale=st.sampled_from(sorted(_SCALES)),
+       delta_scale=st.sampled_from(sorted(_SCALES)))
+@example(res=Fraction(4), delta=Fraction(1), res_scale="1", delta_scale="-1")  # a tie
+@example(res=Fraction(-12, 7), delta=Fraction(3, 7), res_scale="W", delta_scale="-W")  # a tie
+@example(res=Fraction(-1, 3), delta=Fraction(0), res_scale="1/W", delta_scale="1")
+@example(res=Fraction(0), delta=Fraction(0), res_scale="1", delta_scale="1")
+@example(res=Fraction(4), delta=Fraction(-1), res_scale="W", delta_scale="W/7")
+def test_rational_verdict_is_the_sign_of_the_squared_difference(
+        res, delta, res_scale, delta_scale, default_int_str_limit):
+    """For rational res and delta, at order 1 or as a rational value of Q(i),
+    |res| > 4 |delta| exactly when res^2 - 16 delta^2 > 0: a tie is no excess
+    and a zero delta is exceeded by any nonzero res, at any sign and at widths
+    no int->str conversion could print."""
+    res, delta = res * _SCALES[res_scale], delta * _SCALES[delta_scale]
+    expected = res * res - 16 * delta * delta > 0
+    assert projection._exceeds(cyc(res), cyc(delta)) == expected
+    assert projection._exceeds(CyclotomicNumber(4, (res, 0)), cyc(delta)) == expected
 
 
 def test_residual_report_worker_independence():

@@ -13,6 +13,7 @@ from holoproj.projection import _kernel_sum
 from holoproj.qseries import QSeries
 from holoproj.rings import (
     _SPLIT_BITS,
+    _WORD_BITS,
     CyclotomicNumber,
     UnivariatePoly,
     _factorize,
@@ -320,13 +321,17 @@ def test_rational_to_str_past_the_int_str_limit(default_int_str_limit):
 @given(width=st.integers(0, 5 * _SPLIT_BITS), rng=st.randoms(use_true_random=False),
        negative=st.booleans())
 @example(width=0, rng=random.Random(0), negative=False)
+@example(width=_WORD_BITS - 1, rng=random.Random(0), negative=True)
+@example(width=_WORD_BITS, rng=random.Random(0), negative=False)
+@example(width=_WORD_BITS + 1, rng=random.Random(0), negative=True)
 @example(width=_SPLIT_BITS, rng=random.Random(0), negative=True)
 @example(width=_SPLIT_BITS + 1, rng=random.Random(0), negative=True)
 @example(width=4 * _SPLIT_BITS + 1, rng=random.Random(0), negative=False)
 def test_rational_to_str_agrees_with_one_decimal_conversion(width, rng, negative):
-    """Split conversion above _SPLIT_BITS, one Decimal conversion below: the
-    same digits as str(Decimal(n)) on both sides of the split size, for
-    negative n and for 0.  The top bit is set, so n has exactly `width` bits."""
+    """str() up to a machine word, the cached conversion above it, split
+    above _SPLIT_BITS and one Decimal conversion below: the same digits as
+    str(Decimal(n)) on both sides of each threshold, for negative n and for
+    0.  The top bit is set, so n has exactly `width` bits."""
     n = rng.getrandbits(width) | (1 << width >> 1)
     n = -n if negative else n
     assert n.bit_length() == width
