@@ -10,6 +10,7 @@ crash.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -436,7 +437,22 @@ def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command on argv (default sys.argv[1:]) and write its outputs;
+    the exit code (module docstring).  The objects that exist on entry, the
+    imports' above all, are frozen for the run (gc.freeze, undone on the
+    way out however the run ends), so no cyclic collection during it walks
+    them again; a caller that froze objects itself keeps its freeze as is."""
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return _run(sys.argv[1:] if argv is None else list(argv))
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _run(argv: list) -> int:
     # a run builds only its own command's subparser; --help, a missing or an
     # unknown command needs them all, to list them
     parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)

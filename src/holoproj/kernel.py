@@ -227,7 +227,9 @@ class ProjectionKernel(NamedTuple):
         norms, not reduced; needs r >= 1 and every M >= 1.  In the norms
         y - x = -r, so c = (-r)^a / D and n/d = H(M + r, M) / (M^p (M + r)^q);
         in square roots (NonSquareArgumentError unless M + r and M are
-        squares) c = 1 and n/d = (y - x)^a H(x, y) / (D y^p x^q)."""
+        squares) c = 1 and n/d = (y - x)^a H(x, y) / (D y^p x^q).  In the
+        norms a constant H (H = 1 at l = 4) is n for every M, without a Horner
+        call."""
         if r < 1 or min(norms, default=1) < 1:
             raise ValueError(f"need r >= 1 and M >= 1, got r = {r}, M = {min(norms, default=1)}")
         (p, q), h = self.powers, self.cofactor_at
@@ -235,8 +237,11 @@ class ProjectionKernel(NamedTuple):
             xy = [(_exact_root(M + r), _exact_root(M)) for M in norms]
             return Fraction(1), [((y - x) ** self.diagonal * h(x, y), self.scale * y ** p * x ** q)
                                  for x, y in xy]
-        return (Fraction((-r) ** self.diagonal, self.scale),
-                [(h(M + r, M), M ** p * (M + r) ** q) for M in norms])
+        c = Fraction((-r) ** self.diagonal, self.scale)
+        if len(self.cofactor) == 1:
+            h0 = self.cofactor[0]
+            return c, [(h0, M ** p * (M + r) ** q) for M in norms]
+        return c, [(h(M + r, M), M ** p * (M + r) ** q) for M in norms]
 
     def eval(self, N: int, M: int) -> Fraction:
         """K at (larger squared norm N, smaller squared norm M), exact:

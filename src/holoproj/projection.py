@@ -34,8 +34,8 @@ from typing import NamedTuple
 from .characters import DirichletCharacter
 from .kernel import ORIENTATIONS, ProjectionKernel, projection_kernel, weights_for_dim
 from .qseries import QSeries
-from .rings import (_ONE, CyclotomicNumber, _reduce_mod_cyclotomic, _trusted, cyc,
-                    graded_readout, value_to_json)
+from .rings import (_ONE, CyclotomicNumber, _rational, _reduce_mod_cyclotomic, _trusted,
+                    cyc, graded_readout, value_to_json)
 from .smalldiv import (
     CharacterPlacement,
     eisenstein_e2,  # noqa: F401  (re-exported as holoproj.projection.eisenstein_e2)
@@ -300,9 +300,24 @@ def _kernel_sum(kernel: ProjectionKernel, r: int, terms: list, half: int = 0):
     cancel).  With K(M + r, M) = c n/d (``ProjectionKernel.along_gap``),
     n a_i b_j / d goes to raw position i e/ord(a) + j e/ord(b) at e, where
     one tree sums the head (M <= half) and one the tail; c multiplies each
-    root, and each sum is reduced mod Phi_e, once."""
+    root, and each sum is reduced mod Phi_e, once.  At e = 1 each term has
+    one coordinate and is one leaf, n a_0 b_0 / d, kept when nonzero; one
+    bisect over the kept leaves' M cuts the head from the tail, and each root
+    is one Fraction, Phi_1 = x - 1 leaving nothing to reduce."""
     e = lcm(*{a.order for _, a, _ in terms}, *{b.order for _, _, b in terms})
     c, ratios = kernel.along_gap(r, [M for M, _, _ in terms])
+    if e == 1:
+        norms, leaves = [], []
+        for (M, a, b), (num, den) in zip(terms, ratios):
+            k = num * a.coords[0] * b.coords[0]
+            if k:
+                norms.append(M)
+                leaves.append((k, den) if type(k) is int else (k.numerator, den * k.denominator))
+        cut = bisect_right(norms, half)
+        tail = _tree_sum(leaves[cut:])
+        whole = _tree_sum([_tree_sum(leaves[:cut]), tail]) if cut else tail
+        return (_trusted(1, (_rational(c * Fraction(*whole)),)),
+                _trusted(1, (_rational(c * Fraction(*tail)),)))
     head, tail = {}, {}
     for (M, a, b), (num, den) in zip(terms, ratios):
         leaves, sa, sb = head if M <= half else tail, e // a.order, e // b.order

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import re
@@ -209,6 +210,62 @@ def test_verify_closed_form_without_a_reading_exits_1(tmp_path, monkeypatch):
     assert run_cli("verify", "--config", str(cfg), "--out", str(out), "--no-timestamp") == 1
     assert json.loads(out.read_text())["asserted_failures"] == [
         "closed forms without a matching reading: ['kappa=6 (l=4)']"]
+
+
+class _Boom(Exception):
+    pass
+
+
+def _outcome_argv(outcome, tmp_path, monkeypatch, frozen_during):
+    """argv for a verify run that ends as outcome says; the run records the
+    freeze count it saw in frozen_during."""
+    import holoproj.cli
+    real = holoproj.cli.residual_report
+
+    def report(*args, **kwargs):
+        frozen_during.append(gc.get_freeze_count())
+        if outcome == "raises":
+            raise _Boom
+        return real(*args, **kwargs)
+    monkeypatch.setattr("holoproj.cli.residual_report", report)
+    fields = {"exit 1": dict(l=4, rmax=32, modes=["ordered"], B=None,
+                             placement="chi_on_larger", closed_forms=False),
+              "exit 2": dict(l=2)}.get(outcome, dict(rmax=8, B=64, closed_forms=False))
+    cfg = write_config(tmp_path, **fields)
+    return ["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json"), "--no-timestamp"]
+
+
+@pytest.mark.parametrize("caller_froze", [False, True])
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 1", "exit 2", "raises"])
+def test_main_leaves_the_collector_as_it_found_it(outcome, caller_froze, tmp_path, monkeypatch):
+    """The command runs with the heap frozen; after it, however it ended,
+    gc.isenabled() and the freeze count are what they were (less any frozen
+    object the run freed), and objects a caller froze before the call are
+    still frozen (tracked, in no generation)."""
+    frozen_during = []
+    argv = _outcome_argv(outcome, tmp_path, monkeypatch, frozen_during)
+    marker = [object()]
+    if caller_froze:
+        gc.freeze()
+    try:
+        before = gc.get_freeze_count(), gc.isenabled()
+        if outcome == "raises":
+            with pytest.raises(_Boom):
+                main(argv)
+        else:
+            assert main(argv) == int(outcome[-1])
+        after = gc.get_freeze_count(), gc.isenabled()
+        if caller_froze:
+            # a frozen object the run frees leaves the permanent generation
+            assert 0 < after[0] <= before[0] and after[1] == before[1]
+            assert gc.is_tracked(marker) and not any(o is marker for o in gc.get_objects())
+        else:
+            assert after == before
+    finally:
+        if caller_froze:
+            gc.unfreeze()
+    if outcome != "exit 2":
+        assert frozen_during and frozen_during[0] > 0
 
 
 def test_verify_csv_mirror(tmp_path):

@@ -618,6 +618,9 @@ def _cancelling_terms(kernel, r, M1, M2, tag_unit):
 
 PAIRING_CASES = {
     "tag 1": [(1, cyc(3), cyc(-2)), (2, cyc(F(1, 3)), cyc(5)), (5, cyc(7), cyc(1))],
+    "tag 1, a zero weight between head and tail": [
+        (1, cyc(3), cyc(-2)), (2, cyc(0), cyc(5)), (3, cyc(F(2, 5)), cyc(4)), (6, cyc(7), cyc(-1))],
+    "tag 1, all ints": [(1, cyc(3), cyc(-2)), (3, cyc(4), cyc(5)), (4, cyc(-1), cyc(7))],
     "tag 4": [(1, ZETA4, cyc(2)), (3, cyc(1), ZETA4 + 1), (4, -ZETA4, ZETA4), (7, cyc(2), cyc(-1))],
     "tags 3 and 4": [(2, ZETA3, cyc(1)), (3, cyc(5), ZETA4), (5, ZETA3 + 2, 1 - ZETA4)],
     "a Fraction coordinate": [(1, CyclotomicNumber(4, (F(1, 2), F(-3, 7))), cyc(3)),
