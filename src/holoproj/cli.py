@@ -56,13 +56,73 @@ def _parse_char(text: str, flag: str):
         raise ValueError(f"character spec {text!r}: use kronecker:D or inline JSON")
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii  # C, as json.dumps uses it
+_FLUSH = 64  # pieces _dump gathers before it writes them
+
+
+def _dump(obj, fh) -> None:
+    """Write json.dumps(obj, indent=2) + "\n" to fh, byte for byte, without
+    CPython's pure-Python indent encoder and without ever holding the whole
+    text: the pieces are joined and written whenever more than _FLUSH have
+    gathered.  obj is a tree of str, int, bool, None, lists, tuples and dicts
+    with str keys; anything else (a float among them) is a TypeError."""
+    parts = []
+    append = parts.append
+
+    def flush():
+        fh.write("".join(parts))
+        parts.clear()
+
+    def value(o, nl):  # nl: a newline and the indent of o's own line
+        if isinstance(o, str):
+            append(_ESCAPE(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        elif not o:
+            append("{}" if isinstance(o, dict) else "[]")
+        else:
+            is_dict = isinstance(o, dict)
+            inner = nl + "  "
+            sep = ("{" if is_dict else "[") + inner
+            for item in o.items() if is_dict else o:
+                if is_dict:
+                    key, item = item
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    sep += _ESCAPE(key) + ": "
+                if type(item) is str:
+                    append(sep + _ESCAPE(item))
+                elif type(item) is int:
+                    append(sep + int.__repr__(item))
+                else:
+                    append(sep)
+                    value(item, inner)
+                sep = "," + inner
+                if len(parts) > _FLUSH:
+                    flush()
+            append(nl + ("}" if is_dict else "]"))
+
+    value(obj, "\n")
+    append("\n")
+    flush()
+
+
 def _write_outputs(out, obj, csv_path, csv_rows):
     """The JSON report to out ("-": stdout) and, given csv_path, the CSV rows.
     Every path is opened for appending, which truncates nothing, before any is
     written: a path that cannot be opened, or a --csv that is the --out file,
     is a usage error that leaves every output as it was (a file created here
-    is removed again: for a dangling symlink, the file made at its target)."""
-    data = json.dumps(obj, indent=2) + "\n"
+    is removed again: for a dangling symlink, the file made at its target).
+    The report is streamed by _dump: the bytes of json.dumps(obj, indent=2)
+    and a newline, a few dozen pieces per write, never one whole string."""
     targets = [("--csv", csv_path)] if csv_path else []
     if out != "-":
         targets.append(("--out", out))
@@ -83,7 +143,7 @@ def _write_outputs(out, obj, csv_path, csv_rows):
             os.remove(made)
         raise
     with nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
-        fh.write(data)
+        _dump(obj, fh)
     if csv_path:
         import csv  # only --csv writes one
         with open(csv_path, "w", newline="") as table:

@@ -24,7 +24,7 @@ asserts nothing about it and just ledgers the numbers.
 
 from __future__ import annotations
 
-import datetime as _dt
+import time
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
@@ -417,6 +417,14 @@ class ResidualRow(NamedTuple):
                 for name, value in zip(self._fields, self)]
 
 
+def _utc_now() -> str:
+    """datetime.now(timezone.utc).isoformat() without importing datetime, whose
+    pure-Python classes stay behind as garbage: microseconds only if nonzero."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    fraction = f".{micros:06d}" if micros else ""
+    return f"{time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(seconds))}{fraction}+00:00"
+
+
 class ResidualReport(NamedTuple):
     config: dict
     rows: list
@@ -555,5 +563,5 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
         schedule=schedule_out,
         witnesses=witnesses,
         verdicts=verdicts,
-        timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
+        timestamp=_utc_now(),
     )

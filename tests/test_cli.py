@@ -5,13 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
+from datetime import datetime, timedelta, timezone
+from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from holoproj import rings
+from holoproj import cli, rings
 from holoproj.calibrate import CAL_FAMILIES
 from holoproj.cli import main
 from holoproj.smalldiv import CharacterPlacement
@@ -601,6 +605,105 @@ def test_a_dangling_csv_link_keeps_no_file_after_a_usage_error(tmp_path, monkeyp
     assert len(err) == 1 and err[0].startswith("config error: --out: "), err
     assert sorted(os.listdir(tmp_path)) == ["link.csv"]
     assert os.readlink("link.csv") == "target.csv"
+
+
+# text with what JSON must escape: quotes, backslashes, control characters,
+# non-ASCII, astral and lone surrogates
+_JSON_TEXT = st.lists(st.sampled_from(['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "\u00e9",
+                                       "\u2028", "\U0001f600", "\ud800", "\udfff"])
+                      | st.characters(exclude_categories=())).map("".join)
+_JSON_INTS = st.integers() | st.integers(0, 1200).map(lambda k: (-7) ** k)
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | _JSON_INTS | _JSON_TEXT,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_JSON_TEXT, kids),
+    max_leaves=40)
+
+
+def _nested(depth):
+    """Lists and dicts alternating `depth` deep, each with an empty neighbour."""
+    tree = "leaf"
+    for level in range(depth):
+        tree = [tree, []] if level % 2 else {"k": tree, "": {}, "t": (True, 0, False, None)}
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_TREES)
+@example(obj=_nested(80))
+@example(obj=[True, 1, False, 0, 10 ** 4000, -1, (), {}, [], ("",)])
+def test_dump_writes_the_bytes_of_json_dumps_indent_2(obj):
+    buf = StringIO()
+    cli._dump(obj, buf)
+    assert buf.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [1.5, {1, 2}, [0, {"a": 0.25}], {"a": [frozenset()]}],
+                         ids=["float", "set", "nested float", "nested set"])
+def test_dump_refuses_what_no_report_holds(obj):
+    with pytest.raises(TypeError, match="float|set"):
+        cli._dump(obj, StringIO())
+
+
+def _wide_report():
+    """A verify-shaped report of about 2.5 MB: rows of wide rationals."""
+    def wide(k):
+        return f"{(-7) ** (400 + k % 97)}/{3 ** (k % 211)}"
+    return {"config": {"l": 4, "b_schedule": [4096, 16384]},
+            "rows": [{"r": r, "full": {"order": 4, "coords": [wide(r), wide(r + 1)]},
+                      "tail_delta": wide(3 * r), "excess": r % 3 == 0} for r in range(1, 1700)],
+            "verdicts": {"full_residual": "discrepancy documented"}}
+
+
+class _Writes(list):
+    """A text stream that keeps each write."""
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+
+def test_a_report_is_streamed_in_writes_far_smaller_than_itself(tmp_path, monkeypatch):
+    """To stdout and to a file, the report has the bytes of json.dumps, and
+    neither the writes nor the memory the writer allocates come near its
+    size: it never exists as one string."""
+    obj = _wide_report()
+    text = json.dumps(obj, indent=2) + "\n"
+    assert len(text) >= 2_000_000
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    cli._write_outputs("-", obj, None, ())
+    assert "".join(writes) == text
+    assert max(map(len, writes)) < len(text) // 10
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        cli._write_outputs(str(out), obj, None, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text)
+    assert out.read_text() == text
+
+
+@pytest.mark.parametrize("now_ns, stamp", [
+    (None, None), (1_700_000_000 * 10 ** 9, "2023-11-14T22:13:20+00:00"),
+    (1_700_000_000 * 10 ** 9 + 7_999, "2023-11-14T22:13:20.000007+00:00")],
+    ids=["now", "whole second", "7 us"])
+def test_the_report_timestamp_is_isoformat_in_utc(now_ns, stamp, tmp_path, monkeypatch):
+    """The timestamp spells the time as datetime.isoformat() does in UTC: the
+    microseconds only when nonzero."""
+    if now_ns is not None:
+        monkeypatch.setattr(time, "time_ns", lambda: now_ns)
+    cfg = write_config(tmp_path, rmax=8, B=64, closed_forms=False)
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--config", str(cfg), "--out", str(out)) == 0
+    written = json.loads(out.read_text())["timestamp"]
+    when = datetime.fromisoformat(written)
+    assert when.utcoffset() == timedelta(0) and written.endswith("+00:00")
+    if now_ns is None:
+        assert abs(when - datetime.now(timezone.utc)) < timedelta(minutes=5)
+    else:
+        assert written == stamp == datetime.fromtimestamp(now_ns // 10 ** 9, timezone.utc).replace(
+            microsecond=now_ns // 1000 % 10 ** 6).isoformat()
 
 
 def _readme_verify_config(tmp_path):

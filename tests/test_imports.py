@@ -1,9 +1,9 @@
-"""mpmath, concurrent.futures, dataclasses, inspect, csv and the calibrations
-load only where they are used: importing the package and the CLI, and an
-exact verify, load none of them; the numeric names and the irrational
-full-residual verdict load mpmath on first use, and the calibration names
-holoproj.calibrate.  No command loads dataclasses: the numeric checks, which
-load mpmath, do not either."""
+"""mpmath, concurrent.futures, dataclasses, inspect, csv, datetime and the
+calibrations load only where they are used: importing the package and the
+CLI, and an exact verify with or without its timestamp, load none of them;
+the numeric names and the irrational full-residual verdict load mpmath on
+first use, and the calibration names holoproj.calibrate.  No command loads
+dataclasses: the numeric checks, which load mpmath, do not either."""
 
 import json
 import os
@@ -37,11 +37,14 @@ from holoproj import ProjectionConfig, char_from_spec, char_kronecker, residual_
 
 def loaded():
     return [m for m in ("mpmath", "concurrent.futures", "dataclasses", "inspect", "csv",
-                        "holoproj.calibrate") if m in sys.modules]
+                        "datetime", "holoproj.calibrate") if m in sys.modules]
 
 out = {"import": loaded()}
 out["verify_exit"] = holoproj.cli.main(["verify", "--config", sys.argv[2], "--out", sys.argv[3],
                                         "--no-timestamp"])
+out["timestamped_exit"] = holoproj.cli.main(["verify", "--config", sys.argv[2],
+                                             "--out", sys.argv[3]])
+out["verify"] = loaded()
 psi = char_from_spec({"modulus": 5, "values": [  # the order-4 psi mod 5 of cyclo-l4
     "0", "1", {"order": 4, "coords": ["0", "1"]}, {"order": 4, "coords": ["0", "-1"]}, "-1"]})
 report = residual_report(ProjectionConfig(psi, char_kronecker(8), 4, 8, B=64), b_schedule=[32, 64])
@@ -61,7 +64,8 @@ def test_import_and_exact_verify_load_neither_mpmath_nor_futures(tmp_path):
                                   "rmax": 8, "b_schedule": [32, 64]}))
     out = run_fresh(_IMPORTS, str(config), str(tmp_path / "report.json"))
     assert out["import"] == []
-    assert out["verify_exit"] == 0
+    assert out["verify_exit"] == out["timestamped_exit"] == 0
+    assert out["verify"] == []
     # the residuals over Q(i) have rational squared moduli: decided exactly
     assert out["verdict"] == "discrepancy documented"
     assert out["report"] == []
