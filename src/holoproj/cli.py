@@ -406,93 +406,81 @@ def _eichler(args):
 _NUMERIC_CHECKS = {"gamma-grid": _gamma_grid, "xi": _xi, "f-minus": _f_minus, "eichler": _eichler}
 
 
-def _add_theta(sub) -> None:
-    t = sub.add_parser("theta", help="theta series / power expansion")
-    t.add_argument("--char", required=True, help="kronecker:D or inline JSON spec")
-    t.add_argument("--pow", type=int, default=1)
-    t.add_argument("--terms", type=int, required=True)
-    t.add_argument("--out", default="-")
-    t.add_argument("--csv", default=None, help="also write the coefficient table as CSV")
-    t.set_defaults(func=_cmd_theta)
+def _theta_options(p) -> None:
+    p.add_argument("--char", required=True, help="kronecker:D or inline JSON spec")
+    p.add_argument("--pow", type=int, default=1)
+    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--csv", default=None, help="also write the coefficient table as CSV")
 
 
-def _add_sigma_table(sub) -> None:
-    st = sub.add_parser("sigma-table", help="small divisor function table")
-    st.add_argument("--psi", required=True)
-    st.add_argument("--chi", required=True)
-    st.add_argument("--l", type=int, required=True)
-    st.add_argument("--rmax", type=int, required=True)
-    st.add_argument("--placement", default="psi_on_larger",
-                    choices=[p.value for p in CharacterPlacement])
-    st.add_argument("--orientation", default="prefactor_on_larger", choices=ORIENTATIONS)
-    st.add_argument("--out", default="-")
-    st.set_defaults(func=_cmd_sigma_table)
+def _sigma_table_options(p) -> None:
+    p.add_argument("--psi", required=True)
+    p.add_argument("--chi", required=True)
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--placement", default="psi_on_larger",
+                   choices=[c.value for c in CharacterPlacement])
+    p.add_argument("--orientation", default="prefactor_on_larger", choices=ORIENTATIONS)
 
 
-def _add_verify(sub) -> None:
-    v = sub.add_parser("verify", help="run the residual ledger from a JSON config")
-    v.add_argument("--config", required=True)
-    v.add_argument("--out", default="-")
-    v.add_argument("--csv", default=None)
-    v.add_argument("--workers", type=int, default=1, help="processes that run the report's "
+def _verify_options(p) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--csv", default=None)
+    p.add_argument("--workers", type=int, default=1, help="processes that run the report's "
                    "sides (sigma, ordered, full per bound) in parallel; 1 runs them in order")
-    v.add_argument("--no-timestamp", action="store_true")
-    v.set_defaults(func=_cmd_verify)
+    p.add_argument("--no-timestamp", action="store_true")
 
 
-def _add_closed_forms(sub) -> None:
-    cf = sub.add_parser("closed-forms", help="kernel closed-form cross-check")
-    cf.add_argument("--orientation", default="prefactor_on_larger", choices=ORIENTATIONS)
-    cf.add_argument("--out", default="-")
-    cf.set_defaults(func=_cmd_closed_forms)
+def _closed_forms_options(p) -> None:
+    p.add_argument("--orientation", default="prefactor_on_larger", choices=ORIENTATIONS)
 
 
-def _add_calibrate(sub) -> None:
+def _calibrate_options(p) -> None:
     from .calibrate import CAL_FAMILIES  # the calibrations load only for this command
-    c = sub.add_parser("calibrate", help="calibrate-then-verify a 1-dim instance")
-    c.add_argument("--family", required=True, choices=CAL_FAMILIES)
-    c.add_argument("--psi", required=True)
-    c.add_argument("--chi", required=True)
-    c.add_argument("--probes", type=int, default=12)
-    c.add_argument("--verify-rows", type=int, default=120)
-    c.add_argument("--out", default="-")
-    c.set_defaults(func=_cmd_calibrate)
+    p.add_argument("--family", required=True, choices=CAL_FAMILIES)
+    p.add_argument("--psi", required=True)
+    p.add_argument("--chi", required=True)
+    p.add_argument("--probes", type=int, default=12)
+    p.add_argument("--verify-rows", type=int, default=120)
 
 
-def _add_numeric(sub) -> None:
-    n = sub.add_parser("numeric", help="floating-point companion checks")
-    n.add_argument("check", choices=list(_NUMERIC_CHECKS))
-    n.add_argument("--l", type=int, default=4)
-    n.add_argument("--psi", default=None)
-    n.add_argument("--chi", default=None)
-    n.add_argument("--char", default=None, help="character for the eichler check")
-    n.add_argument("--tau-u", default="0.1")
-    n.add_argument("--tau-v", default="0.8")
-    n.add_argument("--h", default="1e-5")
-    n.add_argument("--cutoff", type=int, default=400)
-    n.add_argument("--lam-shift", type=int, default=0)
-    n.add_argument("--tolerance", default="1e-5")
-    n.add_argument("--out", default="-")
-    n.set_defaults(func=lambda args: _NUMERIC_CHECKS[args.check](args))
+def _numeric_options(p) -> None:
+    p.add_argument("check", choices=list(_NUMERIC_CHECKS))
+    p.add_argument("--l", type=int, default=4)
+    p.add_argument("--psi", default=None)
+    p.add_argument("--chi", default=None)
+    p.add_argument("--char", default=None, help="character for the eichler check")
+    p.add_argument("--tau-u", default="0.1")
+    p.add_argument("--tau-v", default="0.8")
+    p.add_argument("--h", default="1e-5")
+    p.add_argument("--cutoff", type=int, default=400)
+    p.add_argument("--lam-shift", type=int, default=0)
+    p.add_argument("--tolerance", default="1e-5")
 
 
-# each command's subparser builder, in the order --help lists them
+# name: (help, the adder of its own options, the function that runs it), in --help's order
 _COMMANDS = {
-    "theta": _add_theta,
-    "sigma-table": _add_sigma_table,
-    "verify": _add_verify,
-    "closed-forms": _add_closed_forms,
-    "calibrate": _add_calibrate,
-    "numeric": _add_numeric,
+    "theta": ("theta series / power expansion", _theta_options, _cmd_theta),
+    "sigma-table": ("small divisor function table", _sigma_table_options, _cmd_sigma_table),
+    "verify": ("run the residual ledger from a JSON config", _verify_options, _cmd_verify),
+    "closed-forms": ("kernel closed-form cross-check", _closed_forms_options, _cmd_closed_forms),
+    "calibrate": ("calibrate-then-verify a 1-dim instance", _calibrate_options, _cmd_calibrate),
+    "numeric": ("floating-point companion checks", _numeric_options,
+                lambda args: _NUMERIC_CHECKS[args.check](args)),
 }
 
 
 def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
-    """The parser with the subparsers of `commands` (all by default)."""
+    """The parser with the subparsers of `commands` (all by default), each
+    with its own options and --out, the report's path ("-", the default: stdout)."""
     p = argparse.ArgumentParser(prog="holoproj")
     sub = p.add_subparsers(dest="command", required=True)
     for name in commands:
-        _COMMANDS[name](sub)
+        help_text, options, run = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_text)
+        options(command)
+        command.add_argument("--out", default="-")
+        command.set_defaults(func=run)
     return p
 
 

@@ -274,7 +274,6 @@ def _reference_forms():
     x)."""
     forms = []
     forms.append({
-        "name": "kappa=6 (l=4)",
         "l": 4,
         "display": "(x^2-y^2)^5 / (x^2 y^10)",
         "candidates": {
@@ -282,7 +281,6 @@ def _reference_forms():
         },
     })
     forms.append({
-        "name": "kappa=8 (l=6)",
         "l": 6,
         "display": "(x^2-y^2)^7 (7x^2+y^2) / (x^4 y^16)",
         "candidates": {
@@ -290,7 +288,6 @@ def _reference_forms():
         },
     })
     forms.append({
-        "name": "kappa=10 (l=8)",
         "l": 8,
         "display": "(x^2-y^2)^9 (45x^4+9x^2y^2+[trailing]) / (x^6 y^22)",
         "candidates": {
@@ -301,7 +298,6 @@ def _reference_forms():
         },
     })
     forms.append({
-        "name": "kappa=12 (l=10)",
         "l": 10,
         "display": "(x^2-y^2)^11 (286x^6+66x^4y^2+11x^2y^4+[trailing]) / (x^8 y^28)",
         "candidates": {
@@ -314,7 +310,6 @@ def _reference_forms():
         },
     })
     forms.append({
-        "name": "kappa=5 (l=3)",
         "l": 3,
         "display": "-(x-y)^4 (5x^3+20x^2y+29xy^2+16y^3) / (16 x y^7)",
         "candidates": {
@@ -323,7 +318,6 @@ def _reference_forms():
         },
     })
     forms.append({
-        "name": "kappa=7 (l=5)",
         "l": 5,
         "display": "(-693x^13+4095x^11y^2-10010x^9y^4+12870x^7y^6-9009x^5y^8"
                    "+3003x^3y^10-256y^13) / (256 x^3 y^13)",
@@ -361,7 +355,7 @@ def verify_closed_forms(orientation: str = "prefactor_on_larger") -> dict:
             }
         matched = [c["orientation_used"] for c in candidates.values() if c["match"]]
         identities.append({
-            "name": form["name"],
+            "name": f"kappa={form['l'] + 2} (l={form['l']})",
             "l": form["l"],
             "reference_form": form["display"],
             "computed_form": str(K),

@@ -73,11 +73,10 @@ class ProjectionConfig(_ConfigFields):
         unknown = set(self.modes) - {"ordered", "full"}
         if unknown:
             raise ValueError(f"unknown modes {sorted(unknown)}")
-        if "full" in self.modes:
-            if self.B is None:
-                raise ValueError("full mode needs a norm bound B")
-            if self.B < self.rmax:
-                raise ValueError(f"need B >= rmax, got B={self.B} < {self.rmax}")
+        if "full" in self.modes and self.B is None:
+            raise ValueError("full mode needs a norm bound B")
+        if self.B is not None and self.B < self.rmax:
+            raise ValueError(f"need B >= rmax, got B={self.B} < {self.rmax}")
         return self
 
     def kernel(self) -> ProjectionKernel:
@@ -297,47 +296,48 @@ def _kernel_sum(kernel: ProjectionKernel, r: int, terms: list, half: int = 0):
 
     Both are taken at e, the lcm of every term's order tags (the tag of
     adding the terms one at a time to an order-1 zero, also where they
-    cancel).  With K(M + r, M) = c n/d (``ProjectionKernel.along_gap``),
-    n a_i b_j / d goes to raw position i e/ord(a) + j e/ord(b) at e, where
-    one tree sums the head (M <= half) and one the tail; c multiplies each
-    root, and each sum is reduced mod Phi_e, once.  At e = 1 each term has
-    one coordinate and is one leaf, n a_0 b_0 / d, kept when nonzero; one
-    bisect over the kept leaves' M cuts the head from the tail, and each root
-    is one Fraction, Phi_1 = x - 1 leaving nothing to reduce."""
+    cancel).  With K(M + r, M) = c n/d (``ProjectionKernel.along_gap``), each
+    nonzero n a_i b_j / d is a leaf at raw position i e/ord(a) + j e/ord(b),
+    so at e = 1 each term is at most one leaf, at 0.  Per position, one bisect
+    over its leaves' M cuts the head (M <= half) from the tail, one tree sums
+    each and c multiplies the roots; each sum is reduced mod Phi_e once."""
     e = lcm(*{a.order for _, a, _ in terms}, *{b.order for _, _, b in terms})
     c, ratios = kernel.along_gap(r, [M for M, _, _ in terms])
+    raw = {}  # position: (norms, leaves), ascending in M
     if e == 1:
-        norms, leaves = [], []
+        norms, leaves = raw[0] = [], []
         for (M, a, b), (num, den) in zip(terms, ratios):
             k = num * a.coords[0] * b.coords[0]
             if k:
                 norms.append(M)
                 leaves.append((k, den) if type(k) is int else (k.numerator, den * k.denominator))
+    else:
+        for (M, a, b), (num, den) in zip(terms, ratios):
+            sa, sb = e // a.order, e // b.order
+            for i, x in enumerate(a.coords):
+                if x:
+                    for j, y in enumerate(b.coords):
+                        k = num * x * y
+                        if k:
+                            at = i * sa + j * sb
+                            kept = raw.get(at)
+                            if kept is None:
+                                kept = raw[at] = ([], [])
+                            kept[0].append(M)
+                            kept[1].append((k, den) if type(k) is int
+                                           else (k.numerator, den * k.denominator))
+    whole, tail = [0] * (2 * e), [0] * (2 * e)
+    for at, (norms, leaves) in raw.items():
         cut = bisect_right(norms, half)
-        tail = _tree_sum(leaves[cut:])
-        whole = _tree_sum([_tree_sum(leaves[:cut]), tail]) if cut else tail
-        return (_trusted(1, (_rational(c * Fraction(*whole)),)),
-                _trusted(1, (_rational(c * Fraction(*tail)),)))
-    head, tail = {}, {}
-    for (M, a, b), (num, den) in zip(terms, ratios):
-        leaves, sa, sb = head if M <= half else tail, e // a.order, e // b.order
-        for i, x in enumerate(a.coords):
-            if x:
-                for j, y in enumerate(b.coords):
-                    k = num * x * y
-                    if k:
-                        leaves.setdefault(i * sa + j * sb, []).append(
-                            (k, den) if type(k) is int else (k.numerator, den * k.denominator))
-    tail = {at: _tree_sum(leaves) for at, leaves in tail.items()}
-    whole = {**tail, **{at: _tree_sum([_tree_sum(leaves), tail.get(at, (0, 1))])
-                        for at, leaves in head.items()}}
+        root = _tree_sum(leaves[cut:])
+        tail[at] = c * Fraction(*root)
+        whole[at] = c * Fraction(*_tree_sum([_tree_sum(leaves[:cut]), root])) if cut else tail[at]
 
-    def reduced(sums):
-        raw = [c * Fraction(*sums[at]) if at in sums else 0 for at in range(2 * e)]
-        return _trusted(e, _reduce_mod_cyclotomic(raw, e))
+    def read(sums):  # at e = 1 as it is: Phi_1 = x - 1 leaves nothing to reduce
+        return _trusted(e, (_rational(sums[0]),) if e == 1 else _reduce_mod_cyclotomic(sums, e))
 
-    tail = reduced(tail)
-    return (reduced(whole) if head else tail), tail
+    rest = read(tail)  # with no head leaves (every half = 0 pairing) also the whole sum
+    return (rest if whole == tail else read(whole)), rest
 
 
 def full_pairs_side(cfg: ProjectionConfig) -> FullSideResult:
@@ -358,10 +358,8 @@ def full_pairs_side(cfg: ProjectionConfig) -> FullSideResult:
         raise OddDimensionError(
             f"l = {cfg.l}: collapsed norms are not perfect squares, no exact evaluation"
         )
-    if cfg.B is None:
+    if cfg.B is None:  # the config checked B >= rmax
         raise ValueError("full mode needs a norm bound B")
-    if cfg.B < cfg.rmax:
-        raise ValueError(f"need B >= rmax, got B={cfg.B} < {cfg.rmax}")
     kernel = cfg.kernel()
     alpha = theta_power_direct(cfg.chi, cfg.l, cfg.B).nonzero_items()
     beta = list(theta_power_direct(cfg.psi, cfg.l, cfg.B + cfg.rmax).nonzero_items())

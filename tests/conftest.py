@@ -1,8 +1,13 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 from holoproj import rings
+
+# `--hypothesis-profile=ci` draws the same examples on every run, so a failure
+# there recurs; without it each run draws new ones
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

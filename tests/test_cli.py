@@ -99,12 +99,57 @@ def test_main_prints_what_the_whole_parser_tree_prints(argv, code, capsys, monke
 
     whole = exit_and_output(lambda a: cli.build_parser().parse_args(a))
     built = []
-    for name, add in cli._COMMANDS.items():
-        monkeypatch.setitem(cli._COMMANDS, name,
-                            lambda sub, name=name, add=add: (built.append(name), add(sub)))
+    for name, (help_text, options, run) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, (
+            help_text, lambda p, name=name, add=options: (built.append(name), add(p)), run))
     assert exit_and_output(main) == whole
     assert whole[0] == code
     assert built == (["verify"] if argv[0] == "verify" else list(cli._COMMANDS))
+
+
+# a small run of each command that exits 0; {config} is an ordered-only verify config
+SMALL_RUNS = {
+    "theta": ("--char", "kronecker:-4", "--terms", "10"),
+    "sigma-table": ("--psi", "kronecker:-4", "--chi", "kronecker:8", "--l", "4", "--rmax", "12"),
+    "verify": ("--config", "{config}"),
+    "closed-forms": (),
+    "calibrate": ("--family", "classical-d", "--psi", "kronecker:-4", "--chi", "kronecker:-4",
+                  "--verify-rows", "12"),
+    "numeric": ("gamma-grid",),
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_command_takes_out_dash_for_stdout(command, tmp_path, capsys):
+    config = write_config(tmp_path, l=4, rmax=12, modes=["ordered"], B=None, closed_forms=False)
+    argv = [str(config) if a == "{config}" else a for a in SMALL_RUNS[command]]
+    assert run_cli(command, *argv, "--out", "-") == 0
+    assert json.loads(capsys.readouterr().out)
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_help_lists_the_commands_in_order_and_out_after_their_options(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_cli("--help")
+    assert stop.value.code == 0
+    assert re.search(r"\{(.*?)\}", capsys.readouterr().out).group(1).split(",") == [
+        "theta", "sigma-table", "verify", "closed-forms", "calibrate", "numeric"]
+    for command in cli._COMMANDS:
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        options = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  -")]
+        assert options[-1] == "--out", (command, options)
+
+
+def test_an_ordered_config_with_b_below_rmax_exits_2(tmp_path, capsys):
+    """B >= rmax is checked whenever B is given, not only in full mode."""
+    path = write_config(tmp_path, l=4, rmax=12, modes=["ordered"], B=-3, closed_forms=False)
+    out = tmp_path / "out.json"
+    assert run_cli("verify", "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: need B >= rmax, got B=-3 < 12"]
+    assert not out.exists()
 
 
 BAD_SPEC = '{"kronecker": "-4"}'

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -243,6 +244,44 @@ def test_integer_form_denominator_powers(l):
         assert all(isinstance(h, int) for h in (k.scale, *k.cofactor))
 
 
+def _sturm_kernel(l: int, N: int, M: int):
+    """Sturm's holomorphic-projection kernel at the working precision, r = N - M:
+    r^(kappa-1) M^(k_f-1) / (Gamma(kappa-1) Gamma(1-k_f)) times the integral
+    over x > 0 of Gamma(1-k_f, M x) e^(-r x) x^(kappa-2)."""
+    w = weights_for_dim(l)
+    r, s = N - M, 1 - mp.mpf(w.k_f.numerator) / w.k_f.denominator
+    integral = mp.quad(lambda x: mp.gammainc(s, M * x) * mp.exp(-r * x) * x ** (w.kappa - 2),
+                       [0, mp.inf])
+    return mp.mpf(r) ** (w.kappa - 1) * mp.mpf(M) ** -s / (mp.gamma(w.kappa - 1) * mp.gamma(s)) \
+        * integral
+
+
+@pytest.mark.parametrize("l,points", [
+    *[(l, [(12, 4), (20, 4), (36, 12), (100, 36), (1000, 4)]) for l in (4, 6, 8, 10)],
+    (1, [(25, 9), (100, 36), (169, 25)]),
+])
+def test_kernel_is_minus_sturms_projection_kernel(l, points):
+    """K = -K_S for every dimension the package takes: the full side is minus
+    the r-th coefficient of the holomorphic projection of f^- theta_psi^l, a
+    form of weight l + 2.  This derives the default kernel from the definition
+    of the projection, not from the paper's printed Jacobi formula."""
+    kernel = projection_kernel(l)
+    with mp.workdps(30):
+        for N, M in points:
+            k, sturm = kernel.eval(N, M), _sturm_kernel(l, N, M)
+            assert abs(mp.mpf(k.numerator) / k.denominator + sturm) <= mp.mpf("1e-15") * abs(sturm)
+
+
+def test_even_kernels_are_the_binomial_closed_form():
+    """For even l >= 4 the incomplete Gamma function of Sturm's kernel is
+    elementary, and K(M + r, M) = -r^(l+1) sum_{j < l/2-1} C(l+j, j) M^j
+    N^(l/2-2-j) / (M^(l/2-1) N^(3l/2-1)): every field of the split."""
+    for l in range(4, 41, 2):
+        k, h = projection_kernel(l), l // 2 - 1
+        assert (k.scale, k.powers, k.roots, k.diagonal) == (1, (h, 3 * l // 2 - 1), False, l + 1)
+        assert k.cofactor == tuple(math.comb(l + j, j) for j in range(h)), l
+
+
 @pytest.mark.parametrize("orientation", ["prefactor_on_larger", "prefactor_on_smaller"])
 @pytest.mark.parametrize("l", [1, 3, 5])
 def test_odd_integer_form_rejects_non_square_arguments(l, orientation):
@@ -459,7 +498,7 @@ def test_reference_forms_match_sympy_expansion():
     """Every tabulated candidate's terms are sympy's expansion of its printed
     display, and each is homogeneous of its kernel's degree 2(k_f - 1)."""
     printed = _printed_closed_forms()
-    built = {(form["name"], label): (form["l"], ref)
+    built = {(f"kappa={form['l'] + 2} (l={form['l']})", label): (form["l"], ref)
              for form in _reference_forms() for label, ref in form["candidates"].items()}
     assert set(built) == set(printed)
     for key, (l, ref) in built.items():

@@ -32,7 +32,8 @@ from holoproj.projection import (
     sigma_side,
 )
 from holoproj.qseries import QSeries
-from holoproj.rings import _ONE, CyclotomicNumber, cyc, euler_phi, rational_to_str, value_to_json
+from holoproj.rings import (_ONE, CyclotomicNumber, cyc, euler_phi, graded_readout,
+                             rational_to_str, value_to_json)
 from holoproj.smalldiv import (
     CharacterParityError,
     MultiIndex,
@@ -443,6 +444,38 @@ def test_bijection_sigma_equals_ordered(l, rmax, chi):
         assert sigma.min_nonzero_exponent() == 8 * l
 
 
+@pytest.mark.parametrize("psi,chi,l,rmax", [
+    (CHI_M4, CHI_8, 4, 72), (CHI_M4, CHI_8, 6, 88), (CHI_M4, CHI_8, 10, 120),
+    (QUARTIC_MOD5, CHI_8, 4, 32), (QUARTIC_MOD5, CHI_8, 6, 60), (QUARTIC_MOD5, CHI_5, 4, 32),
+])
+def test_bijection_holds_per_norm(psi, chi, l, rmax):
+    """Per Y-degree r, the sigma and ordered readouts hold the same norms M
+    with equal values: finer than comparing the paired sums, which weight
+    moved between two M can leave unchanged.  Values, not spellings: for the
+    quartic psi many weights carry different order tags on the two sides."""
+    cfg = ProjectionConfig(psi, chi, l, rmax, modes=("ordered",))
+    sigma, ordered = projection.sigma_power(cfg, rmax), projection.ordered_power(cfg, rmax)
+    nonzero = 0
+    for r in range(1, rmax + 1):
+        s = graded_readout(sigma.rows.get(r, {}), sigma.values)
+        o = graded_readout(ordered.rows.get(r, {}), ordered.values)
+        assert s.keys() == o.keys() and all(s[M] == o[M] for M in s), r
+        nonzero += sum(not w.is_zero() for w in s.values())
+    assert nonzero
+
+
+def test_per_norm_weights_of_the_quartic_psi_differ_in_tag():
+    """Equal per norm is not equal as spelled: at r = 12, M = 4 sigma reads 16
+    at tag 4 and ordered reads 16 at tag 1, so the two columns of the report
+    print row 12 at different tags."""
+    cfg = ProjectionConfig(QUARTIC_MOD5, CHI_8, 4, 32, modes=("ordered",))
+    sigma, ordered = projection.sigma_power(cfg, 12), projection.ordered_power(cfg, 12)
+    s = graded_readout(sigma.rows[12], sigma.values)[4]
+    o = graded_readout(ordered.rows[12], ordered.values)[4]
+    assert s == o == cyc(16)
+    assert (value_to_json(s), value_to_json(o)) == ({"order": 4, "coords": ["16", "0"]}, "16")
+
+
 def test_bijection_over_complex_character_values():
     # an order-4 odd character drives the whole pipeline through genuinely
     # cyclotomic (non-rational) coefficients; the bijection must still be an
@@ -623,6 +656,9 @@ PAIRING_CASES = {
     "tag 1, all ints": [(1, cyc(3), cyc(-2)), (3, cyc(4), cyc(5)), (4, cyc(-1), cyc(7))],
     "tag 4": [(1, ZETA4, cyc(2)), (3, cyc(1), ZETA4 + 1), (4, -ZETA4, ZETA4), (7, cyc(2), cyc(-1))],
     "tags 3 and 4": [(2, ZETA3, cyc(1)), (3, cyc(5), ZETA4), (5, ZETA3 + 2, 1 - ZETA4)],
+    # at half 2 and 3, raw position 0 has head leaves only and position 1 tail leaves only
+    "tag 4, a head-only and a tail-only position": [
+        (1, cyc(3), cyc(-2)), (2, cyc(F(1, 2)), cyc(5)), (4, ZETA4, cyc(3)), (6, 2 * ZETA4, cyc(-1))],
     "a Fraction coordinate": [(1, CyclotomicNumber(4, (F(1, 2), F(-3, 7))), cyc(3)),
                               (6, cyc(F(5, 9)), ZETA3)],
     "empty": [],
