@@ -20,7 +20,7 @@ from itertools import chain
 
 from .characters import char_from_spec, char_kronecker
 from .kernel import ORIENTATIONS, verify_closed_forms
-from .projection import ProjectionConfig, compositions, residual_report
+from .projection import ProjectionConfig, bound_configs, compositions, residual_report
 from .rings import value_to_json
 from .smalldiv import CharacterPlacement, MultiIndex, sigma_entry_table, sigma_sm
 from .theta import theta_power_direct
@@ -36,7 +36,9 @@ def _inputs(where: str = ""):
     main() reports on one line with exit code 2."""
     try:
         yield
-    except (ValueError, TypeError, OSError) as exc:  # includes CharacterTableError, WeightError, JSONDecodeError
+    # ValueError includes CharacterTableError, WeightError, JSONDecodeError and
+    # UnicodeDecodeError; RecursionError is JSON nested past the recursion limit
+    except (ValueError, TypeError, OSError, RecursionError) as exc:
         raise ConfigError(f"{where}{exc}") from None
 
 
@@ -110,7 +112,10 @@ def _dump(obj, fh) -> None:
                     flush()
             append(nl + ("}" if is_dict else "]"))
 
-    value(obj, "\n")
+    try:
+        value(obj, "\n")
+    finally:
+        del value  # it holds itself in its cell: a cycle, kept until a collection
     append("\n")
     flush()
 
@@ -242,13 +247,9 @@ def _load_verify_config(path):
     modes = _field(raw, "modes", lambda v: isinstance(v, list) and all(type(m) is str for m in v)
                    and len(set(v)) == len(v), "a list of distinct strings", ["ordered", "full"])
     schedule = _field(raw, "b_schedule", lambda v: v is None or isinstance(v, list) and all(
-        _is_int(b) and b >= rmax for b in v) and v == sorted(set(v)),
-        f"a strictly ascending list of integers >= rmax = {rmax}", None)
+        map(_is_int, v)), "a list of integers", None)
     B = _field(raw, "B", lambda v: v is None or _is_int(v), "an integer",
                schedule[-1] if schedule else None)
-    if schedule and B != schedule[-1]:
-        raise ConfigError(f"B must equal the last b_schedule entry {schedule[-1]}, "
-                          f"got {json.dumps(B)}")
     placements = [p.value for p in CharacterPlacement]
     placement = _field(raw, "placement", lambda v: v in placements, f"one of {placements}",
                        "psi_on_larger")
@@ -256,6 +257,7 @@ def _load_verify_config(path):
                          f"one of {list(ORIENTATIONS)}", "prefactor_on_larger")
     cfg = ProjectionConfig(psi, chi, l, rmax, modes=tuple(modes), B=B,
                            placement=CharacterPlacement(placement), orientation=orientation)
+    bound_configs(cfg, schedule)
     want_closed = _field(raw, "closed_forms", lambda v: type(v) is bool, "true or false", True)
     return cfg, schedule, want_closed
 
@@ -486,18 +488,18 @@ def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command on argv (default sys.argv[1:]) and write its outputs;
-    the exit code (module docstring).  The objects that exist on entry, the
-    imports' above all, are frozen for the run (gc.freeze, undone on the
-    way out however the run ends), so no cyclic collection during it walks
-    them again; a caller that froze objects itself keeps its freeze as is."""
-    freeze = gc.get_freeze_count() == 0
-    if freeze:
-        gc.freeze()
+    the exit code (module docstring).  The cyclic collector is paused for the
+    run (gc.disable, enabled again on the way out however the run ends, if it
+    was on): the engine makes no reference cycles, so a collection during it
+    would only walk the heap and find nothing.  A caller that froze objects
+    or disabled the collector keeps that as is."""
+    was_on = gc.isenabled()
+    gc.disable()
     try:
         return _run(sys.argv[1:] if argv is None else list(argv))
     finally:
-        if freeze:
-            gc.unfreeze()
+        if was_on:
+            gc.enable()
 
 
 def _run(argv: list) -> int:

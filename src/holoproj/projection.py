@@ -104,7 +104,10 @@ def compositions(total: int, parts: int, keys=None):
                 return
             yield from walk(prefix + (key,), remaining - key, left - 1)
 
-    yield from walk((), total, parts)
+    try:
+        yield from walk((), total, parts)
+    finally:  # also when the caller stops early: walk holds itself in its cell, a cycle
+        del walk
 
 
 class GradedPower(NamedTuple):
@@ -350,7 +353,9 @@ def full_pairs_side(cfg: ProjectionConfig) -> FullSideResult:
 
     One pass over alpha collects every gap's terms, each M against the beta
     exponents in (M, M + rmax]; per r, _kernel_sum returns the B sum and its
-    tail over M > B/2, which is tail_delta.  At l = 4, R = 40, B = 65536
+    tail over M > B/2, which is tail_delta.  A gap that holds no terms (for
+    kronecker -4, every r not divisible by 8) is not paired: both are the
+    order-1 zero that pairing it would return.  At l = 4, R = 40, B = 65536
     (kronecker -4 and 8) this takes 1.6-2.0 s on a 2-vCPU host, 0.9-1.2 s
     of it building the theta powers.
     """
@@ -368,7 +373,8 @@ def full_pairs_side(cfg: ProjectionConfig) -> FullSideResult:
     for M, a in alpha:
         for N, b in beta[bisect_right(norms, M):bisect_right(norms, M + cfg.rmax)]:
             gaps[N - M].append((M, a, b))
-    sums = {r: _kernel_sum(kernel, r, terms, cfg.B // 2) for r, terms in gaps.items()}
+    sums = {r: _kernel_sum(kernel, r, terms, cfg.B // 2) if terms else (cyc(0), cyc(0))
+            for r, terms in gaps.items()}
     return FullSideResult(series=QSeries(1, cfg.rmax, {r: s[0] for r, s in sums.items()}),
                           tail_delta={r: s[1] for r, s in sums.items()})
 
@@ -482,12 +488,29 @@ def _exceeds(res: CyclotomicNumber, delta: CyclotomicNumber) -> bool:
         iv.prec *= 2
 
 
+def bound_configs(cfg: ProjectionConfig, b_schedule=None) -> list:
+    """cfg at each bound of b_schedule ([cfg.B] when it is empty or None): the
+    rules for bounds, stated once.  The schedule is strictly ascending, each
+    entry is a B that ProjectionConfig takes for cfg (so at least rmax), and
+    the last is cfg.B; anything else is a ValueError."""
+    bounds = list(b_schedule) if b_schedule else [cfg.B]
+    if bounds != sorted(set(bounds)):
+        raise ValueError(f"b_schedule must be strictly ascending, got {bounds}")
+    try:
+        per_bound = [cfg._replace(B=B) for B in bounds]
+    except ValueError as exc:
+        raise ValueError(f"b_schedule holds a bound this config rejects: {exc}") from None
+    if bounds[-1] != cfg.B:
+        raise ValueError(f"B must equal the last b_schedule entry {bounds[-1]}, got {cfg.B}")
+    return per_bound
+
+
 def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) -> ResidualReport:
     """Full ledger: per exponent, sigma side, ordered side, full side with
     tail diagnostics, and the two residuals.  residual_ordered is asserted
     nowhere here (it is data; the CLI's exit code asserts it).  The jobs are
     the sides: sigma_side, ordered_pairs_side in ordered mode, and
-    full_pairs_side at each bound of b_schedule, strictly ascending to cfg.B.
+    full_pairs_side at each bound of b_schedule (see bound_configs).
     They run in order, or in a pool of min(workers, jobs) processes, and the
     report is read from the series they return, so it is the same for any
     worker count.  No module state is held: reports may run concurrently on
@@ -495,17 +518,13 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     """
     want_ordered = "ordered" in cfg.modes
     want_full = "full" in cfg.modes
-    bounds = list(b_schedule) if b_schedule else [cfg.B]
-    if bounds != sorted(set(bounds)):
-        raise ValueError(f"b_schedule must be strictly ascending, got {bounds}")
-    if bounds[-1] != cfg.B:
-        raise ValueError(f"B must equal the last b_schedule entry {bounds[-1]}, got {cfg.B}")
+    per_bound = bound_configs(cfg, b_schedule)
 
     jobs = [partial(sigma_side, cfg)]
     if want_ordered:
         jobs.append(partial(ordered_pairs_side, cfg))
     if want_full:
-        jobs += [partial(full_pairs_side, cfg._replace(B=B)) for B in bounds]
+        jobs += [partial(full_pairs_side, bound) for bound in per_bound]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
@@ -516,9 +535,10 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     fulls = sides[1 + want_ordered:]
 
     rs = range(1, cfg.rmax + 1)
-    schedule_out = [{"B": B, "rows": [{"r": r, "full": value_to_json(res.series.coeff(r)),
-                                       "tail_delta": value_to_json(res.tail_delta[r])} for r in rs]}
-                    for B, res in zip(bounds, fulls)]
+    schedule_out = [{"B": bound.B, "rows": [{"r": r, "full": value_to_json(res.series.coeff(r)),
+                                             "tail_delta": value_to_json(res.tail_delta[r])}
+                                            for r in rs]}
+                    for bound, res in zip(per_bound, fulls)]
 
     rows = []
     for r in rs:

@@ -114,6 +114,7 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
             row[j][sq] += pw[j]
     else:
         descend(l, 0, 0, 1, 1 % mod, factorial(l), 0)
+    del descend  # it holds itself in its cell, a cycle that would keep the rows for a collection
 
     own = {res: row for res, row in rows.items() if row is not rational}
     if not own:

@@ -265,18 +265,15 @@ class _Boom(Exception):
     pass
 
 
-def _outcome_argv(outcome, tmp_path, monkeypatch, frozen_during):
-    """argv for a verify run that ends as outcome says; the run records the
-    freeze count it saw in frozen_during."""
-    import holoproj.cli
-    real = holoproj.cli.residual_report
-
-    def report(*args, **kwargs):
-        frozen_during.append(gc.get_freeze_count())
-        if outcome == "raises":
+def _outcome_argv(outcome, tmp_path, monkeypatch):
+    """argv for a verify run that ends as outcome says: an exit code, an
+    argparse usage error (SystemExit 2) or an exception from the run."""
+    if outcome == "usage":
+        return ["verify", "--no-such-option"]
+    if outcome == "raises":
+        def report(*args, **kwargs):
             raise _Boom
-        return real(*args, **kwargs)
-    monkeypatch.setattr("holoproj.cli.residual_report", report)
+        monkeypatch.setattr("holoproj.cli.residual_report", report)
     fields = {"exit 1": dict(l=4, rmax=32, modes=["ordered"], B=None,
                              placement="chi_on_larger", closed_forms=False),
               "exit 2": dict(l=2)}.get(outcome, dict(rmax=8, B=64, closed_forms=False))
@@ -284,37 +281,46 @@ def _outcome_argv(outcome, tmp_path, monkeypatch, frozen_during):
     return ["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json"), "--no-timestamp"]
 
 
-@pytest.mark.parametrize("caller_froze", [False, True])
-@pytest.mark.parametrize("outcome", ["exit 0", "exit 1", "exit 2", "raises"])
-def test_main_leaves_the_collector_as_it_found_it(outcome, caller_froze, tmp_path, monkeypatch):
-    """The command runs with the heap frozen; after it, however it ended,
-    gc.isenabled() and the freeze count are what they were (less any frozen
-    object the run freed), and objects a caller froze before the call are
-    still frozen (tracked, in no generation)."""
-    frozen_during = []
-    argv = _outcome_argv(outcome, tmp_path, monkeypatch, frozen_during)
-    marker = [object()]
-    if caller_froze:
+@pytest.mark.parametrize("caller", ["collector on", "collector off", "froze objects"])
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 1", "exit 2", "usage", "raises"])
+def test_main_leaves_the_collector_as_it_found_it(outcome, caller, tmp_path, monkeypatch):
+    """The command runs with the collector paused; after it, however it
+    ended, gc.isenabled() and the freeze count are what they were (less any
+    frozen object the run freed), and objects a caller froze before the call
+    are still frozen (tracked, in no generation)."""
+    enabled_during, run = [], cli._run
+
+    def watched(argv):
+        enabled_during.append(gc.isenabled())
+        return run(argv)
+    monkeypatch.setattr(cli, "_run", watched)
+    argv = _outcome_argv(outcome, tmp_path, monkeypatch)
+    marker, was_on = [object()], gc.isenabled()
+    if caller == "collector off":
+        gc.disable()
+    elif caller == "froze objects":
         gc.freeze()
     try:
         before = gc.get_freeze_count(), gc.isenabled()
-        if outcome == "raises":
-            with pytest.raises(_Boom):
+        if outcome in ("usage", "raises"):
+            with pytest.raises(SystemExit if outcome == "usage" else _Boom) as info:
                 main(argv)
+            assert outcome == "raises" or info.value.code == 2
         else:
             assert main(argv) == int(outcome[-1])
         after = gc.get_freeze_count(), gc.isenabled()
-        if caller_froze:
+        if caller == "froze objects":
             # a frozen object the run frees leaves the permanent generation
             assert 0 < after[0] <= before[0] and after[1] == before[1]
             assert gc.is_tracked(marker) and not any(o is marker for o in gc.get_objects())
         else:
             assert after == before
     finally:
-        if caller_froze:
+        if caller == "froze objects":
             gc.unfreeze()
-    if outcome != "exit 2":
-        assert frozen_during and frozen_during[0] > 0
+        if was_on:
+            gc.enable()
+    assert enabled_during == [False]
 
 
 def test_verify_csv_mirror(tmp_path):
@@ -912,8 +918,14 @@ def _specs(good):
     return st.sampled_from(good) | st.sampled_from(good) | st.sampled_from(BAD_SPECS)
 
 
-def _exits_0_1_or_2(capsys, argv):
-    """No traceback, and exit 2 prints exactly one config error line."""
+def _exits_0_1_or_2(capsys, tmp_path, argv, csv=False):
+    """Run argv with --out (and, with csv, --csv) fresh paths in tmp_path: no
+    traceback, exit 2 prints exactly one config error line and leaves
+    neither output file behind."""
+    outputs = [tmp_path / "out.json"] + ([tmp_path / "out.csv"] if csv else [])
+    for path in outputs:
+        path.unlink(missing_ok=True)  # tmp_path is shared by every example
+    argv = [*argv, "--out", str(outputs[0])] + (["--csv", str(outputs[1])] if csv else [])
     capsys.readouterr()
     rc = run_cli(*argv)
     err = capsys.readouterr().err.splitlines()
@@ -921,6 +933,7 @@ def _exits_0_1_or_2(capsys, argv):
     assert rc in (0, 1, 2)
     if rc == 2:
         assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert not any(path.exists() for path in outputs)
     return rc
 
 
@@ -931,18 +944,37 @@ def _char_text(spec):
     return json.dumps(spec)
 
 
+# a character spec nested past the interpreter's recursion limit
+DEEP_SPEC = '{"modulus": 4, "values": ' + "[" * 100_000
+
+
 @FUZZ
 @given(
-    psi=_specs(GOOD_PSI).map(_char_text) | st.sampled_from(["kronecker:", "{", "8", ""]),
+    psi=(_specs(GOOD_PSI).map(_char_text)
+         | st.sampled_from(["kronecker:", "{", "8", "", DEEP_SPEC])),
     chi=_specs(GOOD_CHI).map(_char_text),
     l=FUZZ_L,
     rmax=st.integers(-2, 24),
     placement=st.sampled_from([p.value for p in CharacterPlacement]),
 )
+@example(psi=DEEP_SPEC, chi="kronecker:8", l=4, rmax=8, placement="psi_on_larger")
 def test_sigma_table_arguments_exit_0_1_or_2(tmp_path, capsys, psi, chi, l, rmax, placement):
-    _exits_0_1_or_2(capsys, ("sigma-table", "--psi", psi, "--chi", chi, "--l", str(l),
-                             "--rmax", str(rmax), "--placement", placement,
-                             "--out", str(tmp_path / "out.json")))
+    _exits_0_1_or_2(capsys, tmp_path, ("sigma-table", "--psi", psi, "--chi", chi, "--l", str(l),
+                                       "--rmax", str(rmax), "--placement", placement))
+
+
+# one value of every JSON type, for a field that expects another
+WRONG_TYPES = [None, True, 2.5, "4", [], [4], {}, {"kronecker": -4}, 7]
+UNKNOWN_FIELDS = ["orientaton", "Psi", "", "b-schedule"]
+# a config file that holds no JSON document, or that cannot be read
+NOT_JSON = [b"", b"{", b"{'l': 4}", b'{"l": 4,}', b"[1, 2", b"\xff\xfe{}", b"\x00",
+            b"[" * 100_000, b'{"psi": ' * 50_000]
+UNREADABLE = ["a directory", "no such file"]
+
+
+def _rarely(change, unchanged):
+    """One draw in four from change, else unchanged."""
+    return st.just(unchanged) | st.just(unchanged) | st.just(unchanged) | change
 
 
 @FUZZ
@@ -954,27 +986,48 @@ def test_sigma_table_arguments_exit_0_1_or_2(tmp_path, capsys, psi, chi, l, rmax
     modes=st.sampled_from([["ordered"], ["full"], ["ordered", "full"], [], ["sideways"]]),
     schedule=st.none() | st.lists(st.integers(-4, 64), max_size=2),
     B=st.none() | st.integers(-4, 64),
+    retyped=_rarely(st.dictionaries(st.sampled_from(cli._CONFIG_FIELDS),
+                                    st.sampled_from(WRONG_TYPES), min_size=1, max_size=2), {}),
+    dropped=_rarely(st.sets(st.sampled_from(cli._CONFIG_FIELDS), min_size=1, max_size=2), set()),
+    unknown=_rarely(st.sets(st.sampled_from(UNKNOWN_FIELDS), min_size=1, max_size=1), set()),
+    document=_rarely(st.sampled_from(NOT_JSON + UNREADABLE), None),
 )
-def test_verify_configs_exit_0_1_or_2(tmp_path, capsys, psi, chi, l, rmax, modes, schedule, B):
+@example(psi={"kronecker": -4}, chi={"kronecker": 8}, l=4, rmax=8, modes=["ordered"],
+         schedule=None, B=None, retyped={}, dropped=set(), unknown=set(),
+         document=b"[" * 100_000)
+def test_verify_configs_exit_0_1_or_2(tmp_path, capsys, psi, chi, l, rmax, modes, schedule, B,
+                                      retyped, dropped, unknown, document):
+    """A config drawn from typed fields, some of them then given a value of
+    another JSON type, dropped, or joined by an unknown field; or a file
+    that holds no JSON, or a path that cannot be read."""
     raw = {"psi": psi, "chi": chi, "l": l, "rmax": rmax, "modes": modes,
            "b_schedule": schedule, "closed_forms": False}
     if B is not None:
         raw["B"] = B
+    raw.update(retyped)
+    raw.update(dict.fromkeys(unknown, 1))
+    for name in dropped:
+        raw.pop(name, None)
     path = tmp_path / "fuzz.json"
-    path.write_text(json.dumps(raw))
-    _exits_0_1_or_2(capsys, ("verify", "--config", str(path), "--out", str(tmp_path / "out.json")))
+    if document == "a directory":
+        path = tmp_path
+    elif document == "no such file":
+        path = tmp_path / "no-such-config.json"
+    else:
+        path.write_bytes(json.dumps(raw).encode() if document is None else document)
+    _exits_0_1_or_2(capsys, tmp_path, ("verify", "--config", str(path)), csv=True)
 
 
 @FUZZ
 @given(
     char=(_specs(GOOD_PSI + GOOD_CHI).map(_char_text)
-          | st.sampled_from(["kronecker:1", "kronecker:", "{"])),
+          | st.sampled_from(["kronecker:1", "kronecker:", "{", DEEP_SPEC])),
     power=st.integers(-1, 6),
     terms=st.integers(-2, 60),
 )
 def test_theta_arguments_exit_0_1_or_2(tmp_path, capsys, char, power, terms):
-    _exits_0_1_or_2(capsys, ("theta", "--char", char, "--pow", str(power), "--terms", str(terms),
-                             "--out", str(tmp_path / "out.json")))
+    _exits_0_1_or_2(capsys, tmp_path, ("theta", "--char", char, "--pow", str(power),
+                                       "--terms", str(terms)), csv=True)
 
 
 @FUZZ
@@ -988,10 +1041,9 @@ def test_theta_arguments_exit_0_1_or_2(tmp_path, capsys, char, power, terms):
 def test_calibrate_arguments_exit_0_1_or_2(tmp_path, capsys, family, psi, chi, probes, verify_rows):
     """chi None reuses psi, the pair classical-d asks for.  A negative row
     count is a usage error, never a report."""
-    rc = _exits_0_1_or_2(capsys, ("calibrate", "--family", family, "--psi", psi,
-                                  "--chi", chi or psi, "--probes", str(probes),
-                                  "--verify-rows", str(verify_rows),
-                                  "--out", str(tmp_path / "out.json")))
+    rc = _exits_0_1_or_2(capsys, tmp_path, ("calibrate", "--family", family, "--psi", psi,
+                                            "--chi", chi or psi, "--probes", str(probes),
+                                            "--verify-rows", str(verify_rows)))
     assert rc == 2 or verify_rows >= 0
 
 
@@ -1015,6 +1067,6 @@ def test_numeric_arguments_exit_0_1_or_2(tmp_path, capsys, check, l, psi, chi, c
     negative value from reading as a flag."""
     options = {"l": l, "tau-u": tau_u, "tau-v": tau_v, "h": h, "cutoff": cutoff,
                "lam-shift": lam_shift, "tolerance": tolerance, "psi": psi, "chi": chi,
-               "char": char, "out": tmp_path / "out.json"}
-    _exits_0_1_or_2(capsys, ["numeric", check] + [
+               "char": char}
+    _exits_0_1_or_2(capsys, tmp_path, ["numeric", check] + [
         f"--{name}={value}" for name, value in options.items() if value is not None])

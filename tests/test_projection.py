@@ -388,6 +388,7 @@ def test_residual_report_runs_the_sides(monkeypatch):
 @pytest.mark.parametrize("schedule,message", [
     ([64, 32], "b_schedule must be strictly ascending, got [64, 32]"),
     ([16, 32], "B must equal the last b_schedule entry 32, got 64"),
+    ([4, 64], "b_schedule holds a bound this config rejects: need B >= rmax, got B=4 < 8"),
 ])
 def test_residual_report_rejects_an_inconsistent_b_schedule(schedule, message):
     cfg = cfg_for(4, 8, modes=("ordered", "full"), B=64)
@@ -616,6 +617,50 @@ def test_dropping_a_cancelled_groups_tag_is_caught(monkeypatch):
 
     monkeypatch.setattr(projection, "_kernel_sum", untagged)
     assert full_pairs_json(cfg, 4) != full_pairs_oracle(cfg, 4)
+
+
+def _every_gap_paired(cfg):
+    """The full side with _kernel_sum called for every gap, one with no
+    terms included: {r: (sum to B, tail over M > B/2)}."""
+    kernel = cfg.kernel()
+    alpha = projection.theta_power_direct(cfg.chi, cfg.l, cfg.B).nonzero_items()
+    beta = list(projection.theta_power_direct(cfg.psi, cfg.l, cfg.B + cfg.rmax).nonzero_items())
+    gaps = {r: [] for r in range(1, cfg.rmax + 1)}
+    for M, a in alpha:
+        for N, b in beta:
+            if 0 < N - M <= cfg.rmax:
+                gaps[N - M].append((M, a, b))
+    return {r: projection._kernel_sum(kernel, r, terms, cfg.B // 2) for r, terms in gaps.items()}
+
+
+@pytest.mark.parametrize("psi,l,rmax,bounds,paired", [
+    (CHI_M4, 4, 40, (256, 1024, 4096), 5),  # the README config: r = 8, 16, ..., 40
+    (CHI_M4, 6, 88, (512,), 11),
+    (QUARTIC_MOD5, 4, 32, (256,), 32),
+], ids=["readme", "l6-rmax88", "quartic5"])
+def test_the_full_side_pairs_only_the_gaps_that_hold_terms(psi, l, rmax, bounds, paired,
+                                                           monkeypatch):
+    """Kronecker -4 puts every term of a full side at r = 0 mod 8, so only
+    those gaps are paired; psi5 fills every gap.  Each value and tail delta,
+    order tag included, is the one that pairing every gap gives."""
+    calls, kernel_sum = [], projection._kernel_sum
+
+    def counted(kernel, r, terms, half=0):
+        calls.append(r)
+        return kernel_sum(kernel, r, terms, half)
+
+    for B in bounds:
+        cfg = ProjectionConfig(psi, CHI_8, l, rmax, modes=("full",), B=B)
+        want = _every_gap_paired(cfg)
+        calls.clear()
+        monkeypatch.setattr(projection, "_kernel_sum", counted)
+        res = full_pairs_side(cfg)
+        monkeypatch.setattr(projection, "_kernel_sum", kernel_sum)
+        assert len(calls) == paired, (B, calls)
+        spelled = lambda z: (z.order, z.coords)  # noqa: E731
+        for r, (whole, tail) in want.items():
+            assert spelled(res.series.coeff(r)) == spelled(whole), (B, r)
+            assert spelled(res.tail_delta[r]) == spelled(tail), (B, r)
 
 
 # -- the kernel pairing against one term at a time ---------------------------
