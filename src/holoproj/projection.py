@@ -28,6 +28,7 @@ import time
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
@@ -276,6 +277,7 @@ class OddDimensionError(ValueError):
 class FullSideResult(NamedTuple):
     series: QSeries
     tail_delta: dict  # r -> CyclotomicNumber, change from B/2 to B
+    B: int = 0
 
 
 def _tree_sum(ratios: list) -> tuple:
@@ -292,19 +294,19 @@ def _tree_sum(ratios: list) -> tuple:
     return ratios[0] if ratios else (0, 1)
 
 
-def _kernel_sum(kernel: ProjectionKernel, r: int, terms: list, half: int = 0):
+def _kernel_sum(kernel: ProjectionKernel, r: int, terms: list, half: int = 0, floor: int = 1):
     """The kernel pairing of every side: over the terms (M, a, b),
     CyclotomicNumbers in ascending M, the sum of K(M + r, M) a b and the
     same sum over M > half (the tail).
 
-    Both are taken at e, the lcm of every term's order tags (the tag of
-    adding the terms one at a time to an order-1 zero, also where they
-    cancel).  With K(M + r, M) = c n/d (``ProjectionKernel.along_gap``), each
-    nonzero n a_i b_j / d is a leaf at raw position i e/ord(a) + j e/ord(b),
+    Both are taken at e, the lcm of floor and every term's order tags (the
+    tag of adding the terms one at a time to a zero at tag floor, also where
+    they cancel).  With K(M + r, M) = c n/d (``ProjectionKernel.along_gap``),
+    each nonzero n a_i b_j / d is a leaf at raw position i e/ord(a) + j e/ord(b),
     so at e = 1 each term is at most one leaf, at 0.  Per position, one bisect
     over its leaves' M cuts the head (M <= half) from the tail, one tree sums
     each and c multiplies the roots; each sum is reduced mod Phi_e once."""
-    e = lcm(*{a.order for _, a, _ in terms}, *{b.order for _, _, b in terms})
+    e = lcm(floor, *{a.order for _, a, _ in terms}, *{b.order for _, _, b in terms})
     c, ratios = kernel.along_gap(r, [M for M, _, _ in terms])
     raw = {}  # position: (norms, leaves), ascending in M
     if e == 1:
@@ -343,7 +345,7 @@ def _kernel_sum(kernel: ProjectionKernel, r: int, terms: list, half: int = 0):
     return (rest if whole == tail else read(whole)), rest
 
 
-def full_pairs_side(cfg: ProjectionConfig) -> FullSideResult:
+def full_pairs_side(cfg: ProjectionConfig, below: FullSideResult | None = None) -> FullSideResult:
     """Collapsed unrestricted-pair sum: coefficient of q^r is
 
         sum over M <= B = cfg.B of alpha(M) beta(M + r) K(M + r, M)
@@ -351,13 +353,16 @@ def full_pairs_side(cfg: ProjectionConfig) -> FullSideResult:
     with alpha, beta the theta-power coefficients of the chi and psi sides.
     tail_delta records, per r, the change between bounds B/2 and B.
 
-    One pass over alpha collects every gap's terms, each M against the beta
-    exponents in (M, M + rmax]; per r, _kernel_sum returns the B sum and its
-    tail over M > B/2, which is tail_delta.  A gap that holds no terms (for
-    kronecker -4, every r not divisible by 8) is not paired: both are the
-    order-1 zero that pairing it would return.  At l = 4, R = 40, B = 65536
-    (kronecker -4 and 8) this takes 1.6-2.0 s on a 2-vCPU host, 0.9-1.2 s
-    of it building the theta powers.
+    below, the result at a bound B' < B of the same config (none: B' = 0 and
+    order-1 zeros), chains the bounds.  One pass over alpha from M > min(B',
+    B/2) collects every gap's terms, each M against the beta exponents in
+    (M, M + rmax]; per r, _kernel_sum cuts them at max(B', B/2), at the tag of
+    the sum below, into the segment over (B', B] and the tail over M > B/2
+    (tail_delta), and the sum to B is the sum below plus the segment.  A gap
+    that holds no terms (for kronecker -4, every r not divisible by 8) is not
+    paired: both are zeros at the tag below.  At l = 4, R = 40, B = 65536
+    (kronecker -4 and 8) this takes 1.5-1.9 s on a 2-vCPU host, 0.9-1.2 s of
+    it building the theta powers.
     """
     if cfg.l != 1 and cfg.l % 2 != 0:
         raise OddDimensionError(
@@ -365,18 +370,28 @@ def full_pairs_side(cfg: ProjectionConfig) -> FullSideResult:
         )
     if cfg.B is None:  # the config checked B >= rmax
         raise ValueError("full mode needs a norm bound B")
-    kernel = cfg.kernel()
-    alpha = theta_power_direct(cfg.chi, cfg.l, cfg.B).nonzero_items()
+    kernel, half = cfg.kernel(), cfg.B // 2
+    start, wholes = (below.B, below.series) if below else (0, QSeries(1, cfg.rmax))
+    alpha = list(theta_power_direct(cfg.chi, cfg.l, cfg.B).nonzero_items())
     beta = list(theta_power_direct(cfg.psi, cfg.l, cfg.B + cfg.rmax).nonzero_items())
     norms = [N for N, _ in beta]
     gaps = {r: [] for r in range(1, cfg.rmax + 1)}
-    for M, a in alpha:
+    for M, a in alpha[bisect_right(alpha, min(start, half), key=lambda item: item[0]):]:
         for N, b in beta[bisect_right(norms, M):bisect_right(norms, M + cfg.rmax)]:
             gaps[N - M].append((M, a, b))
-    sums = {r: _kernel_sum(kernel, r, terms, cfg.B // 2) if terms else (cyc(0), cyc(0))
-            for r, terms in gaps.items()}
-    return FullSideResult(series=QSeries(1, cfg.rmax, {r: s[0] for r, s in sums.items()}),
-                          tail_delta={r: s[1] for r, s in sums.items()})
+    series, tail_delta = {}, {}
+    for r, terms in gaps.items():
+        prior = wholes.coeff(r)
+        wide, narrow = (_kernel_sum(kernel, r, terms, max(start, half), prior.order)
+                        if terms else (prior - prior,) * 2)
+        segment, tail_delta[r] = (wide, narrow) if half >= start else (narrow, wide)
+        series[r] = prior + segment
+    return FullSideResult(QSeries(1, cfg.rmax, series), tail_delta, cfg.B)
+
+
+def _full_chain(per_bound: list) -> list:
+    """full_pairs_side at each bound, ascending, each passed the result below it."""
+    return [*accumulate([None, *per_bound], lambda below, bound: full_pairs_side(bound, below))][1:]
 
 
 def lemma_gap_witnesses(cfg: ProjectionConfig, r: int, cap: int = 3):
@@ -509,8 +524,8 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     """Full ledger: per exponent, sigma side, ordered side, full side with
     tail diagnostics, and the two residuals.  residual_ordered is asserted
     nowhere here (it is data; the CLI's exit code asserts it).  The jobs are
-    the sides: sigma_side, ordered_pairs_side in ordered mode, and
-    full_pairs_side at each bound of b_schedule (see bound_configs).
+    the sides: sigma_side, ordered_pairs_side in ordered mode, and the chain
+    of full_pairs_side over the bounds of b_schedule (see bound_configs).
     They run in order, or in a pool of min(workers, jobs) processes, and the
     report is read from the series they return, so it is the same for any
     worker count.  No module state is held: reports may run concurrently on
@@ -524,7 +539,7 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     if want_ordered:
         jobs.append(partial(ordered_pairs_side, cfg))
     if want_full:
-        jobs += [partial(full_pairs_side, bound) for bound in per_bound]
+        jobs.append(partial(_full_chain, per_bound))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
@@ -532,7 +547,7 @@ def residual_report(cfg: ProjectionConfig, b_schedule=None, workers: int = 1) ->
     else:
         sides = [job() for job in jobs]
     sigma, ordered = sides[0], (sides[1] if want_ordered else None)
-    fulls = sides[1 + want_ordered:]
+    fulls = sides[-1] if want_full else []
 
     rs = range(1, cfg.rmax + 1)
     schedule_out = [{"B": bound.B, "rows": [{"r": r, "full": value_to_json(res.series.coeff(r)),

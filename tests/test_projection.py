@@ -645,9 +645,9 @@ def test_the_full_side_pairs_only_the_gaps_that_hold_terms(psi, l, rmax, bounds,
     order tag included, is the one that pairing every gap gives."""
     calls, kernel_sum = [], projection._kernel_sum
 
-    def counted(kernel, r, terms, half=0):
+    def counted(kernel, r, terms, half=0, floor=1):
         calls.append(r)
-        return kernel_sum(kernel, r, terms, half)
+        return kernel_sum(kernel, r, terms, half, floor)
 
     for B in bounds:
         cfg = ProjectionConfig(psi, CHI_8, l, rmax, modes=("full",), B=B)
@@ -661,6 +661,75 @@ def test_the_full_side_pairs_only_the_gaps_that_hold_terms(psi, l, rmax, bounds,
         for r, (whole, tail) in want.items():
             assert spelled(res.series.coeff(r)) == spelled(whole), (B, r)
             assert spelled(res.tail_delta[r]) == spelled(tail), (B, r)
+
+
+# -- a schedule's bounds as one chain -----------------------------------------
+
+CHAIN_CONFIGS = {
+    "m4-8-l4": (CHI_M4, CHI_8, 4, 40),
+    "m4-8-l6": (CHI_M4, CHI_8, 6, 56),
+    "quartic5-8-l4": (QUARTIC_MOD5, CHI_8, 4, 32),  # tags above 1
+    "m4-8-l1": (CHI_M4, CHI_8, 1, 40),  # the square-root kernel
+}
+
+
+def _spelled_side(res):
+    return [((res.series.coeff(r).order, res.series.coeff(r).coords),
+             (res.tail_delta[r].order, res.tail_delta[r].coords)) for r in res.tail_delta]
+
+
+@pytest.mark.parametrize("schedule", [(256, 1024, 4096), (64, 128, 256), (3000, 4096)],
+                         ids=["quadrupling", "doubling", "half-below-previous"])
+@pytest.mark.parametrize("config", list(CHAIN_CONFIGS))
+def test_the_chained_schedule_equals_independent_bounds(config, schedule):
+    """Each bound of a schedule is passed the result of the bound below it and
+    pairs only the norms above min(B', B/2); every full value and tail delta,
+    order tag included, is the one full_pairs_side gives at that bound alone,
+    in the report and in the chain itself.  The doubling schedule leaves
+    (B', B/2] empty, and [3000, 4096] has B/2 < B'."""
+    psi, chi, l, rmax = CHAIN_CONFIGS[config]
+    cfg = ProjectionConfig(psi, chi, l, rmax, modes=("full",), B=schedule[-1])
+    per_bound = projection.bound_configs(cfg, schedule)
+    alone = [full_pairs_side(bound) for bound in per_bound]
+    assert list(map(_spelled_side, projection._full_chain(per_bound))) == list(
+        map(_spelled_side, alone))
+    report = residual_report(cfg, b_schedule=list(schedule))
+    assert report.schedule == [
+        {"B": res.B, "rows": [{"r": r, "full": value_to_json(res.series.coeff(r)),
+                               "tail_delta": value_to_json(res.tail_delta[r])}
+                              for r in range(1, rmax + 1)]} for res in alone]
+
+
+def test_a_chained_bound_reads_its_sums_at_the_tag_below(monkeypatch):
+    """Fake theta powers put a tag-4 term at M = 1 <= B' = 4 in gaps 1 and 2,
+    and a tag-1 term at M = 10 > B/2 = 8 in gap 1 only.  Chained, the bound
+    B = 16 reads both tails at tag 4, as one pass over every M <= 16 does:
+    gap 1's nonzero tail, and gap 2's zero tail, where no term lies past B'."""
+    cfg = ProjectionConfig(QUARTIC_MOD5, CHI_8, 4, 2, modes=("full",), B=16)
+    fake = {"chi": {1: CyclotomicNumber.zeta(4), 10: cyc(1)},
+            "psi": {2: cyc(1), 3: cyc(1), 11: cyc(1)}}
+    monkeypatch.setattr(projection, "theta_power_direct", lambda char, l, N: QSeries(
+        1, N, {e: v for e, v in fake["chi" if char is cfg.chi else "psi"].items() if e <= N}))
+    chained = full_pairs_side(cfg, full_pairs_side(cfg._replace(B=4)))
+    assert _spelled_side(chained) == _spelled_side(full_pairs_side(cfg))
+    assert {r: (d.order, d.is_zero()) for r, d in chained.tail_delta.items()} == {
+        1: (4, False), 2: (4, True)}
+
+
+def test_a_gap_below_the_previous_bound_is_not_paired_again(monkeypatch):
+    """At l = 1 a gap r holds the terms m^2 < (r/2)^2 only, so at B = 4096
+    above B' = 1024 no gap holds a term past B': none is paired, and each
+    keeps the sum below, with a zero tail at its tag."""
+    cfg = ProjectionConfig(CHI_M4, CHI_8, 1, 40, modes=("full",), B=4096)
+    below = full_pairs_side(cfg._replace(B=1024))
+    calls, kernel_sum = [], projection._kernel_sum
+    monkeypatch.setattr(projection, "_kernel_sum", lambda *args: (calls.append(args[1]),
+                                                                  kernel_sum(*args))[1])
+    chained = full_pairs_side(cfg, below)
+    assert calls == []
+    assert not below.series.is_zero_on_window()
+    assert _spelled_side(chained) == _spelled_side(full_pairs_side(cfg))
+    assert all(delta.is_zero() for delta in chained.tail_delta.values())
 
 
 # -- the kernel pairing against one term at a time ---------------------------
@@ -998,21 +1067,41 @@ def test_readme_full_residuals_come_from_the_report():
 _WORKERS_SCRIPT = """
 import json, multiprocessing, sys
 from holoproj import ProjectionConfig, char_kronecker, residual_report
+from holoproj.characters import char_from_spec
 multiprocessing.set_start_method(sys.argv[1])
-cfg = ProjectionConfig(char_kronecker(-4), char_kronecker(8), 4, 12,
-                       modes=("ordered", "full"), B=128)
-print(json.dumps(residual_report(cfg, workers=2).to_json_obj(False)))
+psi, rmax, schedule = json.loads(sys.argv[2])
+cfg = ProjectionConfig(char_from_spec(psi), char_kronecker(8), 4, rmax,
+                       modes=("ordered", "full"), B=schedule[-1])
+print(json.dumps(residual_report(cfg, schedule, workers=2).to_json_obj(False)))
 """
+
+
+def _same_report_under(method, psi, rmax, schedule):
+    """The report of psi/8 at l = 4 with two workers under the start method
+    equals the one-process report; the full chain runs as one pool job."""
+    cfg = ProjectionConfig(char_from_spec(psi), CHI_8, 4, rmax, modes=("ordered", "full"),
+                           B=schedule[-1])
+    expected = json.loads(json.dumps(residual_report(cfg, schedule).to_json_obj(False)))
+    src = os.path.dirname(os.path.dirname(holoproj.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _WORKERS_SCRIPT, method,
+                           json.dumps([psi, rmax, schedule])], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
 
 
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
 def test_workers_give_the_same_report_under_every_start_method(method):
-    cfg = cfg_for(4, 12, modes=("ordered", "full"), B=128)
-    expected = json.loads(json.dumps(residual_report(cfg, workers=1).to_json_obj(False)))
-    src = os.path.dirname(os.path.dirname(holoproj.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _WORKERS_SCRIPT, method], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == expected
+    _same_report_under(method, {"kronecker": -4}, 12, [128])
+
+
+@pytest.mark.parametrize("psi,rmax,schedule", [
+    ({"kronecker": -4}, 16, [64, 256, 1024]),
+    (PSI5_ONE_INT, 12, [64, 256]),
+], ids=["three-bounds", "psi5-two-bounds"])
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_workers_give_the_same_chained_report_under_every_start_method(method, psi, rmax,
+                                                                        schedule):
+    _same_report_under(method, psi, rmax, schedule)

@@ -299,3 +299,60 @@ def test_rational_value_at_a_higher_tag_keeps_its_tag():
     assert psi.values[4].order == 4
     rows = theta_power_direct(psi, 2, 20).to_json_obj()["rows"]
     assert {"exponent": 8, "value": {"order": 4, "coords": ["-4", "0"]}} in rows
+
+
+# -- a large-N oracle for the series power: eta quotients --------------------
+#
+# theta of kronecker -4 is sum (-4/n) n q^(n^2) = eta(8 tau)^3 (Jacobi), so its
+# l-th power is eta(8 tau)^(3 l).  At l = 4 that is g(4 tau), g = eta(2 tau)^12
+# the newform of weight 6 and level 4; at l = 8 it is Delta(8 tau).  Both are
+# normalised Hecke eigenforms, so their coefficients obey relations that need
+# no second theta and hold at every N: each wide coefficient of the packed
+# product is checked against its neighbours' factors.
+
+def _hecke_eigenform_defects(a: list, k: int, level: int) -> list:
+    """The n in 1..len(a) - 1 at which a[n] breaks the rules of a normalised
+    Hecke eigenform of weight k, trivial character and the given level:
+    a(1) = 1; a(m n) = a(m) a(n) for coprime m and n; and at a prime p,
+    a(p^(j+1)) = a(p) a(p^j) - p^(k-1) a(p^(j-1)), the last term dropped
+    when p divides the level (so a(p^2) = a(p)^2 - p^(k-1) where it does not)."""
+    X = len(a) - 1
+    least = list(range(X + 1))  # least prime factor
+    for p in range(2, isqrt(X) + 1):
+        if least[p] == p:
+            for m in range(p * p, X + 1, p):
+                if least[m] == m:
+                    least[m] = p
+    bad = [] if a[1] == 1 else [1]
+    for n in range(2, X + 1):
+        p, q, j = least[n], n, 0
+        while q % p == 0:
+            q, j = q // p, j + 1
+        if q > 1:
+            want = a[n // q] * a[q]
+        elif j >= 2:
+            want = a[p] * a[n // p] - (0 if level % p == 0 else p ** (k - 1) * a[n // p // p])
+        else:
+            continue  # a prime: a(p) is free
+        if a[n] != want:
+            bad.append(n)
+    return bad
+
+
+@pytest.mark.parametrize("l,step,k,level,head", [
+    (4, 4, 6, 4, [1, 0, -12, 0, 54]),              # beta(4 n) = [q^n] eta(2 tau)^12
+    (8, 8, 12, 1, [1, -24, 252, -1472, 4830]),      # beta(8 n) = tau(n)
+], ids=["l4-eta12", "l8-delta"])
+def test_series_power_of_kronecker_m4_is_an_eta_quotient_at_large_n(l, step, k, level, head):
+    """theta^l of kronecker -4 by series at N = 2^18: its support lies on the
+    multiples of step, and a(n) = beta(step n) is a normalised Hecke
+    eigenform of weight k (multiplicative, with the Hecke relation at every
+    prime power), beginning with head."""
+    N = 2 ** 18
+    beta = dict(theta_power_series(CHI_M4, l, N).nonzero_items())
+    assert all(value.order == 1 for value in beta.values())
+    assert all(M % step == 0 for M in beta)
+    a = [0] + [beta[step * n].coords[0] if step * n in beta else 0
+               for n in range(1, N // step + 1)]
+    assert a[1:len(head) + 1] == head
+    assert _hecke_eigenform_defects(a, k, level) == []
