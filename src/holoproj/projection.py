@@ -361,8 +361,8 @@ def full_pairs_side(cfg: ProjectionConfig, below: FullSideResult | None = None) 
     (tail_delta), and the sum to B is the sum below plus the segment.  A gap
     that holds no terms (for kronecker -4, every r not divisible by 8) is not
     paired: both are zeros at the tag below.  At l = 4, R = 40, B = 65536
-    (kronecker -4 and 8) this takes 1.5-1.9 s on a 2-vCPU host, 0.9-1.2 s of
-    it building the theta powers.
+    (kronecker -4 and 8) this takes 0.9-1.0 s on a 2-vCPU host, 0.24-0.26 s
+    of it building the theta powers.
     """
     if cfg.l != 1 and cfg.l % 2 != 0:
         raise OddDimensionError(

@@ -6,11 +6,12 @@ lattice N^l and never touches series multiplication, so the two paths
 cross-check each other (power via repeated squaring vs direct
 representation-number enumeration).  The enumeration walks one nondecreasing
 tuple per orbit of coordinate permutations, weighted by the orbit's size, with
-radius pruning, into dense integer rows indexed by norm: psi's rational
-values (order tag 1, so +-1) fold their signs into the last coordinate's
-power and share one row, and each residue whose value has a higher tag keeps
-its own.  rings.graded_readout, which also reads the sigma and ordered
-powers, applies the character to those rows.
+radius pruning, on an explicit stack, into dense integer rows indexed by norm:
+psi's rational values (order tag 1, so +-1) fold their signs into the powers
+and share one row, and each residue whose value has a higher tag keeps its
+own.  With no such residue the last coordinate runs once per prefix norm.
+rings.graded_readout, which also reads the sigma and ordered powers, applies
+the character to those rows.
 """
 
 from __future__ import annotations
@@ -48,18 +49,24 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
     """Coefficient of q^M as the direct lattice sum over n in {1,2,...}^l with
     |n|^2 = M of psi(n_1...n_l) (n_1...n_l)^lambda.
 
-    The summand is symmetric, so the descent walks one nondecreasing tuple
-    per orbit of coordinate permutations, weighted by the orbit's size
-    l!/prod(run length)!, the last two coordinates in one frame.  A
-    coordinate n is tried only if psi(n) != 0 (exact, by complete
-    multiplicativity) and n^2 times the coordinates left fits the remaining
-    norm.  The sums go into rows indexed by norm: one for the residues of
-    the product where psi is +-1 at tag 1, its sign folded into the last
-    power, and one per residue of a higher tag, whose positive entries say
-    where a point landed.  rings.graded_readout reads them, a residue present
-    where its entry is nonzero and the rational row graded as residue 0 (psi
-    is 0 there) at value 1, so values and tags equal those of adding
-    psi(residue) * sum one at a time; a zero sum is dropped.
+    The summand is symmetric, so the walk takes one nondecreasing tuple per
+    orbit of coordinate permutations, weighted by the orbit's size
+    l!/prod(run length)!, its prefixes on an explicit stack.  A coordinate n
+    is tried only if psi(n) != 0 (exact, by complete multiplicativity) and
+    n^2 times the coordinates left fits the remaining norm.  The sums go
+    into rows indexed by norm: one for the residues of the product where psi
+    is +-1 at tag 1, its sign folded into the powers, and one per residue of
+    a higher tag, whose positive entries say where a point landed.  With no
+    such residue (every Kronecker character) a product of the powers
+    psi(n) n^lambda carries psi of its residue, so a prefix of l - 1
+    coordinates ending at index a, norm base, adds its b = a point and puts
+    its coefficient at start a + 1 in a table for base; one pass per base
+    then runs the last coordinate b with a running sum over the starts.
+    Otherwise each prefix runs its own b.  rings.graded_readout reads the
+    rows, a residue present where its entry is nonzero and the rational row
+    graded as residue 0 (psi is 0 there) at value 1, so values and tags
+    equal those of adding psi(residue) * sum one at a time; a zero sum is
+    dropped.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
@@ -78,43 +85,61 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
     rational = [0] * (N + 1)
     rows = {res: rational if v.order == 1 else [0] * (N + 1)
             for res, v in enumerate(values) if not v.is_zero()}
-    # residue of a product -> (row, signed power) of each next coordinate
-    tables = [None] * mod
-    for res in rows:
-        targets = [res * n % mod for n in ns]
-        tables[res] = ([rows[t] for t in targets],
-                       [p * values[t].coords[0] if rows[t] is rational else p
-                        for p, t in zip(powers, targets)])
+    fold = all(row is rational for row in rows.values())
+    if fold:
+        # psi(n) n^lambda: a product of them carries psi of its residue
+        powers = [p * values[n % mod].coords[0] for p, n in zip(powers, ns)]
+        # prefix norm -> {first index of the last coordinate: coefficient};
+        # at l = 1 only the empty prefix, its one coordinate from index 0 on
+        starts = {} if l > 1 else {0: {0: 1}}
+    else:
+        # residue of a product -> (row, signed power) of each next coordinate
+        tables = [None] * mod
+        for res in rows:
+            targets = [res * n % mod for n in ns]
+            tables[res] = ([rows[t] for t in targets],
+                           [p * values[t].coords[0] if rows[t] is rational else p
+                            for p, t in zip(powers, targets)])
 
-    def pair(start, norm, prod, res, weight, run):
-        """The last two coordinates a <= b, from index start on; a first
-        candidate that repeats the previous coordinate extends its run."""
-        for a in range(start, bisect_right(squares, (N - norm) // 2, start)):
-            k = run + 1 if a == start else 1
-            part = prod * powers[a]
-            base = norm + squares[a]
-            row, pw = tables[res * ns[a] % mod]
-            row[a][base + squares[a]] += weight // k // (k + 1) * part * pw[a]
-            c = weight // k * part
-            for b in range(a + 1, bisect_right(squares, N - base, a + 1)):
-                row[b][base + squares[b]] += c * pw[b]
-
-    def descend(left, start, norm, prod, res, weight, run):
-        if left == 2:
-            pair(start, norm, prod, res, weight, run)
-            return
-        for j in range(start, bisect_right(squares, (N - norm) // left, start)):
-            k = run + 1 if j == start else 1
-            descend(left - 1, j, norm + squares[j], prod * powers[j],
-                    res * ns[j] % mod, weight // k, k)
-
-    if l == 1:
+    # frames (coordinates left, first index, norm, product, residue, weight,
+    # run); a first candidate that repeats the previous coordinate extends its run
+    stack = [(l, 0, 0, 1, 1 % mod, factorial(l), 0)] if l > 1 else []
+    if l == 1 and not fold:
         row, pw = tables[1 % mod]
         for j, sq in enumerate(squares):
             row[j][sq] += pw[j]
-    else:
-        descend(l, 0, 0, 1, 1 % mod, factorial(l), 0)
-    del descend  # it holds itself in its cell, a cycle that would keep the rows for a collection
+    while stack:
+        left, start, norm, prod, res, weight, run = stack.pop()
+        stop = bisect_right(squares, (N - norm) // left, start)
+        if left > 2:
+            for j in range(start, stop):
+                k = run + 1 if j == start else 1
+                stack.append((left - 1, j, norm + squares[j], prod * powers[j],
+                              res * ns[j] % mod, weight // k, k))
+            continue
+        for a in range(start, stop):  # the last prefix coordinate; b >= a follows
+            k = run + 1 if a == start else 1
+            c = weight // k * prod * powers[a]
+            base = norm + squares[a]
+            if fold:
+                rational[base + squares[a]] += c // (k + 1) * powers[a]
+                table = starts.get(base)
+                if table is None:
+                    starts[base] = {a + 1: c}
+                else:
+                    table[a + 1] = table.get(a + 1, 0) + c
+            else:
+                row, pw = tables[res * ns[a] % mod]
+                row[a][base + squares[a]] += c // (k + 1) * pw[a]
+                for b in range(a + 1, bisect_right(squares, N - base, a + 1)):
+                    row[b][base + squares[b]] += c * pw[b]
+    if fold:  # the last coordinate once per prefix norm, summing the prefixes it extends
+        for base, table in starts.items():
+            s = 0
+            for b in range(min(table), bisect_right(squares, N - base)):
+                if b in table:
+                    s += table[b]
+                rational[base + squares[b]] += s * powers[b]
 
     own = {res: row for res, row in rows.items() if row is not rational}
     if not own:

@@ -64,6 +64,22 @@ def test_theta_command_chi8(tmp_path):
         "exponent,value", "1,1", "9,-1", "25,-1", "49,1"]
 
 
+def test_theta_and_verify_run_past_the_recursion_limit(tmp_path):
+    """A power above the interpreter's recursion limit: the lattice walk
+    keeps its prefixes on a stack, so both commands exit 0."""
+    assert 1200 > sys.getrecursionlimit()
+    out = tmp_path / "theta.json"
+    assert run_cli("theta", "--char", "kronecker:-4", "--pow", "1200",
+                   "--terms", "1300", "--out", str(out)) == 0
+    rows = {r["exponent"]: r["value"] for r in json.loads(out.read_text())["series"]["rows"]}
+    assert (rows[1200], rows[1208]) == ("1", "-3600")
+    config, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"psi": {"kronecker": -4}, "chi": {"kronecker": 8}, "l": 1200,
+                                  "rmax": 40, "modes": ["full"], "B": 1300}))
+    assert run_cli("verify", "--config", str(config), "--out", str(report)) == 0
+    assert len(json.loads(report.read_text())["rows"]) == 40
+
+
 def test_theta_missing_char_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli("theta", "--pow", "1", "--terms", "10")

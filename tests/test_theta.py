@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import groupby, product
@@ -299,6 +300,33 @@ def test_rational_value_at_a_higher_tag_keeps_its_tag():
     assert psi.values[4].order == 4
     rows = theta_power_direct(psi, 2, 20).to_json_obj()["rows"]
     assert {"exponent": 8, "value": {"order": 4, "coords": ["-4", "0"]}} in rows
+
+
+# kronecker -4 with psi(3) = -1 spelled at tag 2, so it keeps its own row
+_M4_AT_TAG2 = char_from_table(4, [cyc(0), cyc(1), cyc(0), CyclotomicNumber(2, [-1])])
+
+
+@pytest.mark.parametrize("l", [2, 4, 6])
+def test_folded_and_per_point_last_coordinates_agree(l):
+    """One real table spelled twice: with -1 at tag 1 the last coordinate
+    runs once per prefix norm, with -1 at tag 2 once per prefix.  The values
+    are equal; the fold's are all at tag 1, and the tag-2 spelling prints
+    the tags of the keyed walk."""
+    N = 2000
+    folded, per_point = theta_power_direct(CHI_M4, l, N), theta_power_direct(_M4_AT_TAG2, l, N)
+    assert folded == per_point
+    assert {value.order for _, value in folded.nonzero_items()} == {1}
+    assert {value.order for _, value in per_point.nonzero_items()} == {1, 2}
+    assert per_point.to_json_obj() == _keyed_walk_power(_M4_AT_TAG2, l, N).to_json_obj()
+
+
+def test_lattice_power_past_the_recursion_limit():
+    """The walk keeps its prefixes on a stack, not one frame per coordinate."""
+    l, N = 1200, 1300
+    assert l > sys.getrecursionlimit()
+    direct = theta_power_direct(CHI_M4, l, N)
+    assert direct.coeff(l + 8) == cyc(-3 * l)  # one coordinate 3, the rest 1
+    assert theta_power_series(CHI_M4, l, N).agrees_with(direct, l, N)
 
 
 # -- a large-N oracle for the series power: eta quotients --------------------
