@@ -10,24 +10,22 @@ exactly which coefficients are certified.  Storage is dense over the window
 Products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", 2009): the terms of
 one order tag are scaled to integer coordinate vectors and packed, q and
-zeta together, as the digits of one number per operand, an int's bytes for a
-small product (CPython's Karatsuba) and a Decimal's base-10^w digits for a
-large one (libmpdec's transform), so a product costs one multiplication per
-pair of order tags, not per pair of terms.  Only every g-th exponent gets a
+zeta together, as the base-256^n digits of one Python int per operand, so a
+product costs one int multiplication per pair of order tags instead of a
+cyclotomic multiplication per pair of terms.  Only every g-th exponent gets a
 digit, g the gcd of the exponent gaps: a theta power of a character of even
 modulus has all its exponents in one class mod 8 (mod 24 for kronecker 12).
-The digits are read back as slices, then reduced mod Phi_e; values and order
-tags are those of adding the term products one pair at a time.
+The digits are read back as slices of one byte string, then reduced mod
+Phi_e; values and order tags are those of adding the term products one pair
+at a time.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
 from .rings import (
-    _EXACT,
     CyclotomicNumber,
     _divmod,
     _exact,
@@ -66,75 +64,42 @@ def _integer_rows(terms, order: int):
     return [[x.numerator * (scale // x.denominator) for x in row] for row in coords], scale
 
 
-# On theta-power products (CPython 3.11, 2 vCPUs) Python ints (Karatsuba) took
-# 0.31-0.94 of libmpdec's time below this many bits of product and 0.9-2.0 from
-# 1.7 * 10^5 bits up, where libmpdec's number-theoretic transform wins.
-_BINARY_BELOW_BITS = 2 ** 17
-
-
-def _operands(terms_a, rows_a, terms_b, rows_b, stride: int, step: int, field, join, sub):
-    """Both operands and their product's digit count: rows[i][k] is digit
-    (e_i - e_0) / step * stride + k, the field(|digit|)s of an operand joined,
-    positive and negative apart and then subtracted, linear in the size."""
-    def pack(terms, rows):
-        base = terms[0][0]
-        pos = [field(0)] * ((terms[-1][0] - base) // step * stride + len(rows[0]))
-        neg = list(pos)
-        for (e, _), row in zip(terms, rows):
-            at = (e - base) // step * stride
-            for k, x in enumerate(row):
-                if x:
-                    (pos if x > 0 else neg)[at + k] = field(abs(x))
-        return sub(join(pos), join(neg)), len(pos)
-    packed_a, fields_a = pack(terms_a, rows_a)
-    packed_b, fields_b = (packed_a, fields_a) if terms_b is terms_a else pack(terms_b, rows_b)
-    return packed_a, packed_b, fields_a + fields_b - 1
-
-
-def _decimal_digits(terms_a, rows_a, terms_b, rows_b, stride: int, step: int, bound: int,
-                    count: int) -> list:
-    """_product_digits in base 10^w > 2 bound, by one libmpdec product and
-    slices of one str().  int() reads a slice directly up to 640 digits, the
-    least int<->str limit Python allows; wider ones convert through Decimal."""
-    width = (2 * bound).bit_length() * 30103 // 100000 + 1
-    zero = "5" + "0" * (width - 1)  # the slice of a zero digit
-    packed_a, packed_b, total = _operands(
-        terms_a, rows_a, terms_b, rows_b, stride, step, lambda x: str(Decimal(x)).zfill(width),
-        lambda f: Decimal("".join(reversed(f))), _EXACT.subtract)
-    end = total * width
-    raw = str(_EXACT.fma(packed_a, packed_b, Decimal(zero * total))).zfill(end)
-    half = 5 * 10 ** (width - 1)
-    read = int if width <= 640 else (lambda d: int(Decimal(d)))
-    return [0 if d == zero else read(d) - half
-            for d in [raw[i - width:i] for i in range(end, end - count * width, -width)]]
-
-
-def _binary_digits(terms_a, rows_a, terms_b, rows_b, stride: int, step: int, bound: int,
-                   count: int) -> list:
-    """_product_digits in base 256^n > 2 bound, by one int product and
-    slices of one little-endian to_bytes()."""
-    size = ((2 * bound).bit_length() + 7) // 8
-    packed_a, packed_b, total = _operands(
-        terms_a, rows_a, terms_b, rows_b, stride, step, lambda x: x.to_bytes(size, "little"),
-        lambda f: int.from_bytes(b"".join(f), "little"), int.__sub__)
-    half = 1 << 8 * size - 1
-    bias = int.from_bytes(half.to_bytes(size, "little") * total, "little")
-    raw = (packed_a * packed_b + bias).to_bytes(total * size, "little")
-    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, count * size, size)]
+def _pack(terms, rows, stride: int, step: int, size: int) -> int:
+    """Sum of rows[i][k] * X^((e_i - e_0) / step * stride + k), X = 256^size:
+    the digits are written as size little-endian bytes, positive and negative
+    ones in separate byte strings, so packing is linear in the output size."""
+    base = terms[0][0]
+    pos = [bytes(size)] * ((terms[-1][0] - base) // step * stride + len(rows[0]))
+    neg = list(pos)
+    for (e, _), row in zip(terms, rows):
+        at = (e - base) // step * stride
+        for k, x in enumerate(row):
+            if x:
+                (pos if x > 0 else neg)[at + k] = abs(x).to_bytes(size, "little")
+    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(b"".join(neg), "little")
 
 
 def _product_digits(terms_a, rows_a, terms_b, rows_b, stride: int, step: int, bound: int,
                     count: int) -> list:
-    """The lowest count digits of the product of the packed operands (see
-    _operands) in a base above 2 bound, bound at least every coordinate and
-    product digit in absolute value: half the base added to every digit leaves
-    no borrow between digits.  Below _BINARY_BELOW_BITS of product
-    _binary_digits runs (CPython's Karatsuba is the faster there), above it
-    _decimal_digits (libmpdec's transform is); both return the same digits."""
+    """The lowest count digits of the product of the operands packed at the
+    step of their exponents (see _pack), each at most bound in absolute value,
+    in balanced base 256^n, where n bytes hold 2 bound.  A square (terms_b is
+    terms_a, rows equal) packs once.  One int product gets 2^(8 n - 1) added
+    to every digit at once, which leaves no borrow between digits, so each
+    digit is a slice of one to_bytes().  On theta-power products (CPython
+    3.11) the int product took 0.3-0.94 of the time of a libmpdec Decimal
+    product of the same digits below 1.7 * 10^5 bits, 0.9-1.03 of it up to
+    3.1 * 10^5, and 1.1-2.0 times it from 3.6 * 10^5 to 1.4 * 10^6 bits,
+    where libmpdec's number-theoretic transform wins."""
+    size = ((2 * bound).bit_length() + 7) // 8
     span = terms_a[-1][0] - terms_a[0][0] + terms_b[-1][0] - terms_b[0][0]
-    bits = (span // step + 1) * stride * (2 * bound).bit_length()
-    codec = _binary_digits if bits < _BINARY_BELOW_BITS else _decimal_digits
-    return codec(terms_a, rows_a, terms_b, rows_b, stride, step, bound, count)
+    total = (span // step + 1) * stride
+    packed_a = _pack(terms_a, rows_a, stride, step, size)
+    packed_b = packed_a if terms_b is terms_a else _pack(terms_b, rows_b, stride, step, size)
+    half = 1 << 8 * size - 1
+    bias = int.from_bytes(half.to_bytes(size, "little") * total, "little")
+    raw = (packed_a * packed_b + bias).to_bytes(total * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, count * size, size)]
 
 
 def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: int) -> None:
@@ -146,12 +111,12 @@ def _convolve(data: list, v: int, n: int, terms_a: list, terms_b: list, order: i
     operand's first exponent e_0 (8 for theta powers of kronecker -4; 1 when
     both are single terms).  Each operand's coordinates are scaled to integers
     and packed into one number, the z^k coordinate of the q^e term at digit
-    (e - e_0) / g * (2 phi - 1) + k, so one product (of ints or Decimals by
-    its size: see _product_digits) holds every coefficient of the product in
-    Z[q^g, z], whose z-degree stays below 2 phi - 1; slot s is the exponent
-    base + s * g.  A product digit sums at most min(n_a, n_b) * phi products
-    of coordinates, which bounds it.  Each slot's digits are then reduced mod
-    Phi_order and divided by the two denominators.
+    (e - e_0) / g * (2 phi - 1) + k, so one int product holds every
+    coefficient of the product in Z[q^g, z], whose z-degree stays below
+    2 phi - 1; slot s is the exponent base + s * g.  A product digit sums at
+    most min(n_a, n_b) * phi products of coordinates, which bounds it (see
+    _product_digits).  Each slot's digits are then reduced mod Phi_order and
+    divided by the two denominators.
     """
     square = terms_a is terms_b
     terms_a = [t for t in terms_a if t[0] + terms_b[0][0] <= n]
@@ -251,8 +216,7 @@ class QSeries:
 
         Each operand's nonzero terms are grouped by order tag, and every pair
         of groups is multiplied with one integer product at E, the lcm of the
-        two orders (see _convolve): CPython's below _BINARY_BELOW_BITS,
-        libmpdec's transform above.  The order tag of an output slot is the
+        two orders (see _convolve).  The order tag of an output slot is the
         lcm of E over the group pairs with a term pair landing on it, even
         when their sum cancels: the tag of adding the term products one at a
         time to an order-1 zero.

@@ -3,7 +3,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from holoproj import qseries, rings
+from holoproj import rings
 
 # `--hypothesis-profile=ci` draws the same examples on every run, so a failure
 # there recurs; without it each run draws new ones
@@ -33,15 +33,3 @@ def no_large_cyclotomic_polynomial(monkeypatch):
         return build(e)
 
     monkeypatch.setattr(rings, "cyclotomic_polynomial", guarded)
-
-
-@pytest.fixture
-def codec_calls(monkeypatch):
-    """The names of the qseries codecs the products run, in call order."""
-    calls = []
-    for name in ("_binary_digits", "_decimal_digits"):
-        def spied(*args, name=name, codec=getattr(qseries, name)):
-            calls.append(name)
-            return codec(*args)
-        monkeypatch.setattr(qseries, name, spied)
-    return calls

@@ -11,7 +11,7 @@ from holoproj.characters import char_from_table, char_kronecker
 from holoproj.qseries import QSeries, SeriesRangeError
 from holoproj.rings import CyclotomicNumber, cyc, euler_phi, value_to_json
 from holoproj.theta import theta_power_direct, theta_power_series, theta_series
-from test_theta import LIBMPDEC_CASE, ORACLE_CHARS
+from test_theta import ORACLE_CHARS
 
 
 def series(valuation, truncation, coeffs):
@@ -407,12 +407,10 @@ def test_theta_power_series_matches_lattice_and_schoolbook(name, l):
     assert slots(powered) == slots(oracle)
 
 
-# -- the two codecs of _product_digits on the same packed inputs -------------
+# -- _product_digits on packed inputs, at the tightest bound ------------------
 #
-# a * b picks one codec by the size of each product, so most of the tests
-# above now run only the binary one; these call both on the same inputs.
-
-CODECS = (qseries._binary_digits, qseries._decimal_digits)
+# a * b passes _convolve's bound, which is loose; these pass the largest digit
+# or coordinate itself, so a field holds exactly the values it must.
 
 
 def schoolbook_digits(terms_a, rows_a, terms_b, rows_b, stride, step, count):
@@ -429,7 +427,7 @@ def schoolbook_digits(terms_a, rows_a, terms_b, rows_b, stride, step, count):
     return out
 
 
-def codec_args(exps_a, rows_a, exps_b=None, rows_b=None, step=1, count=None, bound=None):
+def digits_args(exps_a, rows_a, exps_b=None, rows_b=None, step=1, count=None, bound=None):
     """_product_digits' arguments for rows on the given exponents (a square
     without exps_b), at _convolve's stride; count defaults to every digit of
     the product and bound to its largest digit or coordinate, the tightest
@@ -445,60 +443,30 @@ def codec_args(exps_a, rows_a, exps_b=None, rows_b=None, step=1, count=None, bou
     return terms_a, rows_a, terms_b, rows_b, stride, step, bound or tight, count or total
 
 
-def assert_codecs_match_schoolbook(args):
+def assert_digits_match_schoolbook(args):
     terms_a, rows_a, terms_b, rows_b, stride, step, _, count = args
     want = schoolbook_digits(terms_a, rows_a, terms_b, rows_b, stride, step, count)
-    for codec in CODECS:
-        assert codec(*args) == want, codec.__name__
+    assert qseries._product_digits(*args) == want
 
 
-def test_codecs_match_schoolbook_at_decimal_landmarks():
-    cases = []
-    # +-(10^k - 1) fill k decimal places and 5 * 10^(k-1) is the bias of a
-    # width-k digit: as a single product digit it is the bound itself
-    for k in (1, 2, 3, 9, 10, 19, 20, 38):
-        nines, fives = 10 ** k - 1, 5 * 10 ** (k - 1)
-        cases += [codec_args([0], [[x]], [0], [[1]]) for x in (nines, -nines, fives, -fives)]
-        cases += [codec_args([0, 1, 2, 3], [[nines], [-nines], [fives], [-fives]],
-                             [0, 1, 2, 3], [[fives], [nines], [-nines], [1]]),
-                  codec_args([0], [[nines, -fives]], [0, 2], [[-fives, nines], [0, 1]], step=2)]
-    # 5 * 1 + 5 * (-1) cancels to a zero digit, whose decimal slice is the bias
-    cases.append(codec_args([0, 1], [[5], [5]], [0, 1], [[1], [-1]]))
-    for args in cases:
-        assert_codecs_match_schoolbook(args)
-
-
-def test_codecs_match_schoolbook_past_the_int_str_limits(default_int_str_limit):
-    # a coefficient past the 4,300-digit int <-> str limit
-    huge = 7 ** 5200 + 1
-    assert_codecs_match_schoolbook(codec_args([0, 1, 3], [[huge], [-huge], [2]],
-                                              [0, 2, 3], [[huge - 1], [3], [huge]]))
-    assert sys.get_int_max_str_digits() == default_int_str_limit
-    # digits 600 to 700 places wide under the least limit Python allows
-    sys.set_int_max_str_digits(640)
-    for k in (295, 300, 320, 325, 340):
-        big = 10 ** k - 1
-        assert_codecs_match_schoolbook(codec_args([0, 1, 2], [[big, 0], [-big, 0], [big, 3]],
-                                                  [0, 1], [[big - 2, 0], [1, 0]]))
-        assert_codecs_match_schoolbook(codec_args([0, 1, 2], [[big], [-big], [big]]))
-
-
-def test_codecs_match_schoolbook_at_byte_landmarks():
+def test_product_digits_match_schoolbook_at_byte_landmarks():
     # 2^(8k) - 1 fills k bytes, 2^(8k-1) is the bias of a k-byte field and
     # 2^(8k-1) - 1 the largest digit that fits it
     for k in (1, 2, 3, 4, 5, 8, 9, 16):
         for x in (2 ** (8 * k) - 1, 2 ** (8 * k - 1), 2 ** (8 * k - 1) - 1):
             for sign in (1, -1):
-                assert_codecs_match_schoolbook(codec_args([0], [[sign * x]], [0], [[1]]))
-                assert_codecs_match_schoolbook(codec_args([0, 1, 2], [[sign * x], [x], [-x]],
-                                                          [0, 1], [[1], [sign]]))
+                assert_digits_match_schoolbook(digits_args([0], [[sign * x]], [0], [[1]]))
+                assert_digits_match_schoolbook(digits_args([0, 1, 2], [[sign * x], [x], [-x]],
+                                                           [0, 1], [[1], [sign]]))
         full = 2 ** (8 * k) - 1
-        assert_codecs_match_schoolbook(codec_args([0, 8], [[full, -full], [1, full]], step=8))
+        assert_digits_match_schoolbook(digits_args([0, 8], [[full, -full], [1, full]], step=8))
+    # 5 * 1 + 5 * (-1) cancels to a zero digit
+    assert_digits_match_schoolbook(digits_args([0, 1], [[5], [5]], [0, 1], [[1], [-1]]))
     # the 0/1 rows of the order-tag products, at a step, with every slot read
     # or only the lowest ones
     for count in (None, 5):
-        assert_codecs_match_schoolbook(
-            codec_args([1, 9, 17, 41], [[1]] * 4, [1, 25, 33], [[1]] * 3, step=8, count=count))
+        assert_digits_match_schoolbook(
+            digits_args([1, 9, 17, 41], [[1]] * 4, [1, 25, 33], [[1]] * 3, step=8, count=count))
     # Fraction coordinates scaled to integer rows over their common denominator
     i = CyclotomicNumber.zeta(4)
     terms = [(0, cyc(Fraction(1, 3))), (1, CyclotomicNumber(4, [Fraction(1, 2), Fraction(-5, 7)])),
@@ -506,20 +474,19 @@ def test_codecs_match_schoolbook_at_byte_landmarks():
     rows, scale = qseries._integer_rows(terms, 4)
     assert scale == 84
     exps = [e for e, _ in terms]
-    assert_codecs_match_schoolbook(codec_args(exps, rows))
-    assert_codecs_match_schoolbook(codec_args(exps, rows, [2, 3], [[3, -1], [0, 2 ** 40]]))
+    assert_digits_match_schoolbook(digits_args(exps, rows))
+    assert_digits_match_schoolbook(digits_args(exps, rows, [2, 3], [[3, -1], [0, 2 ** 40]]))
 
 
-codec_value = st.one_of(
+digit_value = st.one_of(
     st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
     st.builds(lambda k, sign: sign * 2 ** k, st.integers(0, 72), st.sampled_from([1, -1])),
     st.builds(lambda k, sign: sign * (2 ** k - 1), st.integers(1, 72), st.sampled_from([1, -1])),
-    st.builds(lambda k, sign: sign * 10 ** k // 2, st.integers(1, 22), st.sampled_from([1, -1])),
 )
 
 
 @st.composite
-def codec_inputs(draw):
+def packed_inputs(draw):
     """Two operands (or a square) at one step and coordinate count, the bound
     the tightest one or _convolve's, the count any prefix of the product."""
     phi, step = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 9))
@@ -528,36 +495,20 @@ def codec_inputs(draw):
         base = draw(st.integers(-20, 20))
         gaps = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8, unique=True))
         exps = sorted(base + step * g for g in gaps)
-        return exps, [[draw(codec_value) for _ in range(phi)] for _ in exps]
+        return exps, [[draw(digit_value) for _ in range(phi)] for _ in exps]
 
     exps_a, rows_a = operand()
     exps_b, rows_b = (None, None) if draw(st.booleans()) else operand()
-    args = codec_args(exps_a, rows_a, exps_b, rows_b, step=step)
+    args = digits_args(exps_a, rows_a, exps_b, rows_b, step=step)
     rows_b = args[3]
     bound = (max(abs(x) for row in rows_a for x in row) * max(abs(x) for row in rows_b for x in row)
              * min(len(rows_a), len(rows_b)) * phi)
     if bound and draw(st.booleans()):  # _convolve's bound, for operands that are not 0
-        args = codec_args(exps_a, rows_a, exps_b, rows_b, step=step, bound=bound)
+        args = digits_args(exps_a, rows_a, exps_b, rows_b, step=step, bound=bound)
     return args[:7] + (draw(st.integers(1, args[7])),)
 
 
-@given(codec_inputs())
+@given(packed_inputs())
 @settings(max_examples=300, deadline=None)
-def test_codecs_return_the_same_digits(args):
-    assert qseries._binary_digits(*args) == qseries._decimal_digits(*args)
-
-
-def test_the_switch_runs_one_codec_on_each_side(codec_calls):
-    """theta^4 of kronecker -4 at N = 3072, the benchmark's size, runs only
-    the binary codec; the square of theta at N = 2^16, one product of about
-    400,000 bits, only the decimal one, as does the largest product of the
-    transform-size case of test_theta."""
-    theta_power_series(char_kronecker(-4), 4, 3072)
-    assert codec_calls and set(codec_calls) == {"_binary_digits"}
-    codec_calls.clear()
-    theta_power_series(char_kronecker(-4), 2, 2 ** 16)
-    assert codec_calls == ["_decimal_digits"]
-    codec_calls.clear()
-    name, l, n = LIBMPDEC_CASE
-    theta_power_series(ORACLE_CHARS[name], l, n)
-    assert codec_calls[-1] == "_decimal_digits"
+def test_product_digits_match_schoolbook(args):
+    assert_digits_match_schoolbook(args)
