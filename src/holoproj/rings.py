@@ -271,6 +271,9 @@ class CyclotomicNumber:
         if order < 1:
             raise ValueError(f"order must be positive, got {order}")
         coords = tuple([c if type(c) is int else _rational(c) for c in coords])
+        if 2 * len(coords) ** 2 < order:  # phi(e) >= sqrt(e/2): refused before e is factored
+            raise ValueError(
+                f"need phi({order}) >= sqrt({order}/2) coordinates, got {len(coords)}")
         if len(coords) != euler_phi(order):
             raise ValueError(
                 f"need phi({order}) = {euler_phi(order)} coordinates, got {len(coords)}"

@@ -6,12 +6,12 @@ lattice N^l and never touches series multiplication, so the two paths
 cross-check each other (power via repeated squaring vs direct
 representation-number enumeration).  The enumeration walks one nondecreasing
 tuple per orbit of coordinate permutations, weighted by the orbit's size, with
-radius pruning, on an explicit stack, into dense integer rows indexed by norm:
-psi's rational values (order tag 1, so +-1) fold their signs into the powers
-and share one row, and each residue whose value has a higher tag keeps its
-own.  With no such residue the last coordinate runs once per prefix norm.
-rings.graded_readout, which also reads the sigma and ordered powers, applies
-the character to those rows.
+radius pruning, on an explicit stack; the last coordinate runs once per
+(prefix norm, residue class of the product), into dense integer rows indexed
+by norm: psi's rational values (order tag 1, so +-1) fold their signs into the
+powers and share one row, and each residue whose value has a higher tag keeps
+its own.  rings.graded_readout, which also reads the sigma and ordered powers,
+applies the character to those rows.
 """
 
 from __future__ import annotations
@@ -51,22 +51,20 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
 
     The summand is symmetric, so the walk takes one nondecreasing tuple per
     orbit of coordinate permutations, weighted by the orbit's size
-    l!/prod(run length)!, its prefixes on an explicit stack.  A coordinate n
-    is tried only if psi(n) != 0 (exact, by complete multiplicativity) and
-    n^2 times the coordinates left fits the remaining norm.  The sums go
-    into rows indexed by norm: one for the residues of the product where psi
-    is +-1 at tag 1, its sign folded into the powers, and one per residue of
-    a higher tag, whose positive entries say where a point landed.  With no
-    such residue (every Kronecker character) a product of the powers
-    psi(n) n^lambda carries psi of its residue, so a prefix of l - 1
-    coordinates ending at index a, norm base, adds its b = a point and puts
-    its coefficient at start a + 1 in a table for base; one pass per base
-    then runs the last coordinate b with a running sum over the starts.
-    Otherwise each prefix runs its own b.  rings.graded_readout reads the
-    rows, a residue present where its entry is nonzero and the rational row
-    graded as residue 0 (psi is 0 there) at value 1, so values and tags
-    equal those of adding psi(residue) * sum one at a time; a zero sum is
-    dropped.
+    l!/prod(run length)!, its prefixes of l - 1 coordinates on an explicit
+    stack.  A coordinate n is tried only if psi(n) != 0 (exact, by complete
+    multiplicativity) and n^2 times the coordinates left fits the remaining
+    norm.  A prefix ending at index a, its product in residue class r, adds
+    its b = a point and puts its coefficient at start a + 1 in a table keyed
+    by (prefix norm, r); one pass per key then runs the last coordinate b
+    with a running sum over the starts.  Points land in rows indexed by norm:
+    one for the residues where psi is +-1 at tag 1, the sign carried by the
+    power, and one per residue of a higher tag, whose positive entries say
+    where a point landed.  With no such residue the powers are psi(n)
+    n^lambda, whose products carry psi of their residue, all in class 1.
+    rings.graded_readout reads the rows, the rational row as residue 0 at
+    value 1, so values and tags equal those of adding psi(residue) * sum one
+    at a time; a zero sum is dropped.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
@@ -76,77 +74,75 @@ def theta_power_direct(psi: DirichletCharacter, l: int, N: int) -> QSeries:
         raise ValueError("trivial character mod 1 is not admitted")
     if N < l:
         return QSeries(1, N, {})
-    mod, values = psi.modulus, psi.values
-    lam = psi.parity
+    mod, values, lam = psi.modulus, psi.values, psi.parity
     ns = [n for n in range(1, isqrt(N - l + 1) + 1) if not values[n % mod].is_zero()]
     squares = [n * n for n in ns]
     powers = [n ** lam for n in ns]
 
-    rational = [0] * (N + 1)
-    rows = {res: rational if v.order == 1 else [0] * (N + 1)
-            for res, v in enumerate(values) if not v.is_zero()}
-    fold = all(row is rational for row in rows.values())
-    if fold:
-        # psi(n) n^lambda: a product of them carries psi of its residue
+    # rows of N + 1 norms in one flat list: row 0 for tag 1, then one per residue in own
+    own = [res for res, v in enumerate(values) if not v.is_zero() and v.order > 1]
+    row_of = {res: i for i, res in enumerate(own, 1)}
+    width = N + 1
+    if own:  # class of a prefix -> class after each next coordinate
+        after = {res: [res * n % mod for n in ns]
+                 for res, v in enumerate(values) if not v.is_zero()}
+    else:  # psi(n) n^lambda: a product of them carries psi of its residue, one class
         powers = [p * values[n % mod].coords[0] for p, n in zip(powers, ns)]
-        # prefix norm -> {first index of the last coordinate: coefficient};
-        # at l = 1 only the empty prefix, its one coordinate from index 0 on
-        starts = {} if l > 1 else {0: {0: 1}}
-    else:
-        # residue of a product -> (row, signed power) of each next coordinate
-        tables = [None] * mod
-        for res in rows:
-            targets = [res * n % mod for n in ns]
-            tables[res] = ([rows[t] for t in targets],
-                           [p * values[t].coords[0] if rows[t] is rational else p
-                            for p, t in zip(powers, targets)])
+        after = {1: [1] * len(ns)}
+    # per class of a prefix: where each next coordinate lands (row offset plus
+    # its square) and its power, signed by psi of the target when at tag 1
+    lands = {res: ([row_of.get(t, 0) * width + sq for t, sq in zip(nxt, squares)],
+                   [p if t in row_of else p * values[t].coords[0] for p, t in zip(powers, nxt)])
+             for res, nxt in after.items()}
+    # per class before the last prefix coordinate a: the key shift of the
+    # prefix, and the slot and power of its b = a point
+    lasts = {res: ([sq + t * width for sq, t in zip(squares, nxt)],
+                   [lands[t][0][a] + squares[a] for a, t in enumerate(nxt)],
+                   [lands[t][1][a] for a, t in enumerate(nxt)])
+             for res, nxt in after.items()}
 
-    # frames (coordinates left, first index, norm, product, residue, weight,
+    flat = [0] * (len(own) + 1) * width
+    # prefix norm + class * (N + 1) -> {first index of the last coordinate:
+    # coefficient}; at l = 1 only the empty prefix (norm 0, class 1), from index 0 on
+    starts = {} if l > 1 else {width: {0: 1}}
+    # frames (coordinates left, first index, norm, product, class, weight,
     # run); a first candidate that repeats the previous coordinate extends its run
-    stack = [(l, 0, 0, 1, 1 % mod, factorial(l), 0)] if l > 1 else []
-    if l == 1 and not fold:
-        row, pw = tables[1 % mod]
-        for j, sq in enumerate(squares):
-            row[j][sq] += pw[j]
+    stack = [(l, 0, 0, 1, 1, factorial(l), 0)] if l > 1 else []
     while stack:
-        left, start, norm, prod, res, weight, run = stack.pop()
+        left, start, norm, prod, cls, weight, run = stack.pop()
         stop = bisect_right(squares, (N - norm) // left, start)
         if left > 2:
+            nxt = after[cls]
             for j in range(start, stop):
                 k = run + 1 if j == start else 1
                 stack.append((left - 1, j, norm + squares[j], prod * powers[j],
-                              res * ns[j] % mod, weight // k, k))
+                              nxt[j], weight // k, k))
             continue
+        shift, diag, dpow = lasts[cls]
         for a in range(start, stop):  # the last prefix coordinate; b >= a follows
             k = run + 1 if a == start else 1
             c = weight // k * prod * powers[a]
-            base = norm + squares[a]
-            if fold:
-                rational[base + squares[a]] += c // (k + 1) * powers[a]
-                table = starts.get(base)
-                if table is None:
-                    starts[base] = {a + 1: c}
-                else:
-                    table[a + 1] = table.get(a + 1, 0) + c
+            flat[norm + diag[a]] += c // (k + 1) * dpow[a]
+            key = norm + shift[a]
+            table = starts.get(key)
+            if table is None:
+                starts[key] = {a + 1: c}
             else:
-                row, pw = tables[res * ns[a] % mod]
-                row[a][base + squares[a]] += c // (k + 1) * pw[a]
-                for b in range(a + 1, bisect_right(squares, N - base, a + 1)):
-                    row[b][base + squares[b]] += c * pw[b]
-    if fold:  # the last coordinate once per prefix norm, summing the prefixes it extends
-        for base, table in starts.items():
-            s = 0
-            for b in range(min(table), bisect_right(squares, N - base)):
-                if b in table:
-                    s += table[b]
-                rational[base + squares[b]] += s * powers[b]
+                table[a + 1] = table.get(a + 1, 0) + c
+    # the last coordinate once per key, summing the prefixes it extends
+    for key, table in starts.items():
+        cls, base = divmod(key, width)
+        slot, pw = lands[cls]
+        s = 0
+        for b in range(min(table), bisect_right(squares, N - base)):
+            if b in table:
+                s += table[b]
+            flat[base + slot[b]] += s * pw[b]
 
-    own = {res: row for res, row in rows.items() if row is not rational}
     if not own:
-        return QSeries(l, N, {norm: _trusted(1, (s,))
-                              for norm, s in enumerate(rational) if s})
-    columns = {res: {norm: s for norm, s in enumerate(row) if s}
-               for res, row in [(0, rational), *own.items()]}
+        return QSeries(l, N, {norm: _trusted(1, (s,)) for norm, s in enumerate(flat) if s})
+    columns = {res: {norm: s for norm, s in enumerate(flat[i * width:(i + 1) * width]) if s}
+               for i, res in enumerate([0, *own])}
     weights = graded_readout(columns, {0: _ONE, **{res: values[res] for res in own}})
     return QSeries(l, N, {norm: w for norm, w in weights.items() if w})
 

@@ -546,6 +546,25 @@ def test_verify_rejects_a_huge_order_before_building_its_polynomial(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "theta"])
+def test_an_order_too_large_to_factor_exits_2_at_once(tmp_path, command):
+    """Order 2^61 - 1 (a prime, past any trial division) with one coordinate
+    is refused by the coordinate bound phi(e) >= sqrt(e/2) before e is
+    factored, so both commands exit 2 within 2 s."""
+    psi = json.loads(QUARTIC_MOD5)
+    psi["values"][2] = {"order": 2 ** 61 - 1, "coords": [1]}
+    if command == "verify":
+        argv = ["verify", "--config", str(write_config(tmp_path, psi=psi, l=4, rmax=8, B=32)),
+                "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["theta", "--char", json.dumps(psi), "--terms", "10"]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "holoproj.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and time.perf_counter() - t0 < 2, proc.stderr
+    assert f"phi({2 ** 61 - 1})" in proc.stderr
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "holoproj.cli", "closed-forms", "--out", "-"],

@@ -527,6 +527,9 @@ def test_a_character_spelled_at_two_tags_is_one_set_element():
 
 
 def test_a_wrong_coordinate_count_is_rejected_before_any_phi_e(no_large_cyclotomic_polynomial):
-    with pytest.raises(ValueError, match=r"need phi\(1000000000\) = 400000000 coordinates, got 1"):
+    with pytest.raises(ValueError, match=r"need phi\(1000000000\) >= sqrt\(1000000000/2\) "
+                                         r"coordinates, got 1"):
         value_from_json({"order": 10 ** 9, "coords": ["1"]})
+    with pytest.raises(ValueError, match=r"need phi\(12\) = 4 coordinates, got 3"):
+        value_from_json({"order": 12, "coords": ["1", "0", "0"]})
     assert euler_phi(200000) == 80000 and euler_phi(10 ** 9 + 7) == 10 ** 9 + 6
